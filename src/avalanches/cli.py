@@ -59,6 +59,25 @@ def _kv_csv(doc: dict) -> str:
     return ser.csv_lines("field,value", rows)
 
 
+def _load_json(path: str, from_dict):
+    """Read a stored JSON document and rebuild it with ``from_dict``.
+
+    Unreadable or malformed input is a usage error (exit 2), not a failed
+    check, so each way it can go wrong becomes a one-line DomainError.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return from_dict(json.load(fh))
+    except OSError as exc:  # a directory, no permission, no such file
+        raise DomainError(f"cannot read {path}: {exc.strerror}")
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"{path} is not valid JSON: {exc}")
+    except KeyError as exc:
+        raise DomainError(f"{path} is missing the field {exc}")
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise DomainError(f"{path} is not a valid document: {exc}")
+
+
 def _parse_alpha(text: str) -> float:
     try:
         return float(Fraction(text))
@@ -198,8 +217,7 @@ def cmd_simulate(args) -> int:
         }
         ok = ok and equal
     if args.compare:
-        with open(args.compare, encoding="utf-8") as fh:
-            expected = ser.pmf_from_json_dict(json.load(fh))
+        expected = _load_json(args.compare, ser.pmf_from_json_dict)
         doc["gof"] = ser.gof_to_json_dict(chi_square_gof(res, expected))
 
     if args.format == "csv":
@@ -254,10 +272,8 @@ def cmd_tail(args) -> int:
 # ---------------------------------------------------------------- compare
 
 def cmd_compare(args) -> int:
-    with open(args.sim, encoding="utf-8") as fh:
-        res: SimResult = ser.simresult_from_json_dict(json.load(fh))
-    with open(args.pmf, encoding="utf-8") as fh:
-        expected = ser.pmf_from_json_dict(json.load(fh))
+    res: SimResult = _load_json(args.sim, ser.simresult_from_json_dict)
+    expected = _load_json(args.pmf, ser.pmf_from_json_dict)
     report = chi_square_gof(res, expected, min_expected=args.min_expected)
     if args.format == "json":
         text = ser.dump_json(ser.gof_to_json_dict(report))

@@ -1,10 +1,16 @@
 """Closed-form avalanche-size distributions, their limit law, and tail analysis.
 
-The three finite-population laws (avalanche, abelian, conditional) are
-evaluated in exact rational arithmetic and are required to sum to exactly 1
-at construction time; the large-population limit law is floating point,
-computed in log space, with its truncation deficit reported rather than
-hidden.
+The three finite-population laws (avalanche, abelian, conditional) and the
+mean identity share one integer kernel: with p = u/v, the numerators
+
+    t_b = (b+1)^(b-1) C(n,b) u^b (v-(b+1)u)^(n-b),   b = 0..n,
+
+put the avalanche law over the single denominator v^n, and Abel's identity
+says they sum to exactly v^n.  Each law asserts that identity on its
+integers and reduces each term to a Fraction only at the output step, so
+every exact pmf still sums to exactly 1.  The large-population limit law is
+floating point, computed in log space, with its truncation deficit reported
+rather than hidden.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
 from .errors import DomainError
@@ -19,14 +26,6 @@ from .errors import DomainError
 # Consistency slack allowed between a floating Pmf's mass and its declared
 # truncation deficit; purely a guard against construction bugs.
 _FLOAT_MASS_TOL = 1e-9
-
-
-def rational_pow(base: int | Fraction, exp: int) -> Fraction:
-    """base**exp as an exact Fraction, with x^0 == 1 for every x (including 0
-    and negatives) so boundary factors raised to the zeroth power are inert."""
-    if exp == 0:
-        return Fraction(1)
-    return Fraction(base) ** exp
 
 
 def _as_exact(p) -> Fraction:
@@ -75,12 +74,24 @@ class LimitParams:
             raise DomainError(f"a_max must be >= 0, got {self.a_max}")
 
 
+def _over_common_denominator(probs) -> tuple[list[int], int]:
+    """Numerators of exact probabilities over the lcm of their denominators.
+
+    Exact laws repeat few distinct denominators, so lcm and scale use those.
+    """
+    dens = {p.denominator for p in probs}
+    den = math.lcm(*dens)
+    scale = {d: den // d for d in dens}
+    return [p.numerator * scale[p.denominator] for p in probs], den
+
+
 @dataclass(frozen=True)
 class Pmf:
     """A finite probability mass function over integer support.
 
-    ``exact`` declares whether probs are Fractions (mass must be exactly 1)
-    or floats (mass must be 1 up to the declared truncation ``deficit``).
+    ``exact`` declares whether probs are Fractions (mass must be exactly 1,
+    checked as integer numerators over the lcm of the denominators) or
+    floats (mass must be 1 up to the declared truncation ``deficit``).
     """
 
     support: tuple[int, ...]
@@ -94,26 +105,61 @@ class Pmf:
             raise DomainError("support and probs must have equal length")
         if any(p < 0 for p in self.probs):
             raise DomainError(f"negative probability in {self.label}")
-        total = sum(self.probs)
         if self.exact:
-            if total != 1:
-                raise DomainError(f"exact pmf {self.label} sums to {total}, not 1")
+            nums, den = _over_common_denominator(self.probs)
+            total = sum(nums)
+            if total != den:
+                raise DomainError(f"exact pmf {self.label} sums to {Fraction(total, den)}, not 1")
         else:
+            total = sum(self.probs)
             declared = self.deficit if self.deficit is not None else 0.0
             if abs((1.0 - float(total)) - declared) > _FLOAT_MASS_TOL:
                 raise DomainError(
                     f"floating pmf {self.label} has mass {total} vs deficit {declared}"
                 )
 
+    @cached_property
+    def index(self) -> dict:
+        """Support value -> probability, built on first use.  Built from the
+        right so a repeated support value keeps its first probability."""
+        return dict(zip(reversed(self.support), reversed(self.probs)))
+
     def prob(self, a: int):
         """P(a); zero off the support."""
-        for s, p in zip(self.support, self.probs):
-            if s == a:
-                return p
-        return Fraction(0) if self.exact else 0.0
+        return self.index.get(a, Fraction(0) if self.exact else 0.0)
 
     def items(self):
         return zip(self.support, self.probs)
+
+
+def _abel_term(n: int, b: int, u: int, v: int) -> int:
+    """t_b = (b+1)^(b-1) C(n,b) u^b (v-(b+1)u)^(n-b), so that the avalanche
+    law at (n, p = u/v) is P(b) = t_b / v^n.
+
+    The weight 1^(-1) at b = 0 is special-cased (int ** -1 is a float), and
+    the last factor is only ever negative with exponent 0, where it is 1.
+    """
+    weight = (b + 1) ** (b - 1) if b else 1
+    return comb(n, b) * u**b * weight * (v - (b + 1) * u) ** (n - b)
+
+
+def _abel_numerators(n: int, u: int, v: int) -> list[int]:
+    """t_0..t_n; for 0 <= n*u <= v, Abel's identity makes them sum to v^n."""
+    return [_abel_term(n, b, u, v) for b in range(n + 1)]
+
+
+def _exact_pmf(first: int, nums: list[int], den: int, label: str) -> Pmf:
+    """The pmf nums[i] / den on first, first+1, ...; asserts the integer
+    identity sum(nums) == den before reducing each term to a Fraction."""
+    total = sum(nums)
+    if total != den:
+        raise DomainError(f"exact pmf {label}: numerators do not sum to the denominator")
+    return Pmf(
+        support=tuple(range(first, first + len(nums))),
+        probs=tuple(Fraction(t, den) for t in nums),
+        exact=True,
+        label=label,
+    )
 
 
 def avalanche_prob(params: AvalancheParams, a: int) -> Fraction:
@@ -125,23 +171,28 @@ def avalanche_prob(params: AvalancheParams, a: int) -> Fraction:
     N, p = params.N, params.p
     if not 0 <= a <= N:
         raise DomainError(f"a must lie in 0..{N}, got {a}")
-    return (
-        rational_pow(a + 1, a - 1)
-        * comb(N, a)
-        * rational_pow(p, a)
-        * rational_pow(1 - (a + 1) * p, N - a)
-    )
+    return Fraction(_abel_term(N, a, p.numerator, p.denominator), p.denominator**N)
 
 
 def avalanche_pmf(params: AvalancheParams) -> Pmf:
     """Exact avalanche-size law on 0..N; sums to exactly 1 on the whole domain."""
-    probs = tuple(avalanche_prob(params, a) for a in range(params.N + 1))
-    return Pmf(
-        support=tuple(range(params.N + 1)),
-        probs=probs,
-        exact=True,
-        label=f"avalanche(N={params.N},p={params.p})",
-    )
+    N, u, v = params.N, params.p.numerator, params.p.denominator
+    return _exact_pmf(0, _abel_numerators(N, u, v), v**N, f"avalanche(N={N},p={params.p})")
+
+
+def _abelian_numerators(params: AvalancheParams) -> tuple[list[int], int]:
+    """Integer numerators of the abelian law on k = 1..N over one denominator.
+
+    With t the kernel at n = N-1, p_k = pref * t_{k-1} / ((v-ku) v^(N-2)) and
+    pref = (v-Nu)/(v-(N-1)u).  At k = N the factor v-Nu cancels the division
+    by v-ku exactly; every other t_{k-1} carries v-ku to a positive power.
+    Both sides are scaled by v so N = 1 needs no negative power of v.
+    """
+    params.require_subcritical()
+    N, u, v = params.N, params.p.numerator, params.p.denominator
+    head = v * (v - N * u)
+    nums = [head * t // (v - k * u) for k, t in enumerate(_abel_numerators(N - 1, u, v), 1)]
+    return nums, (v - (N - 1) * u) * v ** (N - 1)
 
 
 def abelian_pmf(params: AvalancheParams) -> Pmf:
@@ -150,52 +201,27 @@ def abelian_pmf(params: AvalancheParams) -> Pmf:
     p_k = pref * k^(k-2) C(N-1,k-1) p^(k-1) (1-kp)^(N-k-1).  Needs strict
     p < 1/N: the k = N term carries (1-Np)^(-1).
     """
-    params.require_subcritical()
-    N, p = params.N, params.p
-    pref = (1 - N * p) / (1 - (N - 1) * p)
-    probs = tuple(
-        pref
-        * rational_pow(k, k - 2)
-        * comb(N - 1, k - 1)
-        * rational_pow(p, k - 1)
-        * rational_pow(1 - k * p, N - k - 1)
-        for k in range(1, N + 1)
-    )
-    return Pmf(
-        support=tuple(range(1, N + 1)),
-        probs=probs,
-        exact=True,
-        label=f"abelian(N={N},p={p})",
-    )
+    nums, den = _abelian_numerators(params)
+    return _exact_pmf(1, nums, den, f"abelian(N={params.N},p={params.p})")
 
 
 def conditional_pmf(params: AvalancheParams) -> Pmf:
     """Exact law of the avalanche size given one seed coordinate, on 1..N.
 
-    P(A=a) = a^(a-2) C(N-1,a-1) p^(a-1) (1-ap)^(N-a).  Note the last
-    exponent is N-a, not the N-a-1 of the abelian law; the two are kept as
-    distinct models.
+    P(A=a) = a^(a-2) C(N-1,a-1) p^(a-1) (1-ap)^(N-a), which is the avalanche
+    law at N-1 shifted up by one.  Note the last exponent is N-a, not the
+    N-a-1 of the abelian law; the two are kept as distinct models.
     """
-    N, p = params.N, params.p
-    probs = tuple(
-        rational_pow(a, a - 2)
-        * comb(N - 1, a - 1)
-        * rational_pow(p, a - 1)
-        * rational_pow(1 - a * p, N - a)
-        for a in range(1, N + 1)
-    )
-    return Pmf(
-        support=tuple(range(1, N + 1)),
-        probs=probs,
-        exact=True,
-        label=f"conditional(N={N},p={p})",
-    )
+    N, u, v = params.N, params.p.numerator, params.p.denominator
+    nums = _abel_numerators(N - 1, u, v)
+    return _exact_pmf(1, nums, v ** (N - 1), f"conditional(N={N},p={params.p})")
 
 
 def pmf_mean(pmf: Pmf):
     """Sum of a * P(a); a Fraction when the pmf is exact, else a float."""
     if pmf.exact:
-        return sum((Fraction(a) * p for a, p in pmf.items()), Fraction(0))
+        nums, den = _over_common_denominator(pmf.probs)
+        return Fraction(sum(a * t for a, t in zip(pmf.support, nums)), den)
     return sum(a * p for a, p in pmf.items())
 
 
@@ -211,22 +237,15 @@ def expectation_identity_check(params: AvalancheParams) -> bool:
         (1-Np)/(1-(N-1)p) * sum_k k^(k-1) C(N-1,k-1) p^(k-1) (1-kp)^(N-k-1)
             == 1/(1-(N-1)p).
 
-    The left side is evaluated literally (not via abelian_pmf), so this is a
-    second, independent route to the mean identity.
+    The left side is sum_k k * n_k / D over the abelian law's integer
+    numerators n_k and denominator D; it is compared, as one integer
+    equation, against the independent closed-form mean
+    abelian_mean_closed_form.
     """
-    params.require_subcritical()
-    N, p = params.N, params.p
-    total = Fraction(0)
-    for k in range(1, N + 1):
-        total += (
-            rational_pow(k, k - 1)
-            * comb(N - 1, k - 1)
-            * rational_pow(p, k - 1)
-            * rational_pow(1 - k * p, N - k - 1)
-        )
-    lhs = (1 - N * p) / (1 - (N - 1) * p) * total
-    rhs = 1 / (1 - (N - 1) * p)
-    return lhs == rhs
+    nums, den = _abelian_numerators(params)
+    mean = abelian_mean_closed_form(params)
+    lhs = sum(k * t for k, t in enumerate(nums, 1))
+    return lhs * mean.denominator == mean.numerator * den
 
 
 def limit_pmf(params: LimitParams) -> Pmf:
@@ -263,8 +282,7 @@ def limit_pmf(params: LimitParams) -> Pmf:
 
 def tail_log_ratio(pmf: Pmf, a: int) -> float:
     """log(P(a) / P(a+1)); the step-down rate of the tail."""
-    supp = set(pmf.support)
-    if a not in supp or a + 1 not in supp:
+    if a not in pmf.index or a + 1 not in pmf.index:
         raise DomainError(f"both {a} and {a + 1} must be in the support")
     pa, pb = float(pmf.prob(a)), float(pmf.prob(a + 1))
     if pb <= 0.0 or pa <= 0.0:

@@ -10,15 +10,14 @@ arithmetic between the two routes.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
-from math import comb
 from typing import Sequence
 
 import numpy as np
 
-from .distributions import Pmf, rational_pow
+from .distributions import AvalancheParams, Pmf, avalanche_pmf
 from .errors import DomainError, ResourceLimitError
 from .sampling import SimResult, SplitMix64, derive_stream, merge_histograms, shard_sizes
 
@@ -87,27 +86,16 @@ def _statistic_rows(urns: np.ndarray, M: int) -> np.ndarray:
 def urn_pmf_formula(cfg: UrnConfig) -> Pmf:
     """Exact law of X from the closed formula:
 
-        P(X=a) = C(N,a) (a+1)^(a-1) M^(-a) (1 - (a+1)/M)^(N-a).
+        P(X=a) = C(N,a) (a+1)^(a-1) M^(-a) (1 - (a+1)/M)^(N-a),
 
-    Requires M >= N+1 so every factor with a positive exponent stays
-    nonnegative; the statistic itself is defined for any M.
+    which is the avalanche law at p = 1/M, relabelled.  Requires M >= N+1
+    so every factor with a positive exponent stays nonnegative; the
+    statistic itself is defined for any M.
     """
     if cfg.M < cfg.N + 1:
         raise DomainError(f"formula path needs M >= N+1, got N={cfg.N}, M={cfg.M}")
-    N, M = cfg.N, cfg.M
-    probs = tuple(
-        comb(N, a)
-        * rational_pow(a + 1, a - 1)
-        * rational_pow(Fraction(1, M), a)
-        * rational_pow(1 - Fraction(a + 1, M), N - a)
-        for a in range(N + 1)
-    )
-    return Pmf(
-        support=tuple(range(N + 1)),
-        probs=probs,
-        exact=True,
-        label=f"urn-formula(N={N},M={M})",
-    )
+    law = avalanche_pmf(AvalancheParams(cfg.N, Fraction(1, cfg.M)))
+    return replace(law, label=f"urn-formula(N={cfg.N},M={cfg.M})")
 
 
 def urn_pmf_bruteforce(cfg: UrnConfig, cap: int = DEFAULT_ENUMERATION_CAP) -> Pmf:

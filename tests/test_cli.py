@@ -275,6 +275,74 @@ class TestCompareCommand:
         )
         assert rc == 2
 
+    def stored_run(self, capsys, tmp_path):
+        sim_path, pmf_path = tmp_path / "sim.json", tmp_path / "pmf.json"
+        run_cli(
+            capsys,
+            "simulate", "--model", "urn", "--N", "2", "--M", "4",
+            "--trials", "1000", "--seed", "3", "--out", str(sim_path),
+        )
+        run_cli(
+            capsys,
+            "pmf", "--model", "avalanche", "--N", "2", "--p", "1/4", "--out", str(pmf_path),
+        )
+        return sim_path, pmf_path
+
+    def assert_usage_error(self, capsys, *args):
+        rc, out, err = run_cli(capsys, *args)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("which", ["sim", "pmf"])
+    def test_malformed_json(self, capsys, tmp_path, which):
+        paths = dict(zip(("sim", "pmf"), self.stored_run(capsys, tmp_path)))
+        paths[which].write_text('{"model": "urn", ', encoding="utf-8")
+        self.assert_usage_error(
+            capsys, "compare", "--sim", str(paths["sim"]), "--pmf", str(paths["pmf"])
+        )
+
+    @pytest.mark.parametrize("which, field", [("sim", "histogram"), ("pmf", "probs")])
+    def test_partial_document(self, capsys, tmp_path, which, field):
+        paths = dict(zip(("sim", "pmf"), self.stored_run(capsys, tmp_path)))
+        doc = json.loads(paths[which].read_text(encoding="utf-8"))
+        del doc[field]
+        paths[which].write_text(json.dumps(doc), encoding="utf-8")
+        self.assert_usage_error(
+            capsys, "compare", "--sim", str(paths["sim"]), "--pmf", str(paths["pmf"])
+        )
+
+    @pytest.mark.parametrize(
+        "which, text",
+        [
+            ("sim", "[1, 2]"),
+            ("pmf", '{"exact": true, "support": [0], "probs": ["x"], "label": "p"}'),
+        ],
+    )
+    def test_wrongly_shaped_document(self, capsys, tmp_path, which, text):
+        paths = dict(zip(("sim", "pmf"), self.stored_run(capsys, tmp_path)))
+        paths[which].write_text(text, encoding="utf-8")
+        self.assert_usage_error(
+            capsys, "compare", "--sim", str(paths["sim"]), "--pmf", str(paths["pmf"])
+        )
+
+    @pytest.mark.parametrize("which", ["sim", "pmf"])
+    def test_directory_path(self, capsys, tmp_path, which):
+        paths = dict(zip(("sim", "pmf"), self.stored_run(capsys, tmp_path)))
+        paths[which] = tmp_path
+        self.assert_usage_error(
+            capsys, "compare", "--sim", str(paths["sim"]), "--pmf", str(paths["pmf"])
+        )
+
+    def test_simulate_compare_malformed_pmf(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("not json", encoding="utf-8")
+        self.assert_usage_error(
+            capsys,
+            "simulate", "--model", "urn", "--N", "2", "--M", "4",
+            "--trials", "100", "--compare", str(bad),
+        )
+
 
 class TestReproducibility:
     def test_byte_identical_reruns(self, capsys, tmp_path):

@@ -19,9 +19,9 @@ from avalanches.distributions import (
     local_maxima,
     pmf_mean,
     powerlaw_slope,
-    rational_pow,
     tail_log_ratio,
 )
+from avalanches.distributions import _abel_numerators, _abel_term
 from avalanches.errors import DomainError
 
 # (N, p) grid covering the interior, p = 0, and the closed right boundary,
@@ -47,13 +47,37 @@ def params_strategy():
     )
 
 
-class TestRationalPow:
+class TestAbelKernel:
     def test_zero_exponent_always_one(self):
-        assert rational_pow(0, 0) == 1
-        assert rational_pow(F(-3, 7), 0) == 1
+        # boundary factors v-(b+1)u that are 0 or negative only appear to
+        # the zeroth power, where they must be inert
+        assert _abel_term(3, 3, 1, 3) == 4**2  # avalanche at p = 1/N: base -1
+        assert _abel_term(2, 2, 1, 3) == 3  # conditional at p = 1/N: base 0
+        assert _abel_term(4, 0, 0, 1) == 1  # p = 0: 0**0 in u^b
 
     def test_negative_exponent(self):
-        assert rational_pow(F(2, 3), -2) == F(9, 4)
+        # the b = 0 weight 1^(-1) stays the integer 1, never the float 1.0
+        assert _abel_numerators(0, 2, 7) == [1]
+        assert all(type(t) is int for t in _abel_numerators(5, 2, 11))
+
+    @given(
+        st.integers(0, 40).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.integers(1, 10**6).flatmap(
+                    lambda v: st.tuples(st.integers(0, v // max(n, 1)), st.just(v))
+                ),
+            )
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_numerators_sum_to_denominator(self, case):
+        # Abel's identity on the integers: sum_b t_b == v**n for 0 <= n*u <= v
+        n, (u, v) = case
+        nums = _abel_numerators(n, u, v)
+        assert len(nums) == n + 1
+        assert all(t >= 0 for t in nums)
+        assert sum(nums) == v**n
 
 
 class TestAvalanchePmf:
@@ -191,6 +215,15 @@ class TestMeansAndExpectationIdentity:
     )
     def test_expectation_identity(self, n, p):
         assert expectation_identity_check(AvalancheParams(n, p))
+
+    def test_expectation_identity_is_literal(self, monkeypatch):
+        # the integer equation must see a closed form that is off by 1/10^40
+        import avalanches.distributions as dist
+
+        params = AvalancheParams(30, F(1, 60))
+        exact = abelian_mean_closed_form(params)
+        monkeypatch.setattr(dist, "abelian_mean_closed_form", lambda _: exact + F(1, 10**40))
+        assert not expectation_identity_check(params)
 
     def test_expectation_identity_grid(self):
         checked = 0
@@ -334,6 +367,19 @@ class TestPmfValidation:
         with pytest.raises(DomainError):
             Pmf(support=(0, 1), probs=(F(1, 2), F(1, 3)), exact=True, label="bad")
 
+    @pytest.mark.parametrize("shift", [F(1, 16), F(-1, 16)])
+    def test_exact_mass_off_by_one_part_in_den(self, shift):
+        # the mass check over the common denominator is still literal
+        probs = list(avalanche_pmf(AvalancheParams(2, F(1, 4))).probs)  # over 16
+        probs[1] += shift
+        with pytest.raises(DomainError):
+            Pmf(support=(0, 1, 2), probs=tuple(probs), exact=True, label="bad")
+        pmf = avalanche_pmf(AvalancheParams(40, F(3, 127)))
+        off = list(pmf.probs)
+        off[-1] += F(1, 127**40)
+        with pytest.raises(DomainError):
+            Pmf(support=pmf.support, probs=tuple(off), exact=True, label="bad")
+
     def test_floating_mass_must_match_deficit(self):
         with pytest.raises(DomainError):
             Pmf(support=(0,), probs=(0.5,), exact=False, label="bad")
@@ -345,3 +391,13 @@ class TestPmfValidation:
     def test_prob_off_support(self):
         pmf = avalanche_pmf(AvalancheParams(2, F(1, 8)))
         assert pmf.prob(5) == 0
+
+    def test_prob_off_support_keeps_type(self):
+        exact = avalanche_pmf(AvalancheParams(2, F(1, 8)))
+        assert type(exact.prob(-1)) is F and exact.prob(2) == exact.probs[2]
+        floating = limit_pmf(LimitParams(0.5, 3))
+        assert type(floating.prob(9)) is float and floating.prob(9) == 0.0
+
+    def test_repeated_support_value_keeps_first_probability(self):
+        pmf = Pmf(support=(0, 0), probs=(0.25, 0.75), exact=False, label="dup")
+        assert pmf.prob(0) == 0.25
