@@ -187,6 +187,9 @@ def _tower_system_from_args(args):
 
 
 def cmd_simulate(args) -> int:
+    if args.format == "csv" and (args.exact_oracle or args.compare):
+        raise DomainError("--exact-oracle/--compare reports need --format json")
+    expected = _load_json(args.compare, ser.pmf_from_json_dict) if args.compare else None
     if args.model == "urn":
         if args.N is None or args.M is None:
             raise DomainError("urn model needs --N and --M")
@@ -216,16 +219,9 @@ def cmd_simulate(args) -> int:
             "exact": ser.pmf_to_json_dict(exact),
         }
         ok = ok and equal
-    if args.compare:
-        expected = _load_json(args.compare, ser.pmf_from_json_dict)
+    if expected is not None:
         doc["gof"] = ser.gof_to_json_dict(chi_square_gof(res, expected))
-
-    if args.format == "csv":
-        if args.exact_oracle or args.compare:
-            raise DomainError("--exact-oracle/--compare reports need --format json")
-        text = ser.simresult_to_csv(res)
-    else:
-        text = ser.dump_json(doc)
+    text = ser.simresult_to_csv(res) if args.format == "csv" else ser.dump_json(doc)
     _write_output(text, args.out)
     return 0 if ok else 1
 

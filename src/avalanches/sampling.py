@@ -16,17 +16,17 @@ sizes.
 Bounded draws use rejection below the largest multiple of the bound, so
 there is no modulo bias: the k-th draw in [0, bound) is (the k-th raw
 output below floor(2^64/bound)*bound) mod bound.  The stream counter
-advances over every raw output examined, accepted or not.
+advances over every raw output examined, accepted or not.  Bounds run up to
+2^63, so every draw fits an int64.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -53,15 +53,26 @@ def derive_stream(seed: int, *indices: int) -> int:
 
 _MUL1 = np.uint64(0xBF58476D1CE4E5B9)
 _MUL2 = np.uint64(0x94D049BB133111EB)
-_GOLDEN_NP = np.uint64(GOLDEN)
+
+# Raw outputs are generated and mixed in slices of this many uint64s, so
+# each slice stays in cache across the mix's passes.
+_SLICE = 1 << 15
+
+# Most shards one campaign may use; shard_sizes builds a list this long.
+MAX_SHARDS = 1 << 16
 
 
-def _mix64_batch(z: np.ndarray) -> np.ndarray:
-    z = z ^ (z >> np.uint64(30))
-    z = z * _MUL1
-    z = z ^ (z >> np.uint64(27))
-    z = z * _MUL2
-    z = z ^ (z >> np.uint64(31))
+def _mix64_inplace(z: np.ndarray) -> np.ndarray:
+    """The finalizer over a uint64 array, in place."""
+    t = np.empty_like(z)
+    np.right_shift(z, 30, out=t)
+    z ^= t
+    z *= _MUL1
+    np.right_shift(z, 27, out=t)
+    z ^= t
+    z *= _MUL2
+    np.right_shift(z, 31, out=t)
+    z ^= t
     return z
 
 
@@ -74,9 +85,15 @@ class SplitMix64:
 
     def _raw_block(self, count: int) -> np.ndarray:
         """Raw outputs at counter positions counter+1 .. counter+count (no advance)."""
-        start = (self.base + self.counter * GOLDEN) & MASK64
-        ks = np.arange(1, count + 1, dtype=np.uint64)
-        return _mix64_batch(np.uint64(start) + ks * _GOLDEN_NP)
+        out = np.empty(count, dtype=np.uint64)
+        # (k+1)*GOLDEN mod 2^64: the counter steps within one slice
+        steps = np.arange(1, min(count, _SLICE) + 1, dtype=np.uint64) * np.uint64(GOLDEN)
+        for lo in range(0, count, _SLICE):
+            v = out[lo : lo + _SLICE]
+            start = (self.base + (self.counter + lo) * GOLDEN) & MASK64
+            np.add(steps[: len(v)], np.uint64(start), out=v)
+            _mix64_inplace(v)
+        return out
 
     def integers_below(self, bound: int, count: int) -> np.ndarray:
         """The next ``count`` uniform draws in [0, bound), as int64.
@@ -85,34 +102,42 @@ class SplitMix64:
         counter lands exactly after the raw output that produced the last
         accepted draw, so results do not depend on the batch size used here.
         """
-        if bound < 1:
-            raise DomainError(f"bound must be >= 1, got {bound}")
+        if not 1 <= bound <= 1 << 63:
+            raise DomainError(f"bound must be in 1..2^63, got {bound}")
         if count < 0:
             raise DomainError(f"count must be >= 0, got {count}")
         limit = ((1 << 64) // bound) * bound
-        accept_all = limit == 1 << 64
         bound_np = np.uint64(bound)
-        out = np.empty(count, dtype=np.int64)
-        filled = 0
-        while filled < count:
-            need = count - filled
-            batch = max(need + 16, 1024)
-            raws = self._raw_block(batch)
-            if accept_all:
-                hits = np.arange(batch)
-            else:
-                hits = np.flatnonzero(raws < np.uint64(limit))
-            if len(hits) >= need:
+        raws = self._raw_block(max(count + 16, 1024))
+        head = raws[:count]
+        if limit == 1 << 64 or count == 0 or int(head.max()) < limit:
+            # every raw output up to the last needed one is accepted
+            np.remainder(head, bound_np, out=head)
+            self.counter += count
+            return head.view(np.int64)
+        parts, filled = [], 0
+        while True:
+            hits = np.flatnonzero(raws < np.uint64(limit))[: count - filled]
+            parts.append(raws[hits])
+            filled += len(hits)
+            if filled == count:
                 # stop right after the raw that produced the last needed draw
-                taken = hits[:need]
-                out[filled : filled + need] = (raws[taken] % bound_np).astype(np.int64)
-                self.counter += int(taken[-1]) + 1
-                filled = count
-            else:
-                out[filled : filled + len(hits)] = (raws[hits] % bound_np).astype(np.int64)
-                self.counter += batch
-                filled += len(hits)
-        return out
+                self.counter += int(hits[-1]) + 1
+                return (np.concatenate(parts) % bound_np).astype(np.int64)
+            self.counter += len(raws)
+            raws = self._raw_block(max(count - filled + 16, 1024))
+
+
+def leading_run(hits: np.ndarray, cap: int) -> np.ndarray:
+    """Per row of a (rows, n) array of hit times, the first k < cap with
+    sorted(row)[k] > k, or cap if there is none (cap <= n).  Sorts the rows
+    in place.  With hit time = urn id - 1 and cap = min(N, M) this is the
+    urn statistic; with the towers' hit times and cap = N, the cascade size.
+    """
+    hits.sort(axis=1)
+    ok = np.zeros((hits.shape[0], cap + 1), dtype=bool)  # column cap stays False
+    np.less_equal(hits[:, :cap], np.arange(cap), out=ok[:, :cap])
+    return ok.argmin(axis=1)
 
 
 @dataclass(frozen=True)
@@ -138,12 +163,24 @@ def shard_sizes(trials: int, shards: int) -> list[int]:
         raise DomainError(f"trials must be >= 1, got {trials}")
     if shards < 1:
         raise DomainError(f"shards must be >= 1, got {shards}")
+    if shards > MAX_SHARDS:
+        raise ResourceLimitError(f"{shards} shards exceed the cap of {MAX_SHARDS}")
     base, extra = divmod(trials, shards)
     return [base + (1 if i < extra else 0) for i in range(shards)]
 
 
-def merge_histograms(parts: list[Counter]) -> dict[int, int]:
-    total: Counter[int] = Counter()
-    for part in parts:
-        total.update(part)
-    return {a: total[a] for a in sorted(total)}
+def campaign_histogram(
+    trials: int, shards: int, block_trials: int, top: int, shard_sampler
+) -> dict[int, int]:
+    """Histogram over 0..top of a statistic sampled on every shard of a campaign.
+
+    ``shard_sampler(i)`` returns shard i's sampler: given a trial count, it
+    returns one statistic per trial, drawn trial-major from the shard's
+    streams, so the block size (at most ``block_trials``) cannot change it.
+    """
+    counts = np.zeros(top + 1, dtype=np.int64)
+    for i, n_trials in enumerate(shard_sizes(trials, shards)):
+        sample = shard_sampler(i)
+        for done in range(0, n_trials, block_trials):
+            counts += np.bincount(sample(min(block_trials, n_trials - done)), minlength=top + 1)
+    return {a: int(c) for a, c in enumerate(counts) if c}

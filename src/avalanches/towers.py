@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, product
 from typing import Sequence
 
@@ -21,7 +22,7 @@ import numpy as np
 from .combinatorics import Composition, _compositions_into, cascade_weight, multinomial
 from .distributions import Pmf
 from .errors import DomainError, ResourceLimitError
-from .sampling import SimResult, SplitMix64, derive_stream, merge_histograms, shard_sizes
+from .sampling import SimResult, SplitMix64, campaign_histogram, derive_stream, leading_run
 
 # Cap on the product of the L_i for the exhaustive oracle.
 DEFAULT_STATE_CAP = 10**7
@@ -139,21 +140,9 @@ def _hit_times(states: np.ndarray, tower: CoordinateTower, horizon: int) -> np.n
     l <= N <= h can re-enter the top level, because the levels are disjoint
     and wrapping lands strictly below it.
     """
-    level = states // tower.w
-    in_tower = states < (tower.height + 1) * tower.w
-    t = np.where(in_tower, tower.height - level, horizon + 1)
-    return np.minimum(t, horizon + 1).astype(np.int64)
-
-
-def _sizes_from_hits(hits: np.ndarray) -> np.ndarray:
-    """Vector fixed point of the cascade recursion given per-coordinate hit times."""
-    a = (hits == 0).sum(axis=1)
-    for _ in range(hits.shape[1] + 1):
-        nxt = (hits <= a[:, None]).sum(axis=1)
-        if np.array_equal(nxt, a):
-            return a
-        a = nxt
-    raise AssertionError("cascade failed to stabilize within N steps")
+    t = tower.height - states // tower.w  # negative outside the tower
+    # as uint64 a negative t exceeds horizon+1, so the minimum maps it there
+    return np.minimum(t.view(np.uint64), horizon + 1).view(np.int64)
 
 
 def simulate_tower(sys: TowerSystem, trials: int, seed: int, shards: int = 1) -> SimResult:
@@ -163,30 +152,26 @@ def simulate_tower(sys: TowerSystem, trials: int, seed: int, shards: int = 1) ->
     the t-th draw of each coordinate stream.  Same determinism contract as
     simulate_urns.
     """
-    parts = []
-    for i, n_trials in enumerate(shard_sizes(trials, shards)):
+    def shard_sampler(i: int):
         streams = [SplitMix64(derive_stream(seed, i, j)) for j in range(sys.N)]
-        hist: Counter[int] = Counter()
-        done = 0
-        while done < n_trials:
-            block = min(_BLOCK_TRIALS, n_trials - done)
-            hits = np.empty((block, sys.N), dtype=np.int64)
-            for j, (stream, tower) in enumerate(zip(streams, sys.coords)):
-                states = stream.integers_below(tower.L, block)
-                hits[:, j] = _hit_times(states, tower, sys.N)
-            sizes = _sizes_from_hits(hits)
-            binned = np.bincount(sizes, minlength=sys.N + 1)
-            hist.update({a: int(c) for a, c in enumerate(binned) if c})
-            done += block
-        parts.append(hist)
+        return partial(_sample_block, sys, streams)
+
     return SimResult(
-        histogram=merge_histograms(parts),
+        histogram=campaign_histogram(trials, shards, _BLOCK_TRIALS, sys.N, shard_sampler),
         trials=trials,
         seed=seed,
         shards=shards,
         model="tower",
         params={"coords": [[c.L, c.w, c.height] for c in sys.coords]},
     )
+
+
+def _sample_block(sys: TowerSystem, streams: list[SplitMix64], block: int) -> np.ndarray:
+    """Avalanche sizes for the next ``block`` trials of one shard's coordinate streams."""
+    hits = np.empty((block, sys.N), dtype=np.min_scalar_type(sys.N + 1))
+    for j, (stream, tower) in enumerate(zip(streams, sys.coords)):
+        hits[:, j] = _hit_times(stream.integers_below(tower.L, block), tower, sys.N)
+    return leading_run(hits, sys.N)
 
 
 def tower_pmf_bruteforce(sys: TowerSystem, cap: int = DEFAULT_STATE_CAP) -> Pmf:

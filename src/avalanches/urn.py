@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from typing import Sequence
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .distributions import AvalancheParams, Pmf, avalanche_pmf
 from .errors import DomainError, ResourceLimitError
-from .sampling import SimResult, SplitMix64, derive_stream, merge_histograms, shard_sizes
+from .sampling import SimResult, SplitMix64, campaign_histogram, derive_stream, leading_run
 
 # Cap on M**N for the exhaustive oracle; keeps a default run in the seconds
 # range on one core.
@@ -69,20 +70,6 @@ def urn_statistic(assignment: Sequence[int], M: int) -> int:
     return cap
 
 
-def _statistic_rows(urns: np.ndarray, M: int) -> np.ndarray:
-    """X per row of an (trials, N) array of urn ids in 1..M.
-
-    Sorting makes the cumulative condition columnwise: with row sorted
-    ascending, urns 1..k hold >= k balls iff the k-th smallest id is <= k,
-    so X is the length of the leading run of sorted[k] <= k.
-    """
-    n = urns.shape[1]
-    cap = min(n, M)
-    s = np.sort(urns, axis=1)[:, :cap]
-    ok = s <= np.arange(1, cap + 1, dtype=urns.dtype)
-    return np.cumprod(ok, axis=1).sum(axis=1)
-
-
 def urn_pmf_formula(cfg: UrnConfig) -> Pmf:
     """Exact law of X from the closed formula:
 
@@ -123,25 +110,20 @@ def simulate_urns(cfg: UrnConfig, trials: int, seed: int, shards: int = 1) -> Si
     draws are consumed trial-major (trial 0 balls 1..N, then trial 1, ...),
     so the result is a pure function of (cfg, trials, seed, shards).
     """
-    parts = []
-    for i, n_trials in enumerate(shard_sizes(trials, shards)):
-        stream = SplitMix64(derive_stream(seed, i))
-        hist: Counter[int] = Counter()
-        done = 0
-        while done < n_trials:
-            block = min(_BLOCK_TRIALS, n_trials - done)
-            draws = stream.integers_below(cfg.M, block * cfg.N)
-            urns = draws.reshape(block, cfg.N) + 1
-            xs = _statistic_rows(urns, cfg.M)
-            binned = np.bincount(xs, minlength=cfg.N + 1)
-            hist.update({a: int(c) for a, c in enumerate(binned) if c})
-            done += block
-        parts.append(hist)
+    def shard_sampler(i: int):
+        return partial(_sample_block, cfg, SplitMix64(derive_stream(seed, i)))
+
     return SimResult(
-        histogram=merge_histograms(parts),
+        histogram=campaign_histogram(trials, shards, _BLOCK_TRIALS, cfg.N, shard_sampler),
         trials=trials,
         seed=seed,
         shards=shards,
         model="urn",
         params={"N": cfg.N, "M": cfg.M},
     )
+
+
+def _sample_block(cfg: UrnConfig, stream: SplitMix64, block: int) -> np.ndarray:
+    """X for the next ``block`` trials; a ball's hit time is urn id - 1, the raw draw."""
+    draws = stream.integers_below(cfg.M, block * cfg.N)
+    return leading_run(draws.reshape(block, cfg.N), min(cfg.N, cfg.M))

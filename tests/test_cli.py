@@ -212,6 +212,66 @@ class TestSimulateCommand:
         assert "height" in err
 
 
+class TestSimulateInputChecks:
+    """Bad simulate input exits 2 or 3 with one line, before any draw is made."""
+
+    @pytest.fixture
+    def no_campaign(self, monkeypatch):
+        import avalanches.cli as cli_mod
+
+        def refuse(*args):
+            raise AssertionError("the campaign started")
+
+        monkeypatch.setattr(cli_mod, "simulate_urns", refuse)
+        monkeypatch.setattr(cli_mod, "simulate_tower", refuse)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            ["--model", "urn", "--N", "3", "--M", str(2**64 - 1)],
+            ["--model", "urn", "--N", "3", "--M", str(2**64)],
+            ["--model", "tower", "--coord", f"{2**64 - 1},1,2"],
+            ["--model", "tower", "--coord", f"{2**64},1,2"],
+        ],
+    )
+    def test_bound_above_two_to_63_is_usage_error(self, capsys, model):
+        rc, out, err = run_cli(capsys, "simulate", *model, "--trials", "1000", "--seed", "1")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "2^63" in err
+
+    @pytest.mark.parametrize("shards", [str(2**16 + 1), str(2**62)])
+    def test_shard_cap_is_resource_error(self, capsys, shards):
+        rc, out, err = run_cli(
+            capsys,
+            "simulate", "--model", "urn", "--N", "2", "--M", "4",
+            "--trials", "10", "--shards", shards,
+        )
+        assert rc == 3
+        assert out == ""
+        assert err.startswith("resource limit: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("report", [["--exact-oracle"], ["--compare", "unread.json"]])
+    def test_csv_report_rejected_before_campaign(self, capsys, no_campaign, report):
+        rc, out, err = run_cli(
+            capsys,
+            "simulate", "--model", "urn", "--N", "2", "--M", "4",
+            "--trials", "10", "--format", "csv", *report,
+        )
+        assert rc == 2
+        assert "need --format json" in err
+
+    def test_compare_document_read_before_campaign(self, capsys, no_campaign, tmp_path):
+        rc, _, err = run_cli(
+            capsys,
+            "simulate", "--model", "tower", "--uniform", "8,1,3,3",
+            "--trials", "10", "--compare", str(tmp_path / "missing.json"),
+        )
+        assert rc == 2
+        assert "cannot read" in err
+
+
 class TestTailCommand:
     def test_rows_and_slope(self, capsys):
         rc, out, _ = run_cli(capsys, "tail", "--alpha", "1", "--amax", "600")

@@ -3,18 +3,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avalanches.errors import DomainError
+from avalanches.errors import DomainError, ResourceLimitError
 from avalanches.sampling import (
     GOLDEN,
     MASK64,
+    MAX_SHARDS,
     SimResult,
     SplitMix64,
-    _mix64_batch,
+    _mix64_inplace,
+    campaign_histogram,
     derive_stream,
-    merge_histograms,
+    leading_run,
     mix64,
     shard_sizes,
 )
+
+
+def reference_integers_below(base, counter, bound, count):
+    """Draws straight from the module docstring's rule, one raw output at a
+    time: the k-th raw output is mix64(base + k*GOLDEN), rejected when it is
+    at or above floor(2^64/bound)*bound.  Returns the draws and the counter."""
+    limit = (1 << 64) // bound * bound
+    out = []
+    while len(out) < count:
+        counter += 1
+        raw = mix64((base + counter * GOLDEN) & MASK64)
+        if raw < limit:
+            out.append(raw % bound)
+    return out, counter
 
 
 class TestMix64:
@@ -26,7 +42,7 @@ class TestMix64:
 
     def test_batch_matches_scalar(self):
         xs = np.arange(1, 2000, dtype=np.uint64) * np.uint64(GOLDEN)
-        batch = _mix64_batch(xs)
+        batch = _mix64_inplace(xs.copy())
         for i in (0, 1, 7, 1998):
             assert int(batch[i]) == mix64(int(xs[i]))
 
@@ -82,6 +98,29 @@ class TestIntegersBelow:
         with pytest.raises(DomainError):
             SplitMix64(1).integers_below(10, -1)
 
+    @pytest.mark.parametrize("bound", [3, 2**62 + 1, 2**64 // 3 + 1, 2**63])
+    def test_matches_reference_across_split_calls(self, bound):
+        # 2^62+1 and floor(2^64/3)+1 reject about 1/4 and 1/3 of raw outputs,
+        # so the 1500- and 2100-draw calls run out of their first raw block
+        base = derive_stream(11, 2)
+        stream, counter, total = SplitMix64(base), 0, 0
+        for count in (1, 0, 7, 1500, 2100, 3):
+            want, counter = reference_integers_below(base, counter, bound, count)
+            got = stream.integers_below(bound, count)
+            assert got.dtype == np.int64
+            assert got.tolist() == want
+            assert stream.counter == counter
+            total += count
+        if bound in (2**62 + 1, 2**64 // 3 + 1):
+            assert counter > total + 1024
+
+    @pytest.mark.parametrize("bound", [2**63 + 1, 2**64 - 1, 2**64, 2**70])
+    def test_bound_above_two_to_63_rejected(self, bound):
+        stream = SplitMix64(1)
+        with pytest.raises(DomainError):
+            stream.integers_below(bound, 5)
+        assert stream.counter == 0
+
     @given(st.integers(0, MASK64), st.integers(1, 2**40), st.integers(1, 300))
     @settings(max_examples=50, deadline=None)
     def test_property_in_range_and_reproducible(self, base, bound, count):
@@ -105,8 +144,46 @@ class TestSimResultAndShards:
         with pytest.raises(DomainError):
             shard_sizes(5, 0)
 
-    def test_merge_histograms(self):
-        from collections import Counter
+    def test_shard_cap_checked_before_the_list_is_built(self):
+        assert len(shard_sizes(1, MAX_SHARDS)) == MAX_SHARDS
+        for shards in (MAX_SHARDS + 1, 2**62):
+            with pytest.raises(ResourceLimitError):
+                shard_sizes(5, shards)
 
-        merged = merge_histograms([Counter({0: 2, 1: 1}), Counter({1: 4, 3: 1})])
-        assert merged == {0: 2, 1: 5, 3: 1}
+    def test_campaign_histogram_sums_blocks_over_shards(self):
+        calls = []
+
+        def shard_sampler(i):
+            def sample(block):
+                calls.append((i, block))
+                return np.full(block, i)
+
+            return sample
+
+        assert campaign_histogram(10, 3, 3, 4, shard_sampler) == {0: 4, 1: 3, 2: 3}
+        assert calls == [(0, 3), (0, 1), (1, 3), (2, 3)]
+
+
+def leading_run_by_definition(row, cap):
+    s = sorted(row)
+    return next((k for k in range(cap) if s[k] > k), cap)
+
+
+class TestLeadingRun:
+    @given(
+        st.integers(1, 9).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.lists(st.integers(0, n + 2), min_size=n, max_size=n), min_size=1),
+                st.integers(1, n),
+            )
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_definition(self, case):
+        rows, cap = case
+        got = leading_run(np.array(rows, dtype=np.int64), cap)
+        assert got.tolist() == [leading_run_by_definition(r, cap) for r in rows]
+
+    def test_full_run_reaches_cap(self):
+        assert leading_run(np.array([[0, 0, 1], [2, 1, 0], [0, 5, 9]]), 3).tolist() == [3, 3, 1]
+        assert leading_run(np.array([[0, 0, 1]]), 2).tolist() == [2]

@@ -7,10 +7,10 @@ import pytest
 from avalanches.combinatorics import _compositions_into
 from avalanches.distributions import AvalancheParams, avalanche_pmf
 from avalanches.errors import DomainError, ResourceLimitError
+from avalanches.sampling import leading_run
 from avalanches.towers import (
     CoordinateTower,
     _hit_times,
-    _sizes_from_hits,
     avalanche_pmf_general,
     avalanche_size,
     avalanche_trace,
@@ -230,13 +230,14 @@ class TestVectorizedPath:
                     assert ts[x] == want
 
     def test_sizes_match_literal_recursion_exhaustive(self):
-        for sys_ in (TWO_COORD, HET_TWO):
+        het_three = make_tower_system([(5, 1, 3), (9, 2, 3), (4, 1, 3)])
+        for sys_ in (TWO_COORD, HET_TWO, het_three):
             states = list(itertools.product(*(range(c.L) for c in sys_.coords)))
             hits = np.empty((len(states), sys_.N), dtype=np.int64)
             for j, tower in enumerate(sys_.coords):
                 col = np.array([x[j] for x in states])
                 hits[:, j] = _hit_times(col, tower, sys_.N)
-            sizes = _sizes_from_hits(hits)
+            sizes = leading_run(hits, sys_.N)
             for k, x in enumerate(states):
                 assert sizes[k] == avalanche_size(x, sys_)
 

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from avalanches.distributions import AvalancheParams, avalanche_pmf
 from avalanches.errors import DomainError, ResourceLimitError
+from avalanches.sampling import leading_run
 from avalanches.stats import empirical_pmf, tv_distance
 from avalanches.urn import (
     UrnConfig,
-    _statistic_rows,
     simulate_urns,
     urn_pmf_bruteforce,
     urn_pmf_formula,
@@ -69,19 +69,22 @@ class TestUrnStatistic:
 
 
 class TestStatisticRows:
+    """The shared kernel on urn draws: hit time = urn id - 1, cap = min(N, M)."""
+
     def test_exhaustive_small(self):
         import itertools
 
-        rows = np.array(list(itertools.product(range(1, 5), repeat=3)))
-        got = _statistic_rows(rows, 4)
-        want = [urn_statistic(list(r), 4) for r in rows]
-        assert got.tolist() == want
+        for n, m in [(3, 4), (4, 4), (5, 3)]:
+            rows = np.array(list(itertools.product(range(1, m + 1), repeat=n)))
+            got = leading_run(rows - 1, min(n, m))
+            want = [urn_statistic(list(r), m) for r in rows]
+            assert got.tolist() == want
 
     def test_random_batch(self):
         rng = np.random.default_rng(0)
-        for n, m in [(5, 3), (3, 9), (7, 7)]:
+        for n, m in [(5, 3), (3, 9), (7, 7), (9, 2)]:
             rows = rng.integers(1, m + 1, size=(500, n))
-            got = _statistic_rows(rows, m)
+            got = leading_run(rows - 1, min(n, m))
             want = [urn_statistic(list(r), m) for r in rows]
             assert got.tolist() == want
 
