@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from . import combinatorics as comb
@@ -50,8 +51,11 @@ def _write_output(text: str, out: str | None) -> None:
     env_dir = os.environ.get(OUT_DIR_ENV)
     if env_dir and not path.is_absolute():
         path = Path(env_dir) / path
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(text.encode("utf-8"))
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(text.encode("utf-8"))
+    except OSError as exc:  # a directory, a file where a directory should be
+        raise DomainError(f"cannot write {path}: {exc.strerror}")
 
 
 def _kv_csv(doc: dict) -> str:
@@ -190,28 +194,30 @@ def cmd_simulate(args) -> int:
     if args.format == "csv" and (args.exact_oracle or args.compare):
         raise DomainError("--exact-oracle/--compare reports need --format json")
     expected = _load_json(args.compare, ser.pmf_from_json_dict) if args.compare else None
+    # the oracles run first, so that a cap or domain error stops the run before any draw
     if args.model == "urn":
         if args.N is None or args.M is None:
             raise DomainError("urn model needs --N and --M")
         cfg = UrnConfig(N=args.N, M=args.M)
-        res = simulate_urns(cfg, args.trials, args.seed, args.shards)
+        if args.exact_oracle:
+            exact = urn_pmf_formula(cfg)
+            brute = urn_pmf_bruteforce(cfg)
+        campaign = partial(simulate_urns, cfg)
     else:
         sys_ = _tower_system_from_args(args)
-        res = simulate_tower(sys_, args.trials, args.seed, args.shards)
-
-    doc = ser.simresult_to_json_dict(res)
-    ok = True
-    if args.exact_oracle:
-        if args.model == "urn":
-            brute = urn_pmf_bruteforce(cfg)
-            exact = urn_pmf_formula(cfg)
-        else:
-            brute = tower_pmf_bruteforce(sys_)
+        if args.exact_oracle:
             ps = sys_.ps()
             if len(set(ps)) == 1:
                 exact = avalanche_pmf(AvalancheParams(N=sys_.N, p=ps[0]))
             else:
                 exact = avalanche_pmf_general(ps)
+            brute = tower_pmf_bruteforce(sys_)
+        campaign = partial(simulate_tower, sys_)
+    res = campaign(args.trials, args.seed, args.shards)
+
+    doc = ser.simresult_to_json_dict(res)
+    ok = True
+    if args.exact_oracle:
         equal = brute.support == exact.support and brute.probs == exact.probs
         doc["oracle"] = {
             "equal": equal,
@@ -358,9 +364,6 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def run() -> None:

@@ -16,6 +16,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, ResourceLimitError
@@ -67,7 +68,7 @@ class LabeledTree:
             if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
                 raise DomainError(f"edge ({u}, {v}) outside vertex range")
         # edge count n-1 plus connectivity makes it a tree
-        if self.vertex_count > 1 and len(self._levels()) == 0:
+        if self.vertex_count > 1 and not self._levels:
             raise DomainError("edge set is not connected")
 
     def adjacency(self) -> list[list[int]]:
@@ -77,8 +78,10 @@ class LabeledTree:
             adj[v].append(u)
         return adj
 
-    def _levels(self) -> list[int]:
-        """Sizes of the breadth-first levels below the root; [] if disconnected."""
+    @cached_property
+    def _levels(self) -> tuple[int, ...]:
+        """Sizes of the breadth-first levels below the root; () if disconnected.
+        Computed once: the connectivity check and level_profile share it."""
         adj = self.adjacency()
         seen = [False] * self.vertex_count
         seen[self.root] = True
@@ -95,14 +98,14 @@ class LabeledTree:
                 sizes.append(len(nxt))
             frontier = nxt
         if not all(seen):
-            return []
-        return sizes
+            return ()
+        return tuple(sizes)
 
     def level_profile(self) -> Composition:
         """Composition (|V_1|,...,|V_r|) of vertices at distance 1,...,r from the root."""
         if self.vertex_count == 1:
             raise DomainError("single-vertex tree has no levels below the root")
-        return Composition(tuple(self._levels()))
+        return Composition(self._levels)
 
 
 @dataclass(frozen=True)
@@ -162,30 +165,47 @@ def cascade_weight(c: Composition) -> int:
     return w
 
 
+def _layer_sums(n: int, step) -> list[int]:
+    """For r = 1..n, the sum over the r-part compositions (k_1,...,k_r) of n of
+
+        multinomial(n; k_1..k_r) * step(0, k_1) * step(k_1, k_2) * ... * step(k_{r-1}, k_r).
+
+    Walks the composition tree once, carrying the running product, so n=18
+    (2^17 compositions) stays in the seconds range.
+    """
+    # factors[last][remaining][k - 1] = C(remaining, k) * step(last, k)
+    factors = [
+        [[math.comb(rem, k) * step(last, k) for k in range(1, rem + 1)] for rem in range(n + 1)]
+        for last in range(n + 1)
+    ]
+    sums = [0] * n
+
+    def extend(remaining: int, last: int, depth: int, term: int) -> None:
+        row = factors[last][remaining]
+        for k in range(1, remaining):
+            extend(remaining - k, k, depth + 1, term * row[k - 1])
+        sums[depth] += term * row[remaining - 1]
+
+    extend(n, 0, 0, 1)
+    return sums
+
+
+def _cascade_step(last: int, k: int) -> int:
+    return last**k if last else 1
+
+
+def _forest_step(last: int, k: int) -> int:
+    return k ** (k - 1)
+
+
 def identity_lhs(n: int) -> int:
     """Sum of multinomial(n,c) * cascade_weight(c) over all compositions c of n.
 
-    Walks the composition tree once, carrying the running factorial product
-    and cascade weight, so n=18 (2^17 compositions) stays in the seconds
-    range.  Equals identity_rhs(n) for every n.
+    Equals identity_rhs(n) for every n.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    fact = [math.factorial(i) for i in range(n + 1)]
-    total = 0
-
-    def extend(remaining: int, last: int, denom: int, weight: int) -> None:
-        nonlocal total
-        for k in range(1, remaining + 1):
-            d = denom * fact[k]
-            w = weight * last**k if last else weight
-            if k == remaining:
-                total += (fact[n] // d) * w
-            else:
-                extend(remaining - k, k, d, w)
-
-    extend(n, 0, 1, 1)
-    return total
+    return sum(_layer_sums(n, _cascade_step))
 
 
 def identity_rhs(n: int) -> int:
@@ -212,11 +232,7 @@ def induction_step_check(n: int, s: int) -> tuple[int, int]:
     if not 1 <= s <= n:
         raise DomainError(f"s must lie in 1..{n}, got {s}")
     fact = [math.factorial(i) for i in range(n + 1)]
-
-    partial = 0
-    for r in range(1, s + 1):
-        for parts in _compositions_into(n, r):
-            partial += multinomial(n, parts) * cascade_weight(Composition(parts))
+    partial = sum(_layer_sums(n, _cascade_step)[:s])
 
     remainder = 0
     for m in range(s, n):
@@ -245,13 +261,7 @@ def forest_identity_lhs(n: int) -> int:
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     total = 0
-    for r in range(1, n + 1):
-        inner = 0
-        for parts in _compositions_into(n, r):
-            term = multinomial(n, parts)
-            for k in parts:
-                term *= k ** (k - 1)
-            inner += term
+    for r, inner in enumerate(_layer_sums(n, _forest_step), 1):
         q, rem = divmod(inner, math.factorial(r))
         if rem:
             raise AssertionError(f"layer r={r} of n={n} not divisible by r!")
@@ -263,13 +273,7 @@ def forest_identity_ordered_sum(n: int) -> int:
     """The raw ordered sum (no 1/r!); differs from identity_rhs(n) for n >= 2."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    total = 0
-    for c in compositions(n):
-        term = multinomial(c.n, c)
-        for k in c.parts:
-            term *= k ** (k - 1)
-        total += term
-    return total
+    return sum(_layer_sums(n, _forest_step))
 
 
 def prufer_decode(seq: Sequence[int]) -> LabeledTree:

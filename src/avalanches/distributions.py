@@ -1,7 +1,8 @@
 """Closed-form avalanche-size distributions, their limit law, and tail analysis.
 
-The three finite-population laws (avalanche, abelian, conditional) and the
-mean identity share one integer kernel: with p = u/v, the numerators
+The three finite-population laws (avalanche, abelian, conditional), the
+mean identity and, with masses grouped, the heterogeneous tower law share
+one integer kernel: with p = u/v, the numerators
 
     t_b = (b+1)^(b-1) C(n,b) u^b (v-(b+1)u)^(n-b),   b = 0..n,
 
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb
+from typing import Sequence
 
 from .errors import DomainError
 
@@ -143,9 +145,28 @@ def _abel_term(n: int, b: int, u: int, v: int) -> int:
     return comb(n, b) * u**b * weight * (v - (b + 1) * u) ** (n - b)
 
 
-def _abel_numerators(n: int, u: int, v: int) -> list[int]:
-    """t_0..t_n; for 0 <= n*u <= v, Abel's identity makes them sum to v^n."""
-    return [_abel_term(n, b, u, v) for b in range(n + 1)]
+def _abel_numerators(groups: Sequence[tuple[int, int]], v: int) -> list[int]:
+    """t_0..t_n of the avalanche law with m_g of the n = sum(m_g) coordinates
+    at mass u_g/v, for each pair (u_g, m_g) in ``groups``:
+
+        t_b = (b+1)^(b-1) [t^b] prod_g (v - (b+1)u_g + t u_g)^(m_g),
+
+    so that P(b) = t_b / v^n; for 0 <= n*u_g <= v they sum to v^n.  One group
+    is _abel_term, one product per b; more groups multiply the coefficients
+    up to t^b by each coordinate's factor in turn.
+    """
+    if len(groups) == 1:
+        ((u, n),) = groups
+        return [_abel_term(n, b, u, v) for b in range(n + 1)]
+    nums = []
+    for b in range(sum(m for _, m in groups) + 1):
+        coeffs = [1] + [0] * b
+        for u, m in groups:
+            c = v - (b + 1) * u
+            for _ in range(m):
+                coeffs = [c * x + u * y for x, y in zip(coeffs, [0] + coeffs)]
+        nums.append(((b + 1) ** (b - 1) if b else 1) * coeffs[b])
+    return nums
 
 
 def _exact_pmf(first: int, nums: list[int], den: int, label: str) -> Pmf:
@@ -177,7 +198,7 @@ def avalanche_prob(params: AvalancheParams, a: int) -> Fraction:
 def avalanche_pmf(params: AvalancheParams) -> Pmf:
     """Exact avalanche-size law on 0..N; sums to exactly 1 on the whole domain."""
     N, u, v = params.N, params.p.numerator, params.p.denominator
-    return _exact_pmf(0, _abel_numerators(N, u, v), v**N, f"avalanche(N={N},p={params.p})")
+    return _exact_pmf(0, _abel_numerators([(u, N)], v), v**N, f"avalanche(N={N},p={params.p})")
 
 
 def _abelian_numerators(params: AvalancheParams) -> tuple[list[int], int]:
@@ -191,7 +212,7 @@ def _abelian_numerators(params: AvalancheParams) -> tuple[list[int], int]:
     params.require_subcritical()
     N, u, v = params.N, params.p.numerator, params.p.denominator
     head = v * (v - N * u)
-    nums = [head * t // (v - k * u) for k, t in enumerate(_abel_numerators(N - 1, u, v), 1)]
+    nums = [head * t // (v - k * u) for k, t in enumerate(_abel_numerators([(u, N - 1)], v), 1)]
     return nums, (v - (N - 1) * u) * v ** (N - 1)
 
 
@@ -213,7 +234,7 @@ def conditional_pmf(params: AvalancheParams) -> Pmf:
     N-a-1 of the abelian law; the two are kept as distinct models.
     """
     N, u, v = params.N, params.p.numerator, params.p.denominator
-    nums = _abel_numerators(N - 1, u, v)
+    nums = _abel_numerators([(u, N - 1)], v)
     return _exact_pmf(1, nums, v ** (N - 1), f"conditional(N={N},p={params.p})")
 
 
@@ -332,9 +353,3 @@ def local_maxima(pmf: Pmf) -> list[int]:
             out.append(a)
     return out
 
-
-def avalanche_params(N: int, p) -> AvalancheParams:
-    """Convenience constructor accepting ints, Fractions, or 'num/den' strings."""
-    if isinstance(p, str):
-        p = Fraction(p)
-    return AvalancheParams(N=N, p=_as_exact(p))

@@ -10,26 +10,26 @@ within one cascade.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import combinations, product
+from itertools import product
 from typing import Sequence
 
 import numpy as np
 
-from .combinatorics import Composition, _compositions_into, cascade_weight, multinomial
-from .distributions import Pmf
+from .distributions import Pmf, _abel_numerators, _exact_pmf
 from .errors import DomainError, ResourceLimitError
 from .sampling import SimResult, SplitMix64, campaign_histogram, derive_stream, leading_run
 
 # Cap on the product of the L_i for the exhaustive oracle.
 DEFAULT_STATE_CAP = 10**7
 
-# Cap on N for the exact heterogeneous law (the partition sum over r and
-# block sizes; cheap after the block-constant factoring below, but kept as a
-# contract: at N=10 the full pmf evaluates in well under a second).
+# Cap on N for the exact heterogeneous law.  The grouped kernel is cheap
+# well past it; the cap stays until the law is checked against campaigns at
+# larger N.
 DEFAULT_GENERAL_N_CAP = 10
 
 _BLOCK_TRIALS = 1 << 16
@@ -197,9 +197,7 @@ def tower_pmf_bruteforce(sys: TowerSystem, cap: int = DEFAULT_STATE_CAP) -> Pmf:
     )
 
 
-def avalanche_pmf_general(
-    ps: Sequence[Fraction], n_cap: int = DEFAULT_GENERAL_N_CAP
-) -> Pmf:
+def avalanche_pmf_general(ps: Sequence[Fraction]) -> Pmf:
     """Exact avalanche law for heterogeneous excitation masses p_1..p_N.
 
     P(A=a) sums, over the cascade depth r, the block sizes (k_1,...,k_r)
@@ -209,47 +207,23 @@ def avalanche_pmf_general(
         prod_{I_1} p_i * prod_{l=2..r} prod_{I_l} k_{l-1} p_i
             * prod_{rest} (1 - (a+1) p_i).
 
-    Every firing block multiplies p_i by a block-constant, so summing over
-    the partitions of a fixed firing set S factors exactly into
-    multinomial(a; k_1..k_r) * k_1^{k_2}...k_{r-1}^{k_r} * prod_{S} p_i, and
-    the partition sum reduces to an enumeration of compositions of a times
-    an enumeration of firing sets S.  The a = 0 term is prod(1 - p_i).
+    Every firing block multiplies p_i by a block-constant, so the partitions
+    of a fixed firing set S sum to multinomial(a; k_1..k_r) *
+    k_1^{k_2}...k_{r-1}^{k_r} * prod_{S} p_i, and the composition sum is
+    (a+1)^(a-1) by the paper's identity.  So P(A=a) = (a+1)^(a-1) [t^a]
+    prod_i ((1 - (a+1) p_i) + t p_i), which _abel_numerators evaluates over
+    the lcm of the denominators, with equal masses grouped.
     """
     ps = tuple(Fraction(p) for p in ps)
     n = len(ps)
     if n < 1:
         raise DomainError("need at least one coordinate")
-    if n > n_cap:
-        raise ResourceLimitError(f"N = {n} exceeds the cap of {n_cap}")
+    if n > DEFAULT_GENERAL_N_CAP:
+        raise ResourceLimitError(f"N = {n} exceeds the cap of {DEFAULT_GENERAL_N_CAP}")
     for i, p in enumerate(ps):
         if p < 0 or n * p > 1:
             raise DomainError(f"coordinate {i}: p = {p} outside [0, 1/N]")
-
-    probs = [Fraction(0)] * (n + 1)
-    probs[0] = _product(1 - p for p in ps)
-    for a in range(1, n + 1):
-        comp_sum = 0
-        for r in range(1, a + 1):
-            for parts in _compositions_into(a, r):
-                comp_sum += multinomial(a, parts) * cascade_weight(Composition(parts))
-        subset_sum = Fraction(0)
-        for firing in combinations(range(n), a):
-            fire = set(firing)
-            term = Fraction(1)
-            for i, p in enumerate(ps):
-                term *= p if i in fire else 1 - (a + 1) * p
-            subset_sum += term
-        probs[a] = comp_sum * subset_sum
-    return Pmf(
-        support=tuple(range(n + 1)),
-        probs=tuple(probs),
-        exact=True,
-        label=f"avalanche-general(N={n})",
-    )
-
-
-def _product(factors) -> Fraction:
-    out = Fraction(1)
-    for f in factors:
-        out *= f
-    return out
+    v = math.lcm(*(p.denominator for p in ps))
+    groups = Counter(p.numerator * (v // p.denominator) for p in ps)
+    nums = _abel_numerators(list(groups.items()), v)
+    return _exact_pmf(0, nums, v**n, f"avalanche-general(N={n})")

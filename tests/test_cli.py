@@ -271,6 +271,22 @@ class TestSimulateInputChecks:
         assert rc == 2
         assert "cannot read" in err
 
+    @pytest.mark.parametrize(
+        "model,code,message",
+        [
+            (["--model", "urn", "--N", "9", "--M", "10"], 3, "resource limit: "),
+            (["--model", "urn", "--N", "5", "--M", "5"], 2, "error: "),
+            (["--model", "tower", "--uniform", "400,1,9,8"], 3, "resource limit: "),
+        ],
+    )
+    def test_exact_oracle_checked_before_campaign(self, capsys, no_campaign, model, code, message):
+        rc, out, err = run_cli(
+            capsys, "simulate", *model, "--trials", "2000000", "--exact-oracle"
+        )
+        assert rc == code
+        assert out == ""
+        assert err.startswith(message) and err.count("\n") == 1
+
 
 class TestTailCommand:
     def test_rows_and_slope(self, capsys):
@@ -453,3 +469,27 @@ class TestOutputDirEnv:
         assert rc == 0
         assert target.exists()
         assert not (tmp_path / "ignored").exists()
+
+
+class TestOutputWriteFailures:
+    """An --out path that cannot be written exits 2 with one line."""
+
+    def test_existing_directory(self, capsys, tmp_path):
+        rc, out, err = run_cli(
+            capsys, "pmf", "--model", "avalanche", "--N", "3", "--p", "1/5", "--out", str(tmp_path)
+        )
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+    def test_parent_is_a_regular_file(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("x")
+        target = blocker / "x.json"
+        rc, out, err = run_cli(
+            capsys, "pmf", "--model", "avalanche", "--N", "3", "--p", "1/5", "--out", str(target)
+        )
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
+        assert blocker.read_text() == "x"

@@ -57,8 +57,9 @@ class TestAbelKernel:
 
     def test_negative_exponent(self):
         # the b = 0 weight 1^(-1) stays the integer 1, never the float 1.0
-        assert _abel_numerators(0, 2, 7) == [1]
-        assert all(type(t) is int for t in _abel_numerators(5, 2, 11))
+        assert _abel_numerators([(2, 0)], 7) == [1]
+        assert all(type(t) is int for t in _abel_numerators([(2, 5)], 11))
+        assert all(type(t) is int for t in _abel_numerators([(2, 3), (1, 2)], 11))
 
     @given(
         st.integers(0, 40).flatmap(
@@ -74,7 +75,31 @@ class TestAbelKernel:
     def test_numerators_sum_to_denominator(self, case):
         # Abel's identity on the integers: sum_b t_b == v**n for 0 <= n*u <= v
         n, (u, v) = case
-        nums = _abel_numerators(n, u, v)
+        nums = _abel_numerators([(u, n)], v)
+        assert len(nums) == n + 1
+        assert all(t >= 0 for t in nums)
+        assert sum(nums) == v**n
+
+    @given(
+        st.lists(st.integers(0, 4), min_size=1, max_size=4).flatmap(
+            lambda ms: st.integers(max(sum(ms), 1), 10**4).flatmap(
+                lambda v: st.tuples(
+                    st.lists(
+                        st.integers(0, v // max(sum(ms), 1)),
+                        min_size=len(ms),
+                        max_size=len(ms),
+                    ).map(lambda us: list(zip(us, ms))),
+                    st.just(v),
+                )
+            )
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_grouped_numerators_sum_to_denominator(self, case):
+        # the heterogeneous kernel is a law too: sum_b t_b == v**N whenever N*u_g <= v
+        groups, v = case
+        n = sum(m for _, m in groups)
+        nums = _abel_numerators(groups, v)
         assert len(nums) == n + 1
         assert all(t >= 0 for t in nums)
         assert sum(nums) == v**n

@@ -185,6 +185,7 @@ class TestGeneralPmf:
             [F(1, 4), F(1, 5), F(1, 6)],
             [F(1, 9), F(1, 17), F(2, 9), F(1, 5)],
             [F(1, 11), F(1, 6), F(0), F(1, 13), F(1, 19)],
+            [F(1, 9), F(1, 9), F(1, 17), F(1, 17), F(1, 5)],
         ],
     )
     def test_matches_literal_partition_enumeration(self, ps):
