@@ -30,7 +30,7 @@ from .distributions import (
     tail_log_ratio,
 )
 from .errors import DegenerateInputError, DomainError, ResourceLimitError
-from .sampling import SimResult
+from .sampling import SimResult, check_bound
 from .stats import chi_square_gof
 from .towers import (
     avalanche_pmf_general,
@@ -56,11 +56,6 @@ def _write_output(text: str, out: str | None) -> None:
         path.write_bytes(text.encode("utf-8"))
     except OSError as exc:  # a directory, a file where a directory should be
         raise DomainError(f"cannot write {path}: {exc.strerror}")
-
-
-def _kv_csv(doc: dict) -> str:
-    rows = [f"{k},{doc[k]}" for k in doc]
-    return ser.csv_lines("field,value", rows)
 
 
 def _load_json(path: str, from_dict):
@@ -118,7 +113,7 @@ def cmd_identity(args) -> int:
         doc["remainder"] = str(remainder)
         doc["induction_equal"] = partial + remainder == rhs
         ok = ok and doc["induction_equal"]
-    text = ser.dump_json(doc) if args.format == "json" else _kv_csv(doc)
+    text = ser.dump_json(doc) if args.format == "json" else ser.kv_csv(doc)
     _write_output(text, args.out)
     return 0 if ok else 1
 
@@ -194,17 +189,24 @@ def cmd_simulate(args) -> int:
     if args.format == "csv" and (args.exact_oracle or args.compare):
         raise DomainError("--exact-oracle/--compare reports need --format json")
     expected = _load_json(args.compare, ser.pmf_from_json_dict) if args.compare else None
-    # the oracles run first, so that a cap or domain error stops the run before any draw
+    # bound and oracle checks come first, so a cap or domain error stops the run before any draw
     if args.model == "urn":
+        if args.coord or args.uniform:
+            raise DomainError("--coord/--uniform apply only to the tower model")
         if args.N is None or args.M is None:
             raise DomainError("urn model needs --N and --M")
         cfg = UrnConfig(N=args.N, M=args.M)
+        check_bound(cfg.M)
         if args.exact_oracle:
             exact = urn_pmf_formula(cfg)
             brute = urn_pmf_bruteforce(cfg)
         campaign = partial(simulate_urns, cfg)
     else:
+        if args.N is not None or args.M is not None:
+            raise DomainError("--N/--M apply only to the urn model")
         sys_ = _tower_system_from_args(args)
+        for c in sys_.coords:
+            check_bound(c.L)
         if args.exact_oracle:
             ps = sys_.ps()
             if len(set(ps)) == 1:

@@ -165,29 +165,32 @@ def cascade_weight(c: Composition) -> int:
     return w
 
 
-def _layer_sums(n: int, step) -> list[int]:
-    """For r = 1..n, the sum over the r-part compositions (k_1,...,k_r) of n of
+def _layer_sums(n: int, step, depth: int) -> tuple[list[int], dict[tuple[int, int], int]]:
+    """For r = 1..depth, the sum over the r-part compositions (k_1,...,k_r) of n of
 
-        multinomial(n; k_1..k_r) * step(0, k_1) * step(k_1, k_2) * ... * step(k_{r-1}, k_r).
+        multinomial(n; k_1..k_r) * step(0, k_1) * step(k_1, k_2) * ... * step(k_{r-1}, k_r),
 
-    Walks the composition tree once, carrying the running product, so n=18
-    (2^17 compositions) stays in the seconds range.
+    and the weights W_depth(last, rem) of the depth-part prefixes that leave rem >= 1.
+
+    Layer r keeps one weight per state (last part, remainder): W_r(last, rem)
+    sums n!/(k_1!...k_r! rem!) * step(0, k_1) * ... * step(k_{r-1}, k_r) over
+    the prefixes ending in last that leave rem.  Part k extends a state by the
+    factor C(rem, k) * step(last, k); the layer sum is the weight reaching
+    rem = 0.  So the cost is polynomial in n, not 2^(n-1).
     """
-    # factors[last][remaining][k - 1] = C(remaining, k) * step(last, k)
-    factors = [
-        [[math.comb(rem, k) * step(last, k) for k in range(1, rem + 1)] for rem in range(n + 1)]
-        for last in range(n + 1)
-    ]
-    sums = [0] * n
-
-    def extend(remaining: int, last: int, depth: int, term: int) -> None:
-        row = factors[last][remaining]
-        for k in range(1, remaining):
-            extend(remaining - k, k, depth + 1, term * row[k - 1])
-        sums[depth] += term * row[remaining - 1]
-
-    extend(n, 0, 0, 1)
-    return sums
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
+    sums = []
+    layer = {(0, n): 1}
+    for _ in range(depth):
+        nxt: dict[tuple[int, int], int] = {}
+        for (last, rem), w in layer.items():
+            for k in range(1, rem + 1):
+                state = (k, rem - k)
+                nxt[state] = nxt.get(state, 0) + w * math.comb(rem, k) * step(last, k)
+        sums.append(sum(w for (_, rem), w in nxt.items() if rem == 0))
+        layer = {state: w for state, w in nxt.items() if state[1]}
+    return sums, layer
 
 
 def _cascade_step(last: int, k: int) -> int:
@@ -203,9 +206,7 @@ def identity_lhs(n: int) -> int:
 
     Equals identity_rhs(n) for every n.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    return sum(_layer_sums(n, _cascade_step))
+    return sum(_layer_sums(n, _cascade_step, n)[0])
 
 
 def identity_rhs(n: int) -> int:
@@ -226,26 +227,18 @@ def induction_step_check(n: int, s: int) -> tuple[int, int]:
 
     with m = k_1+...+k_s and b = n - k_1 - ... - k_{s-1}.  The two always
     add up to identity_rhs(n).
+
+    One run of _layer_sums to depth s gives both: the partial sums its layers,
+    and as b = k_s + rem and n-m-1 = rem-1 for rem = n-m, the remainder sums
+    W_s(k, rem) * k * (k+rem)^(rem-1) over the states it leaves open.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if not 1 <= s <= n:
         raise DomainError(f"s must lie in 1..{n}, got {s}")
-    fact = [math.factorial(i) for i in range(n + 1)]
-    partial = sum(_layer_sums(n, _cascade_step)[:s])
-
-    remainder = 0
-    for m in range(s, n):
-        for parts in _compositions_into(m, s):
-            denom = fact[n - m]
-            for k in parts:
-                denom *= fact[k]
-            base = n - (m - parts[-1])
-            term = (fact[n] // denom) * parts[-1]
-            term *= cascade_weight(Composition(parts))
-            term *= base ** (n - m - 1)
-            remainder += term
-    return partial, remainder
+    sums, open_states = _layer_sums(n, _cascade_step, s)
+    remainder = sum(w * k * (k + rem) ** (rem - 1) for (k, rem), w in open_states.items())
+    return sum(sums), remainder
 
 
 def forest_identity_lhs(n: int) -> int:
@@ -258,10 +251,8 @@ def forest_identity_lhs(n: int) -> int:
     identity_rhs(n); the inner sum is always divisible by r!, and a failed
     division is a bug, not an input error.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
     total = 0
-    for r, inner in enumerate(_layer_sums(n, _forest_step), 1):
+    for r, inner in enumerate(_layer_sums(n, _forest_step, n)[0], 1):
         q, rem = divmod(inner, math.factorial(r))
         if rem:
             raise AssertionError(f"layer r={r} of n={n} not divisible by r!")
@@ -271,9 +262,7 @@ def forest_identity_lhs(n: int) -> int:
 
 def forest_identity_ordered_sum(n: int) -> int:
     """The raw ordered sum (no 1/r!); differs from identity_rhs(n) for n >= 2."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    return sum(_layer_sums(n, _forest_step))
+    return sum(_layer_sums(n, _forest_step, n)[0])
 
 
 def prufer_decode(seq: Sequence[int]) -> LabeledTree:

@@ -62,6 +62,12 @@ _SLICE = 1 << 15
 MAX_SHARDS = 1 << 16
 
 
+def check_bound(bound: int) -> None:
+    """Bounded draws take bounds in 1..2^63, so every draw fits an int64."""
+    if not 1 <= bound <= 1 << 63:
+        raise DomainError(f"bound must be in 1..2^63, got {bound}")
+
+
 def _mix64_inplace(z: np.ndarray) -> np.ndarray:
     """The finalizer over a uint64 array, in place."""
     t = np.empty_like(z)
@@ -102,8 +108,7 @@ class SplitMix64:
         counter lands exactly after the raw output that produced the last
         accepted draw, so results do not depend on the batch size used here.
         """
-        if not 1 <= bound <= 1 << 63:
-            raise DomainError(f"bound must be in 1..2^63, got {bound}")
+        check_bound(bound)
         if count < 0:
             raise DomainError(f"count must be >= 0, got {count}")
         limit = ((1 << 64) // bound) * bound

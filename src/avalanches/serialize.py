@@ -64,6 +64,11 @@ def csv_lines(header: str, rows, comments: list[str] | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def kv_csv(doc: dict) -> str:
+    """A flat document as "field,value" rows, in the document's key order."""
+    return csv_lines("field,value", [f"{k},{v}" for k, v in doc.items()])
+
+
 # ---------------------------------------------------------------- pmf
 
 def pmf_to_json_dict(pmf: Pmf) -> dict:
@@ -161,6 +166,4 @@ def gof_to_json_dict(report: GofReport) -> dict:
 
 
 def gof_to_csv(report: GofReport) -> str:
-    d = gof_to_json_dict(report)
-    rows = [f"{k},{d[k]}" for k in ("tv", "chi2", "dof", "p", "trials")]
-    return csv_lines("field,value", rows)
+    return kv_csv(gof_to_json_dict(report))

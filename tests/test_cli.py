@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -241,6 +242,48 @@ class TestSimulateInputChecks:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "2^63" in err
 
+    @pytest.fixture
+    def no_oracles(self, monkeypatch):
+        import avalanches.cli as cli_mod
+
+        def refuse(*args):
+            raise AssertionError("an oracle ran")
+
+        for name in (
+            "urn_pmf_formula", "urn_pmf_bruteforce", "avalanche_pmf",
+            "avalanche_pmf_general", "tower_pmf_bruteforce",
+        ):
+            monkeypatch.setattr(cli_mod, name, refuse)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            ["--model", "urn", "--N", "3", "--M", str(2**64)],
+            ["--model", "tower", "--coord", f"{2**64},1,2"],
+        ],
+    )
+    def test_bound_checked_before_oracles(self, capsys, no_campaign, no_oracles, model):
+        rc, out, err = run_cli(
+            capsys, "simulate", *model, "--trials", "10", "--exact-oracle"
+        )
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "2^63" in err
+
+    @pytest.mark.parametrize(
+        "model,flags",
+        [
+            (["--model", "tower", "--uniform", "8,1,3,3"], ["--N", "3"]),
+            (["--model", "urn", "--N", "2", "--M", "4"], ["--uniform", "64,1,8,8"]),
+        ],
+    )
+    def test_other_models_flags_rejected(self, capsys, no_campaign, model, flags):
+        rc, out, err = run_cli(capsys, "simulate", *model, *flags, "--trials", "10")
+        assert rc == 2
+        assert out == ""
+        assert "apply only to the" in err
+
     @pytest.mark.parametrize("shards", [str(2**16 + 1), str(2**62)])
     def test_shard_cap_is_resource_error(self, capsys, shards):
         rc, out, err = run_cli(
@@ -409,6 +452,17 @@ class TestCompareCommand:
         self.assert_usage_error(
             capsys, "compare", "--sim", str(paths["sim"]), "--pmf", str(paths["pmf"])
         )
+
+    def test_csv_bytes(self, capsys, tmp_path):
+        # digest taken from the gof-only CSV writer that serialize.kv_csv replaced
+        sim_path, pmf_path = self.stored_run(capsys, tmp_path)
+        rc, out, _ = run_cli(
+            capsys, "compare", "--sim", str(sim_path), "--pmf", str(pmf_path), "--format", "csv"
+        )
+        assert rc == 0
+        assert out.startswith("field,value\ntv,")
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == "ba5f16949c47efd5cbc50442d8375977921321e6bb0a76252a90ed4f2cdbf517"
 
     def test_simulate_compare_malformed_pmf(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -24,6 +24,21 @@ def definitional_identity_sum(n):
     return sum(multinomial(n, c) * cascade_weight(c) for c in compositions(n))
 
 
+def definitional_induction_split(n, s):
+    """The induction split straight from its definition, one prefix at a time:
+    partial over the compositions of n with at most s parts, remainder over
+    the s-part compositions c of m < n, with b = n - m + c_s."""
+    partial = sum(multinomial(n, c) * cascade_weight(c) for c in compositions(n) if c.r <= s)
+    remainder = 0
+    for m in range(s, n):
+        for c in compositions(m):
+            if c.r == s:
+                k_s = c.parts[-1]
+                weight = multinomial(n, c.parts + (n - m,)) * k_s * cascade_weight(c)
+                remainder += weight * (n - m + k_s) ** (n - m - 1)
+    return partial, remainder
+
+
 class TestCompositions:
     def test_n1(self):
         assert [c.parts for c in compositions(1)] == [(1,)]
@@ -100,11 +115,21 @@ class TestIdentity:
     def test_identity_holds(self, n):
         assert identity_lhs(n) == identity_rhs(n)
 
+    # past the sizes a walk over all 2^(n-1) compositions could reach
+    @pytest.mark.parametrize("n", range(19, 41))
+    def test_identities_hold_at_large_n(self, n):
+        assert identity_lhs(n) == identity_rhs(n)
+        assert forest_identity_lhs(n) == identity_rhs(n)
+
     def test_invalid_n(self):
         with pytest.raises(DomainError):
             identity_lhs(0)
         with pytest.raises(DomainError):
             identity_rhs(-1)
+        with pytest.raises(DomainError):
+            forest_identity_lhs(0)
+        with pytest.raises(DomainError):
+            forest_identity_ordered_sum(0)
 
 
 class TestInductionStep:
@@ -126,6 +151,11 @@ class TestInductionStep:
         for s in range(1, n + 1):
             partial, remainder = induction_step_check(n, s)
             assert partial + remainder == identity_rhs(n)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_matches_definitional_split(self, n):
+        for s in range(1, n + 1):
+            assert induction_step_check(n, s) == definitional_induction_split(n, s)
 
     def test_s_out_of_range(self):
         with pytest.raises(DomainError):
