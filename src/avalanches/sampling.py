@@ -161,15 +161,20 @@ class SimResult:
             raise DomainError("histogram counts do not add up to the trial count")
 
 
-def shard_sizes(trials: int, shards: int) -> list[int]:
-    """Split trials across shards: shard i gets trials//shards, the first
-    trials % shards shards one extra."""
+def check_campaign(trials: int, shards: int) -> None:
+    """A campaign needs trials >= 1 and 1..MAX_SHARDS shards."""
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     if shards < 1:
         raise DomainError(f"shards must be >= 1, got {shards}")
     if shards > MAX_SHARDS:
         raise ResourceLimitError(f"{shards} shards exceed the cap of {MAX_SHARDS}")
+
+
+def shard_sizes(trials: int, shards: int) -> list[int]:
+    """Split trials across shards: shard i gets trials//shards, the first
+    trials % shards shards one extra."""
+    check_campaign(trials, shards)
     base, extra = divmod(trials, shards)
     return [base + (1 if i < extra else 0) for i in range(shards)]
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import decimal
 import json
 import re
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .combinatorics import TreeCensus
@@ -22,6 +24,22 @@ from .stats import GofReport
 DEFAULT_SIG_DIGITS = 17
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+
+
+@contextmanager
+def unlimited_int_digits():
+    """Lift the interpreter's limit on int <-> str conversions (Python 3.11+
+    refuses ints of more than 4300 digits) for one document, then restore it.
+    Also usable as a decorator."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python 3.10 has no limit
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def rational_str(x: Fraction) -> str:
@@ -71,6 +89,7 @@ def kv_csv(doc: dict) -> str:
 
 # ---------------------------------------------------------------- pmf
 
+@unlimited_int_digits()
 def pmf_to_json_dict(pmf: Pmf) -> dict:
     out = {
         "label": pmf.label,
@@ -83,6 +102,7 @@ def pmf_to_json_dict(pmf: Pmf) -> dict:
     return out
 
 
+@unlimited_int_digits()
 def pmf_from_json_dict(d: dict) -> Pmf:
     exact = bool(d["exact"])
     if exact:
@@ -136,6 +156,7 @@ def simresult_to_csv(res: SimResult) -> str:
 
 # ---------------------------------------------------------------- census
 
+@unlimited_int_digits()
 def census_to_json_dict(census: TreeCensus) -> dict:
     ordered = sorted(census.profiles.items(), key=lambda kv: (kv[0].r, kv[0].parts))
     return {

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from avalanches.cli import main
+from avalanches.cli import AMAX_CAP, IDENTITY_N_CAP, PMF_N_CAP, main
 
 
 def run_cli(capsys, *args):
@@ -159,7 +159,7 @@ class TestSimulateCommand:
     def test_cap_exit_code(self, capsys):
         rc, _, err = run_cli(
             capsys,
-            "simulate", "--model", "urn", "--N", "9", "--M", "10",
+            "simulate", "--model", "urn", "--N", "16", "--M", "17",
             "--trials", "10", "--seed", "1", "--exact-oracle",
         )
         assert rc == 3
@@ -272,6 +272,24 @@ class TestSimulateInputChecks:
         assert "2^63" in err
 
     @pytest.mark.parametrize(
+        "flags,code,message",
+        [
+            (["--trials", "0"], 2, "error: trials"),
+            (["--trials", "10", "--shards", "0"], 2, "error: shards"),
+            (["--trials", "10", "--shards", str(2**16 + 1)], 3, "resource limit: "),
+        ],
+    )
+    def test_campaign_checked_before_oracles(
+        self, capsys, no_campaign, no_oracles, flags, code, message
+    ):
+        rc, out, err = run_cli(
+            capsys, "simulate", "--model", "urn", "--N", "9", "--M", "10", *flags, "--exact-oracle"
+        )
+        assert rc == code
+        assert out == ""
+        assert err.startswith(message) and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "model,flags",
         [
             (["--model", "tower", "--uniform", "8,1,3,3"], ["--N", "3"]),
@@ -317,9 +335,9 @@ class TestSimulateInputChecks:
     @pytest.mark.parametrize(
         "model,code,message",
         [
-            (["--model", "urn", "--N", "9", "--M", "10"], 3, "resource limit: "),
+            (["--model", "urn", "--N", "16", "--M", "17"], 3, "resource limit: "),
             (["--model", "urn", "--N", "5", "--M", "5"], 2, "error: "),
-            (["--model", "tower", "--uniform", "400,1,9,8"], 3, "resource limit: "),
+            (["--model", "tower", "--uniform", "400,1,12,11"], 3, "resource limit: "),
         ],
     )
     def test_exact_oracle_checked_before_campaign(self, capsys, no_campaign, model, code, message):
@@ -329,6 +347,83 @@ class TestSimulateInputChecks:
         assert rc == code
         assert out == ""
         assert err.startswith(message) and err.count("\n") == 1
+
+
+class TestSizeCaps:
+    """Each size input has a cap that exits 3 before any work starts."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        import avalanches.cli as cli_mod
+
+        def refuse(*args):
+            raise AssertionError("the work started")
+
+        for name in ("avalanche_pmf", "abelian_pmf", "conditional_pmf", "limit_pmf"):
+            monkeypatch.setattr(cli_mod, name, refuse)
+        for name in ("identity_lhs", "forest_identity_lhs", "induction_step_check"):
+            monkeypatch.setattr(cli_mod.comb, name, refuse)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["identity", "--n", str(IDENTITY_N_CAP + 1)],
+            ["identity", "--n", str(IDENTITY_N_CAP + 1), "--s", "50"],
+            ["identity", "--n", str(IDENTITY_N_CAP + 1), "--forest"],
+            *(
+                ["pmf", "--model", law, "--N", str(PMF_N_CAP + 1), "--p", f"1/{2 * PMF_N_CAP}"]
+                for law in ("avalanche", "abelian", "conditional")
+            ),
+            ["pmf", "--model", "limit", "--alpha", "1", "--amax", str(AMAX_CAP + 1)],
+            ["tail", "--alpha", "1", "--amax", str(AMAX_CAP + 1)],
+        ],
+    )
+    def test_above_cap_is_resource_error(self, capsys, no_work, args):
+        rc, out, err = run_cli(capsys, *args)
+        assert rc == 3
+        assert out == ""
+        assert err.startswith("resource limit: ") and err.count("\n") == 1
+        assert "cap" in err
+
+    def test_at_cap_runs(self, capsys):
+        rc, out, _ = run_cli(
+            capsys, "pmf", "--model", "limit", "--alpha", "1", "--amax", str(AMAX_CAP)
+        )
+        assert rc == 0
+        assert len(json.loads(out)["probs"]) == AMAX_CAP + 1
+
+
+class TestLongIntegers:
+    """Exact documents whose integers pass Python's 4300-digit str limit."""
+
+    def test_pmf_compare_round_trip(self, capsys, tmp_path):
+        from fractions import Fraction
+
+        from avalanches.distributions import AvalancheParams, avalanche_pmf
+        from avalanches.serialize import pmf_from_json_dict
+
+        p = "1/" + str(10**16)
+        pmf_path, sim_path = tmp_path / "pmf.json", tmp_path / "sim.json"
+        rc, _, _ = run_cli(
+            capsys, "pmf", "--model", "avalanche", "--N", "300", "--p", p, "--out", str(pmf_path)
+        )
+        assert rc == 0
+        doc = json.loads(pmf_path.read_text(encoding="utf-8"))
+        assert len(doc["probs"][0].split("/")[1]) == 4801  # 10^4800
+        law = avalanche_pmf(AvalancheParams(300, Fraction(1, 10**16)))
+        assert pmf_from_json_dict(doc).probs == law.probs
+        rc, _, _ = run_cli(
+            capsys,
+            "simulate", "--model", "urn", "--N", "300", "--M", str(10**16),
+            "--trials", "200", "--seed", "1", "--out", str(sim_path),
+        )
+        assert rc == 0
+        rc, out, err = run_cli(
+            capsys, "compare", "--sim", str(sim_path), "--pmf", str(pmf_path),
+            "--min-expected", "1e-300",
+        )
+        assert (rc, err) == (0, "")
+        assert json.loads(out)["trials"] == 200
 
 
 class TestTailCommand:

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -20,6 +21,7 @@ from avalanches.serialize import (
     simresult_from_json_dict,
     simresult_to_csv,
     simresult_to_json_dict,
+    unlimited_int_digits,
 )
 from avalanches.stats import GofReport
 
@@ -43,6 +45,29 @@ class TestRational:
     def test_rejects_garbage(self):
         with pytest.raises(DomainError):
             parse_rational("1/4/2")
+
+
+class TestUnlimitedIntDigits:
+    def test_lifts_the_limit_and_restores_it(self):
+        big = 10**6000
+        if not hasattr(sys, "set_int_max_str_digits"):  # Python 3.10 has no limit
+            with unlimited_int_digits():
+                assert len(str(big)) == 6001
+            return
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            with unlimited_int_digits():
+                assert len(str(big)) == 6001
+                assert int(str(big)) == big
+            assert sys.get_int_max_str_digits() == 5000
+            with pytest.raises(ZeroDivisionError), unlimited_int_digits():
+                1 / 0
+            assert sys.get_int_max_str_digits() == 5000
+            with pytest.raises(ValueError):
+                str(big)
+        finally:
+            sys.set_int_max_str_digits(old)
 
 
 class TestDecimalStr:

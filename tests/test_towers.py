@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -21,6 +22,34 @@ from avalanches.towers import (
 
 TWO_COORD = make_tower_system([(8, 1, 4)] * 2)  # p = 1/8 each, U = {4}
 HET_TWO = make_tower_system([(6, 1, 2), (8, 2, 2)])  # p = 1/6, 1/4
+
+
+def tower_pmf_by_state_walk(sys_):
+    """Law of the avalanche size by scoring every state of the product space with
+    avalanche_size; the literal reference for the hit-class oracle."""
+    total = 1
+    for c in sys_.coords:
+        total *= c.L
+    counts = Counter(
+        avalanche_size(x, sys_) for x in itertools.product(*(range(c.L) for c in sys_.coords))
+    )
+    return tuple(F(counts.get(a, 0), total) for a in range(sys_.N + 1))
+
+
+# w > 1, L not a multiple of w, L = (h+1)w (no state outside the tower),
+# heights above N, and repeated, mixed and interleaved coordinate types
+WALK_SYSTEMS = [
+    [(8, 1, 4)] * 2,
+    [(6, 1, 2), (8, 2, 2)],
+    [(4, 1, 3)] * 3,
+    [(9, 2, 3)] * 3,
+    [(10, 3, 2), (7, 2, 2)],
+    [(12, 3, 3), (9, 2, 3), (12, 3, 3)],
+    [(12, 2, 5), (9, 1, 5)],
+    [(9, 2, 3), (5, 1, 3), (9, 2, 3)],
+    [(6, 1, 4), (7, 1, 4), (6, 1, 4), (11, 2, 4)],
+    [(16, 3, 4), (5, 1, 4), (16, 3, 4), (5, 1, 4)],
+]
 
 
 def general_pmf_by_partition_enumeration(ps):
@@ -160,6 +189,90 @@ class TestBruteforce:
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
             tower_pmf_bruteforce(TWO_COORD, cap=10)
+
+    @pytest.mark.parametrize("specs", WALK_SYSTEMS, ids=str)
+    def test_matches_state_walk(self, specs):
+        sys_ = make_tower_system(specs)
+        pmf = tower_pmf_bruteforce(sys_)
+        assert pmf.support == tuple(range(sys_.N + 1))
+        assert pmf.probs == tower_pmf_by_state_walk(sys_)
+        assert pmf.label == f"tower-bruteforce(N={sys_.N})"
+
+    def test_criterion_7_tower_past_the_old_cap(self):
+        # 64^8 = 2.8e14 states; 24310 multisets of hit classes
+        sys_ = make_tower_system([(64, 1, 8)] * 8)
+        pmf = tower_pmf_bruteforce(sys_)
+        assert pmf.probs == avalanche_pmf(AvalancheParams(8, F(1, 64))).probs
+
+    def test_tuple_cap_checked_before_scan(self, monkeypatch):
+        import avalanches.towers as towers_mod
+
+        def refuse(*args):
+            raise AssertionError("the oracle started scanning")
+
+        monkeypatch.setattr(towers_mod, "_hit_classes", refuse)
+        monkeypatch.setattr(towers_mod, "avalanche_size", refuse)
+        # C(11 + 13 - 1, 11) = 1352078 tuples from only 4400 states
+        with pytest.raises(ResourceLimitError, match="tuples"):
+            tower_pmf_bruteforce(make_tower_system([(400, 1, 12)] * 11))
+        with pytest.raises(ResourceLimitError, match="states"):
+            tower_pmf_bruteforce(make_tower_system([(10**6, 1, 1)]))
+
+
+class TestOracleSeparation:
+    """The oracles reach their laws without the closed forms' kernels."""
+
+    FORBIDDEN = ("_abel_term", "_abel_numerators", "leading_run")
+
+    def test_oracles_run_with_kernels_disabled(self, monkeypatch):
+        import avalanches.distributions as dist_mod
+        import avalanches.sampling as sampling_mod
+        import avalanches.towers as towers_mod
+        import avalanches.urn as urn_mod
+        from avalanches.urn import UrnConfig, urn_pmf_bruteforce
+
+        urn_law = urn_pmf_bruteforce(UrnConfig(5, 8)).probs
+        tower_law = tower_pmf_bruteforce(HET_TWO).probs
+
+        def refuse(*args):
+            raise AssertionError("an oracle used a closed-form kernel")
+
+        for mod in (dist_mod, sampling_mod, towers_mod, urn_mod):
+            for name in self.FORBIDDEN:
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, refuse)
+        assert urn_pmf_bruteforce(UrnConfig(5, 8)).probs == urn_law
+        assert tower_pmf_bruteforce(HET_TWO).probs == tower_law
+
+    def test_oracles_name_nothing_from_distributions_but_pmf(self):
+        import types
+
+        import avalanches.distributions as dist_mod
+        import avalanches.towers as towers_mod
+        import avalanches.urn as urn_mod
+
+        kernel = {
+            name
+            for name, obj in vars(dist_mod).items()
+            if getattr(obj, "__module__", None) == dist_mod.__name__ and name != "Pmf"
+        }
+        kernel.update(self.FORBIDDEN)
+
+        def names(code):
+            out = set(code.co_names)
+            for const in code.co_consts:
+                if isinstance(const, types.CodeType):
+                    out |= names(const)
+            return out
+
+        oracles = [
+            urn_mod.urn_pmf_bruteforce,
+            towers_mod.tower_pmf_bruteforce,
+            towers_mod._group_choices,
+            towers_mod._hit_classes,
+        ]
+        for fn in oracles:
+            assert not names(fn.__code__) & kernel, fn.__name__
 
 
 class TestGeneralPmf:

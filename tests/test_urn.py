@@ -1,3 +1,5 @@
+import itertools
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -27,6 +29,19 @@ def statistic_by_definition(assignment, M):
         if ok:
             best = r
     return best
+
+
+def urn_pmf_by_assignment_walk(n, m):
+    """Law of X by scoring every one of the M^N assignments with urn_statistic;
+    the literal reference for the occupancy-class oracle."""
+    counts = Counter(
+        urn_statistic(assignment, m) for assignment in itertools.product(range(1, m + 1), repeat=n)
+    )
+    return tuple(F(counts.get(a, 0), m**n) for a in range(n + 1))
+
+
+# every (N, M) with M^N <= 10^5 and M <= 12, so M <= N and M > N both occur
+WALK_GRID = [(n, m) for n in range(1, 17) for m in range(1, 13) if m**n <= 10**5]
 
 
 class TestUrnStatistic:
@@ -135,9 +150,34 @@ class TestUrnBruteforce:
             cfg = UrnConfig(n, m)
             assert urn_pmf_bruteforce(cfg).probs == urn_pmf_formula(cfg).probs
 
+    @pytest.mark.parametrize("n", sorted({n for n, _ in WALK_GRID}))
+    def test_matches_assignment_walk(self, n):
+        for m in (m for k, m in WALK_GRID if k == n):
+            pmf = urn_pmf_bruteforce(UrnConfig(n, m))
+            assert pmf.support == tuple(range(n + 1))
+            assert pmf.probs == urn_pmf_by_assignment_walk(n, m), (n, m)
+            assert pmf.label == f"urn-bruteforce(N={n},M={m})"
+
+    def test_matches_formula_past_the_old_cap(self):
+        # 11^10 = 2.6e10 assignments, far past what the assignment walk can score
+        cfg = UrnConfig(10, 11)
+        assert urn_pmf_bruteforce(cfg).probs == urn_pmf_formula(cfg).probs
+
     def test_cap(self):
+        # C(3+3, 3) = 20 occupancy vectors
         with pytest.raises(ResourceLimitError):
-            urn_pmf_bruteforce(UrnConfig(2, 4), cap=10)
+            urn_pmf_bruteforce(UrnConfig(3, 5), cap=10)
+        assert urn_pmf_bruteforce(UrnConfig(3, 5), cap=20).probs == urn_pmf_by_assignment_walk(3, 5)
+
+    def test_cap_checked_before_scoring(self, monkeypatch):
+        import avalanches.urn as urn_mod
+
+        def refuse(*args):
+            raise AssertionError("an assignment was scored")
+
+        monkeypatch.setattr(urn_mod, "urn_statistic", refuse)
+        with pytest.raises(ResourceLimitError, match="cap"):
+            urn_pmf_bruteforce(UrnConfig(16, 17))
 
 
 class TestSimulateUrns:
