@@ -22,6 +22,7 @@ advances over every raw output examined, accepted or not.  Bounds run up to
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -179,6 +180,13 @@ def shard_sizes(trials: int, shards: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(shards)]
 
 
+def available_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def campaign_histogram(
     trials: int, shards: int, block_trials: int, top: int, shard_sampler
 ) -> dict[int, int]:
@@ -187,10 +195,23 @@ def campaign_histogram(
     ``shard_sampler(i)`` returns shard i's sampler: given a trial count, it
     returns one statistic per trial, drawn trial-major from the shard's
     streams, so the block size (at most ``block_trials``) cannot change it.
+    Shards run on min(shards, available_cpus()) worker threads; each returns
+    its own counts and the counts are added, so the histogram does not
+    depend on which thread ran which shard.  NumPy releases the interpreter
+    lock inside its array kernels, so the threads overlap.
     """
-    counts = np.zeros(top + 1, dtype=np.int64)
-    for i, n_trials in enumerate(shard_sizes(trials, shards)):
+    # imported here: the executor costs about 0.6 MiB and 5 ms to import,
+    # which the exact-law commands never need
+    from concurrent.futures import ThreadPoolExecutor
+
+    def shard_counts(i: int, n_trials: int) -> np.ndarray:
         sample = shard_sampler(i)
+        counts = np.zeros(top + 1, dtype=np.int64)
         for done in range(0, n_trials, block_trials):
             counts += np.bincount(sample(min(block_trials, n_trials - done)), minlength=top + 1)
+        return counts
+
+    sizes = shard_sizes(trials, shards)
+    with ThreadPoolExecutor(max_workers=min(shards, available_cpus())) as pool:
+        counts = sum(pool.map(shard_counts, range(shards), sizes))
     return {a: int(c) for a, c in enumerate(counts) if c}

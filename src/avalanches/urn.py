@@ -26,9 +26,11 @@ from .sampling import SimResult, SplitMix64, campaign_histogram, derive_stream, 
 # 5 s at worst on a 2-vCPU Xeon, where (12, 13) takes 1.7 s).
 DEFAULT_ENUMERATION_CAP = 5 * 10**6
 
-# Trials processed per vectorized block inside the sampler (memory bound,
-# not a semantics knob: draws are consumed in trial-major order regardless).
-_BLOCK_TRIALS = 1 << 16
+# Draws per vectorized block of the sampler: a block holds
+# max(1, _BLOCK_DRAWS // N) trials, so its int64 draws take about 2 MiB per
+# shard whatever N is.  A memory bound, not a semantics knob: draws are
+# consumed in trial-major order regardless.
+_BLOCK_DRAWS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -142,7 +144,9 @@ def simulate_urns(cfg: UrnConfig, trials: int, seed: int, shards: int = 1) -> Si
         return partial(_sample_block, cfg, SplitMix64(derive_stream(seed, i)))
 
     return SimResult(
-        histogram=campaign_histogram(trials, shards, _BLOCK_TRIALS, cfg.N, shard_sampler),
+        histogram=campaign_histogram(
+            trials, shards, max(1, _BLOCK_DRAWS // cfg.N), cfg.N, shard_sampler
+        ),
         trials=trials,
         seed=seed,
         shards=shards,

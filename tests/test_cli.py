@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from avalanches.cli import AMAX_CAP, IDENTITY_N_CAP, PMF_N_CAP, main
+from avalanches.cli import AMAX_CAP, DIGITS_CAP, IDENTITY_N_CAP, PMF_N_CAP, main
 
 
 def run_cli(capsys, *args):
@@ -376,6 +376,8 @@ class TestSizeCaps:
             ),
             ["pmf", "--model", "limit", "--alpha", "1", "--amax", str(AMAX_CAP + 1)],
             ["tail", "--alpha", "1", "--amax", str(AMAX_CAP + 1)],
+            ["pmf", "--model", "avalanche", "--N", "5", "--p", "1/6", "--digits", str(DIGITS_CAP + 1)],
+            ["pmf", "--model", "limit", "--alpha", "1", "--amax", "5", "--digits", str(DIGITS_CAP + 1)],
         ],
     )
     def test_above_cap_is_resource_error(self, capsys, no_work, args):

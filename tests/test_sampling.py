@@ -1,3 +1,8 @@
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +16,7 @@ from avalanches.sampling import (
     SimResult,
     SplitMix64,
     _mix64_inplace,
+    available_cpus,
     campaign_histogram,
     derive_stream,
     leading_run,
@@ -161,7 +167,74 @@ class TestSimResultAndShards:
             return sample
 
         assert campaign_histogram(10, 3, 3, 4, shard_sampler) == {0: 4, 1: 3, 2: 3}
-        assert calls == [(0, 3), (0, 1), (1, 3), (2, 3)]
+        # shards may run on different threads; within a shard, blocks run in order
+        for i, blocks in ((0, [3, 1]), (1, [3]), (2, [3])):
+            assert [b for j, b in calls if j == i] == blocks
+        assert len(calls) == 4
+
+
+def stream_sampler(seed, bound=7, width=5):
+    """A shard sampler over real streams: the leading run of width-wide rows."""
+
+    def shard_sampler(i):
+        stream = SplitMix64(derive_stream(seed, i))
+        return lambda block: leading_run(
+            stream.integers_below(bound, block * width).reshape(block, width), width
+        )
+
+    return shard_sampler
+
+
+class TestThreadedCampaign:
+    def test_available_cpus(self):
+        assert 1 <= available_cpus() <= (os.cpu_count() or 1)
+
+    def test_more_shards_than_cpus_equals_serial_sum(self):
+        # each shard's histogram drawn alone, in one block, on this thread
+        trials, shards, seed = 20000, 4 * available_cpus() + 1, 5
+        want = np.zeros(6, dtype=np.int64)
+        for i, n in enumerate(shard_sizes(trials, shards)):
+            want += np.bincount(stream_sampler(seed)(i)(n), minlength=6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = campaign_histogram(trials, shards, 97, 5, stream_sampler(seed))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == {a: int(c) for a, c in enumerate(want) if c}
+
+    def test_threads_bounded_by_cpus(self, monkeypatch):
+        import avalanches.sampling as sampling_mod
+
+        monkeypatch.setattr(sampling_mod, "available_cpus", lambda: 2)
+        idents, alive = set(), []
+        before = threading.active_count()
+
+        def shard_sampler(i):
+            def sample(block):
+                idents.add(threading.get_ident())
+                alive.append(threading.active_count())
+                time.sleep(0.001)  # keep the worker busy, so a larger pool would grow
+                return np.zeros(block, dtype=np.int64)
+
+            return sample
+
+        assert campaign_histogram(1600, 16, 50, 3, shard_sampler) == {0: 1600}
+        assert 1 <= len(idents) <= 2
+        assert max(alive) <= before + 2
+        assert threading.active_count() == before  # the workers were joined
+
+    def test_shard_error_reaches_caller(self):
+        def shard_sampler(i):
+            def sample(block):
+                if i == 2:
+                    raise DomainError("shard 2 failed")
+                return np.zeros(block, dtype=np.int64)
+
+            return sample
+
+        with pytest.raises(DomainError, match="shard 2 failed"):
+            campaign_histogram(100, 5, 7, 3, shard_sampler)
 
 
 def leading_run_by_definition(row, cap):

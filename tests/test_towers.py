@@ -8,7 +8,7 @@ import pytest
 from avalanches.combinatorics import _compositions_into
 from avalanches.distributions import AvalancheParams, avalanche_pmf
 from avalanches.errors import DomainError, ResourceLimitError
-from avalanches.sampling import leading_run
+from avalanches.sampling import SplitMix64, derive_stream, leading_run, shard_sizes
 from avalanches.towers import (
     CoordinateTower,
     _hit_times,
@@ -377,9 +377,23 @@ class TestSimulateTower:
         import avalanches.towers as towers_mod
 
         a = simulate_tower(TWO_COORD, 5000, seed=3)
-        monkeypatch.setattr(towers_mod, "_BLOCK_TRIALS", 77)
+        monkeypatch.setattr(towers_mod, "_BLOCK_DRAWS", 155)  # blocks of 77 trials
         b = simulate_tower(TWO_COORD, 5000, seed=3)
         assert a == b
+
+    def test_threaded_shards_match_one_serial_block_per_shard(self, monkeypatch):
+        # blocks of 77 trials split each of the three shards of about 1667
+        import avalanches.towers as towers_mod
+
+        trials, seed = 5000, 3
+        want = np.zeros(HET_TWO.N + 1, dtype=np.int64)
+        for i, n in enumerate(shard_sizes(trials, 3)):
+            streams = [SplitMix64(derive_stream(seed, i, j)) for j in range(HET_TWO.N)]
+            sizes = towers_mod._sample_block(HET_TWO, streams, n)
+            want += np.bincount(sizes, minlength=HET_TWO.N + 1)
+        monkeypatch.setattr(towers_mod, "_BLOCK_DRAWS", 2 * 77)
+        res = simulate_tower(HET_TWO, trials, seed, shards=3)
+        assert res.histogram == {a: int(c) for a, c in enumerate(want) if c}
 
     def test_close_to_exact_at_1e5(self):
         res = simulate_tower(TWO_COORD, 10**5, seed=3)

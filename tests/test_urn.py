@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from avalanches.distributions import AvalancheParams, avalanche_pmf
 from avalanches.errors import DomainError, ResourceLimitError
-from avalanches.sampling import leading_run
+from avalanches.sampling import SplitMix64, derive_stream, leading_run, shard_sizes
 from avalanches.stats import empirical_pmf, tv_distance
 from avalanches.urn import (
     UrnConfig,
@@ -205,9 +205,60 @@ class TestSimulateUrns:
         import avalanches.urn as urn_mod
 
         a = simulate_urns(UrnConfig(2, 4), 5000, seed=3)
-        monkeypatch.setattr(urn_mod, "_BLOCK_TRIALS", 77)
+        monkeypatch.setattr(urn_mod, "_BLOCK_DRAWS", 155)  # blocks of 77 trials
         b = simulate_urns(UrnConfig(2, 4), 5000, seed=3)
         assert a == b
+
+    def test_threaded_shards_match_one_serial_block_per_shard(self, monkeypatch):
+        # blocks of 77 trials split each of the three shards of about 1667
+        import avalanches.urn as urn_mod
+
+        cfg, trials, seed = UrnConfig(3, 5), 5000, 3
+        want = np.zeros(cfg.N + 1, dtype=np.int64)
+        for i, n in enumerate(shard_sizes(trials, 3)):
+            stream = SplitMix64(derive_stream(seed, i))
+            want += np.bincount(urn_mod._sample_block(cfg, stream, n), minlength=cfg.N + 1)
+        monkeypatch.setattr(urn_mod, "_BLOCK_DRAWS", 3 * 77)
+        res = simulate_urns(cfg, trials, seed, shards=3)
+        assert res.histogram == {a: int(c) for a, c in enumerate(want) if c}
+
+    def test_draws_per_call_bounded_at_large_n(self, monkeypatch):
+        import avalanches.urn as urn_mod
+
+        counts = []
+        draw = SplitMix64.integers_below
+
+        def recording(self, bound, count):
+            counts.append(count)  # list.append is atomic across threads
+            return draw(self, bound, count)
+
+        monkeypatch.setattr(SplitMix64, "integers_below", recording)
+        simulate_urns(UrnConfig(200, 201), 3000, seed=1, shards=2)
+        assert sum(counts) == 3000 * 200
+        assert max(counts) <= urn_mod._BLOCK_DRAWS
+        assert len(counts) > 2  # each shard took more than one block
+
+    def test_shard_error_reaches_simulate_as_usage_error(self, monkeypatch, capsys):
+        import avalanches.urn as urn_mod
+        from avalanches.cli import main
+
+        sample = urn_mod._sample_block
+        bad_base = derive_stream(1, 1)
+
+        def failing(cfg, stream, block):
+            if stream.base == bad_base:
+                raise DomainError("shard 1 failed")
+            return sample(cfg, stream, block)
+
+        monkeypatch.setattr(urn_mod, "_sample_block", failing)
+        with pytest.raises(DomainError, match="shard 1 failed"):
+            simulate_urns(UrnConfig(3, 5), 3000, seed=1, shards=3)
+        rc = main(["simulate", "--model", "urn", "--N", "3", "--M", "5",
+                   "--trials", "3000", "--seed", "1", "--shards", "3"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err == "error: shard 1 failed\n"
 
     def test_close_to_exact_at_1e5(self):
         res = simulate_urns(UrnConfig(2, 4), 10**5, seed=7)
