@@ -30,7 +30,7 @@ from .distributions import (
     tail_log_ratio,
 )
 from .errors import DegenerateInputError, DomainError, ResourceLimitError
-from .sampling import SimResult, check_bound, check_campaign
+from .sampling import SimResult, check_bound, check_campaign, check_seed
 from .stats import chi_square_gof
 from .towers import (
     avalanche_pmf_general,
@@ -140,6 +140,8 @@ def cmd_identity(args) -> int:
 # ---------------------------------------------------------------- trees
 
 def cmd_trees(args) -> int:
+    # --max-vertices may lower the census cap, not raise it
+    _check_cap("--max-vertices", args.max_vertices, comb.DEFAULT_TREE_ENUM_VERTICES)
     census = comb.tree_census(args.n, max_vertices=args.max_vertices)
     if args.format == "json":
         text = ser.dump_json(ser.census_to_json_dict(census))
@@ -211,8 +213,9 @@ def cmd_simulate(args) -> int:
     if args.format == "csv" and (args.exact_oracle or args.compare):
         raise DomainError("--exact-oracle/--compare reports need --format json")
     check_campaign(args.trials, args.shards)
+    check_seed(args.seed)
     expected = _load_json(args.compare, ser.pmf_from_json_dict) if args.compare else None
-    # trial, shard, bound and oracle checks come first, so a cap or domain error
+    # trial, shard, seed, bound and oracle checks come first, so a cap or domain error
     # stops the run before any oracle or draw
     if args.model == "urn":
         if args.coord or args.uniform:

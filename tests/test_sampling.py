@@ -18,6 +18,7 @@ from avalanches.sampling import (
     _mix64_inplace,
     available_cpus,
     campaign_histogram,
+    check_seed,
     derive_stream,
     leading_run,
     mix64,
@@ -155,6 +156,13 @@ class TestSimResultAndShards:
         for shards in (MAX_SHARDS + 1, 2**62):
             with pytest.raises(ResourceLimitError):
                 shard_sizes(5, shards)
+
+    def test_seed_is_64_bits(self):
+        check_seed(0)
+        check_seed(MASK64)
+        for seed in (-1, MASK64 + 1):
+            with pytest.raises(DomainError):
+                check_seed(seed)
 
     def test_campaign_histogram_sums_blocks_over_shards(self):
         calls = []

@@ -357,6 +357,11 @@ class TestVectorizedPath:
 
 
 class TestSimulateTower:
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            simulate_tower(TWO_COORD, 10, seed=seed)
+
     def test_conservation_and_params(self):
         res = simulate_tower(TWO_COORD, 1000, seed=1)
         assert sum(res.histogram.values()) == 1000

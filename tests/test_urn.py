@@ -275,3 +275,6 @@ class TestSimulateUrns:
             simulate_urns(UrnConfig(2, 4), 0, seed=1)
         with pytest.raises(DomainError):
             simulate_urns(UrnConfig(2, 4), 10, seed=1, shards=0)
+        for seed in (-1, 2**64):
+            with pytest.raises(DomainError):
+                simulate_urns(UrnConfig(2, 4), 10, seed=seed)
