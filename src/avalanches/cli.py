@@ -44,11 +44,12 @@ OUT_DIR_ENV = "AVALANCHES_OUT_DIR"
 
 # Caps on the size inputs, checked before any work (exit code 3).  Each keeps
 # a run in the seconds range on one core (2-vCPU Xeon): `identity --n 100`
-# takes about 3.5 s per sum, `pmf --N 2000` about 3.5 s plus 3 s of JSON at
+# takes about 3.5 s per sum, `pmf --N 2000` about 0.9 s plus 1.6 s of JSON at
 # p = 1/2001, and `tail --amax 100000` about 2 s and 160 MiB.  Each CSV row
-# costs time and memory linear in `pmf --digits`: at N = 2000, p = 1/2001,
-# `--digits 10000` writes 19 MiB of CSV in 8.7 s and 98 MiB (5.8 s and
-# 51 MiB at the default 17 digits).
+# costs time and memory that grow with `pmf --digits`: at N = 2000,
+# p = 1/2001, `--digits 10000` computes the law and writes 19 MiB of CSV in
+# 10.7 s and 92 MiB, 4.9 ms a row (1.0 s and 46 MiB at the default 17
+# digits, 0.02 ms a row).
 IDENTITY_N_CAP = 100
 PMF_N_CAP = 2000
 AMAX_CAP = 10**5

@@ -8,10 +8,28 @@ one integer kernel: with p = u/v, the numerators
 
 put the avalanche law over the single denominator v^n, and Abel's identity
 says they sum to exactly v^n.  Each law asserts that identity on its
-integers and reduces each term to a Fraction only at the output step, so
-every exact pmf still sums to exactly 1.  The large-population limit law is
-floating point, computed in log space, with its truncation deficit reported
-rather than hidden.
+integers before it reduces any term, so every exact pmf still sums to
+exactly 1.
+
+The avalanche, abelian and conditional terms are put in lowest terms
+without a gcd on the big integers, by this lemma.  A prime q dividing both
+t_b and v does not divide u (u/v is in lowest terms); if it divides
+v-(b+1)u it divides b+1; and the primes of C(n,b) are at most n.  So
+q <= n+1, and
+
+    gcd(t_b, v^n) = prod_q q^min(val_q(t_b), n val_q(v))
+
+over the primes q <= n+1 dividing v, with
+
+    val_q(t_b) = val_q(C(n,b)) + (b-1) val_q(b+1) + (n-b) val_q(v-(b+1)u)
+
+and the binomial's exponent by Legendre's formula: small-integer arithmetic
+only.  The abelian law, over s v^(N-2) with s = v-(N-1)u, shares only primes
+<= N+1 with its terms too (see _lowest_terms).  A cheap gcd against v s then
+proves each reduced term is in lowest terms.  The heterogeneous law has no
+factored form and reduces with Fraction's gcd.  The large-population limit
+law is floating point, computed in log space, with its truncation deficit
+reported rather than hidden.
 """
 
 from __future__ import annotations
@@ -169,18 +187,134 @@ def _abel_numerators(groups: Sequence[tuple[int, int]], v: int) -> list[int]:
     return nums
 
 
-def _exact_pmf(first: int, nums: list[int], den: int, label: str) -> Pmf:
+def _valuation(x: int, q: int) -> int:
+    """Exponent of the prime q in the nonzero integer x."""
+    e = 0
+    while x % q == 0:
+        x //= q
+        e += 1
+    return e
+
+
+def _small_prime_factors(x: int, limit: int) -> tuple[dict[int, int], int]:
+    """The primes q <= limit dividing x >= 1, with their exponents, and the
+    cofactor of x left over.  Trial division by 2..min(limit, x), stripping
+    each factor as it is found, so no composite divisor ever divides."""
+    found = {}
+    q = 2
+    while q <= min(limit, x):
+        e = _valuation(x, q)
+        if e:
+            found[q] = e
+            x //= q**e
+        q += 1
+    return found, x
+
+
+def _term_valuations(q: int, n: int, u: int, v: int, shift: int, bs) -> list[int]:
+    """Exponent of a prime q not dividing u in each nonzero term t_b, b in
+    bs, of the kernel at (n, u/v) (shift = 0), or in each abelian term
+    (v-(n+1)u) t_b / (v-(b+1)u) (shift = 1):
+
+        val_q(C(n,b)) + (b-1) val_q(b+1) + (n-b-shift) val_q(v-(b+1)u)
+                                         + shift val_q(v-(n+1)u).
+
+    The binomial's exponent is val_q(n!) - val_q(b!) - val_q((n-b)!), from
+    Legendre's formula in its recursive form val_q(m!) = floor(m/q) +
+    val_q(floor(m/q)!).  A factor raised to the power 0 is never looked at
+    (it may be 0)."""
+    fact = [0] * (n + 1)
+    for m in range(q, n + 1):
+        fact[m] = m // q + fact[m // q]
+    last = _valuation(v - (n + 1) * u, q) if shift else 0
+    out = []
+    for b in bs:
+        e = fact[n] - fact[b] - fact[n - b] + last
+        if b > 1 and (b + 1) % q == 0:
+            e += (b - 1) * _valuation(b + 1, q)
+        w = v - (b + 1) * u
+        if n - b != shift and w % q == 0:
+            e += (n - b - shift) * _valuation(w, q)
+        out.append(e)
+    return out
+
+
+def _coprime_fraction(num: int, den: int) -> Fraction:
+    """num/den as a Fraction without Fraction's own gcd; only for den > 0
+    and gcd(num, den) == 1 already proved by the caller."""
+    x = object.__new__(Fraction)
+    x._numerator = num
+    x._denominator = den
+    return x
+
+
+def _lowest_terms(terms, bs, label: str, n: int, u: int, v: int, shift: int = 0) -> list:
+    """Each terms[i] over den as a Fraction in lowest terms, with no gcd on
+    the big integers.  terms[i] is t_b of the kernel at (n, u/v), b = bs[i],
+    over den = v^n (shift = 0); or, for the abelian law at N = n+1 >= 2, the
+    term (v-Nu) t_b / (v-(b+1)u) over den = s v^(n-1), s = v-nu (shift = 1).
+
+    Every prime q shared by a term and den is <= n+1, so trial division
+    up to n+1+shift finds them all.  The module docstring proves it for
+    shift = 0.  For shift = 1, q divides v or s, so not u.  The primes of
+    C(n,b) and (b+1)^(b-1) are <= n+1.  If q divides v, it divides v-Nu
+    or v-(b+1)u only through N or b+1.  If q divides s but not v, it does
+    not divide v-Nu = s-u, and it divides v-(b+1)u = s-(b+1-n)u only
+    through n-b-1.  So the exponents of those primes (_term_valuations)
+    give each term's gcd with den, and den' = den/gcd is computed once per
+    exponent vector.  Every prime of den' divides v s, so
+    gcd(gcd(x', v s), den') == 1 proves x'/den' is in lowest terms; that
+    check and the exact division by the gcd guard the valuations.
+    """
+    s = v - n * u if shift else 1
+    v_primes, v_rest = _small_prime_factors(v, n + 1 + shift)
+    s_primes, s_rest = _small_prime_factors(s, n + 1 + shift)
+    primes = sorted(v_primes.keys() | s_primes.keys())
+    tops = [s_primes.get(q, 0) + (n - shift) * v_primes.get(q, 0) for q in primes]
+    rest = s_rest * v_rest ** (n - shift)
+    carrier = v * s
+    live = [b for b, t in zip(bs, terms) if t]
+    keys = dict.fromkeys(live, ())  # b -> exponents of the primes in den'
+    for q, top in zip(primes, tops):
+        for b, e in zip(live, _term_valuations(q, n, u, v, shift, live)):
+            keys[b] += (top - min(e, top),)
+    reduced = {}  # exponents of the primes in den' -> (gcd, den')
+    out = []
+    for b, t in zip(bs, terms):
+        if not t:
+            out.append(Fraction(0))
+            continue
+        key = keys[b]
+        if key not in reduced:
+            gcd = math.prod(q ** (top - d) for q, top, d in zip(primes, tops, key))
+            reduced[key] = gcd, rest * math.prod(q**d for q, d in zip(primes, key))
+        gcd, den = reduced[key]
+        x, r = divmod(t, gcd)
+        if r or math.gcd(math.gcd(x, carrier), den) != 1:
+            raise DomainError(f"exact pmf {label}: term at b={b} not reduced to lowest terms")
+        out.append(_coprime_fraction(x, den))
+    return out
+
+
+def _exact_pmf(first: int, nums: list[int], den: int, label: str, reduce) -> Pmf:
     """The pmf nums[i] / den on first, first+1, ...; asserts the integer
-    identity sum(nums) == den before reducing each term to a Fraction."""
+    identity sum(nums) == den before reduce(nums) puts the terms in lowest
+    terms as Fractions."""
     total = sum(nums)
     if total != den:
         raise DomainError(f"exact pmf {label}: numerators do not sum to the denominator")
     return Pmf(
         support=tuple(range(first, first + len(nums))),
-        probs=tuple(Fraction(t, den) for t in nums),
+        probs=tuple(reduce(nums)),
         exact=True,
         label=label,
     )
+
+
+def _kernel_terms(label: str, n: int, u: int, v: int, shift: int = 0):
+    """The reduce step of _exact_pmf for the terms at b = 0, 1, ... of the
+    kernel at (n, u/v), or of the abelian law (shift = 1): _lowest_terms."""
+    return lambda terms: _lowest_terms(terms, range(len(terms)), label, n, u, v, shift)
 
 
 def avalanche_prob(params: AvalancheParams, a: int) -> Fraction:
@@ -189,31 +323,35 @@ def avalanche_prob(params: AvalancheParams, a: int) -> Fraction:
     Exposed separately from the full pmf so single entries stay cheap at
     very large N (the growth checks at N = 10^4 use this).
     """
-    N, p = params.N, params.p
+    N, u, v = params.N, params.p.numerator, params.p.denominator
     if not 0 <= a <= N:
         raise DomainError(f"a must lie in 0..{N}, got {a}")
-    return Fraction(_abel_term(N, a, p.numerator, p.denominator), p.denominator**N)
+    label = f"avalanche(N={N},p={params.p})"
+    (prob,) = _lowest_terms([_abel_term(N, a, u, v)], [a], label, N, u, v)
+    return prob
 
 
 def avalanche_pmf(params: AvalancheParams) -> Pmf:
     """Exact avalanche-size law on 0..N; sums to exactly 1 on the whole domain."""
     N, u, v = params.N, params.p.numerator, params.p.denominator
-    return _exact_pmf(0, _abel_numerators([(u, N)], v), v**N, f"avalanche(N={N},p={params.p})")
+    label = f"avalanche(N={N},p={params.p})"
+    return _exact_pmf(0, _abel_numerators([(u, N)], v), v**N, label, _kernel_terms(label, N, u, v))
 
 
 def _abelian_numerators(params: AvalancheParams) -> tuple[list[int], int]:
     """Integer numerators of the abelian law on k = 1..N over one denominator.
 
     With t the kernel at n = N-1, p_k = pref * t_{k-1} / ((v-ku) v^(N-2)) and
-    pref = (v-Nu)/(v-(N-1)u).  At k = N the factor v-Nu cancels the division
+    pref = (v-Nu)/(v-(N-1)u), so the numerators are (v-Nu) t_{k-1} / (v-ku)
+    over (v-(N-1)u) v^(N-2).  At k = N the factor v-Nu cancels the division
     by v-ku exactly; every other t_{k-1} carries v-ku to a positive power.
-    Both sides are scaled by v so N = 1 needs no negative power of v.
+    At N = 1 the one numerator is 1 and the denominator v/v is 1.
     """
     params.require_subcritical()
     N, u, v = params.N, params.p.numerator, params.p.denominator
-    head = v * (v - N * u)
+    head = v - N * u
     nums = [head * t // (v - k * u) for k, t in enumerate(_abel_numerators([(u, N - 1)], v), 1)]
-    return nums, (v - (N - 1) * u) * v ** (N - 1)
+    return nums, ((v - (N - 1) * u) * v ** (N - 2) if N > 1 else 1)
 
 
 def abelian_pmf(params: AvalancheParams) -> Pmf:
@@ -223,7 +361,11 @@ def abelian_pmf(params: AvalancheParams) -> Pmf:
     p < 1/N: the k = N term carries (1-Np)^(-1).
     """
     nums, den = _abelian_numerators(params)
-    return _exact_pmf(1, nums, den, f"abelian(N={params.N},p={params.p})")
+    N, u, v = params.N, params.p.numerator, params.p.denominator
+    label = f"abelian(N={N},p={params.p})"
+    if N == 1:  # the one term 1/1
+        return _exact_pmf(1, nums, den, label, lambda terms: map(Fraction, terms))
+    return _exact_pmf(1, nums, den, label, _kernel_terms(label, N - 1, u, v, 1))
 
 
 def conditional_pmf(params: AvalancheParams) -> Pmf:
@@ -235,7 +377,8 @@ def conditional_pmf(params: AvalancheParams) -> Pmf:
     """
     N, u, v = params.N, params.p.numerator, params.p.denominator
     nums = _abel_numerators([(u, N - 1)], v)
-    return _exact_pmf(1, nums, v ** (N - 1), f"conditional(N={N},p={params.p})")
+    label = f"conditional(N={N},p={params.p})"
+    return _exact_pmf(1, nums, v ** (N - 1), label, _kernel_terms(label, N - 1, u, v))
 
 
 def pmf_mean(pmf: Pmf):

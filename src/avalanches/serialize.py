@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import decimal
 import json
+import math
 import re
 import sys
 from contextlib import contextmanager
@@ -42,9 +43,11 @@ def unlimited_int_digits():
         sys.set_int_max_str_digits(old)
 
 
-def rational_str(x: Fraction) -> str:
-    """Render a Fraction as 'num/den', denominator always present."""
-    return f"{x.numerator}/{x.denominator}"
+def rational_str(x: Fraction, den_str: str | None = None) -> str:
+    """Render a Fraction as 'num/den', denominator always present.  A writer
+    of many terms over a few long denominators passes each one's str()
+    computed once as den_str."""
+    return f"{x.numerator}/{den_str or x.denominator}"
 
 
 def parse_rational(text: str) -> Fraction:
@@ -60,15 +63,40 @@ def parse_rational(text: str) -> Fraction:
 
 
 def decimal_str(x, sig_digits: int = DEFAULT_SIG_DIGITS) -> str:
-    """Decimal rendering of an exact rational or float at the given precision."""
+    """Decimal rendering of an exact rational or float at the given precision.
+
+    A Fraction num/den prints as Decimal(num) / Decimal(den) would in a
+    context of sig_digits digits (half-even), without converting den, which
+    for the exact laws has thousands of digits: q, r = divmod(|num| 10^k,
+    den) with q of at least sig_digits+1 digits, and the exact decimal
+    (10q + (r != 0)) 10^-(k+1) is rounded to sig_digits digits.  The sticky
+    last digit stands for the discarded r/den, which matters only at an
+    exact tie, so the rounding is the same.  An exact quotient takes the
+    exponent nearest 0, as Decimal division would ("0.25", "2", "1E+1").
+    At N = 2000 (2-vCPU Xeon) a row takes 0.02 ms at 17 digits, against
+    1.8 ms for the division, and 4.5 ms at 10^4 digits, against 3.7 ms.
+    """
     if sig_digits < 1:
         raise DomainError(f"precision must be >= 1, got {sig_digits}")
-    if isinstance(x, Fraction):
-        with decimal.localcontext() as ctx:
-            ctx.prec = sig_digits
-            d = decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator)
+    if not isinstance(x, Fraction):
+        return repr(float(x))
+    num, den = x.numerator, x.denominator
+    # |num|/den > 2^-bits, so q gets sig_digits digits plus one spare for the
+    # float estimate of bits * log10(2)
+    bits = den.bit_length() - abs(num).bit_length() + 1
+    k = max(0, sig_digits + 1 + math.ceil(bits * math.log10(2)))
+    q, r = divmod(abs(num) * 10**k, den)
+    scaled = decimal.Decimal((10 * q + (r != 0)) * (-1 if num < 0 else 1))
+    with decimal.localcontext() as ctx:
+        ctx.prec = sig_digits
+        ctx.clear_flags()
+        d = scaled.scaleb(-(k + 1), ctx)  # rounded to sig_digits
+        if not ctx.flags[decimal.Inexact]:
+            # strip trailing zeros, but not past exponent 0 nor to more digits
+            # than the context holds
+            top = d.normalize(ctx).as_tuple().exponent
+            d = d.quantize(decimal.Decimal(1).scaleb(min(top, max(0, d.as_tuple().exponent))))
         return str(d)
-    return repr(float(x))
 
 
 def dump_json(obj) -> str:
@@ -91,11 +119,19 @@ def kv_csv(doc: dict) -> str:
 
 @unlimited_int_digits()
 def pmf_to_json_dict(pmf: Pmf) -> dict:
+    """The pmf as a JSON document; exact probabilities as "num/den", with
+    each distinct denominator converted to a string once (the exact laws
+    repeat a few denominators of thousands of digits)."""
+    if pmf.exact:
+        dens = {d: str(d) for d in {p.denominator for p in pmf.probs}}
+        probs = [rational_str(p, dens[p.denominator]) for p in pmf.probs]
+    else:
+        probs = [float(p) for p in pmf.probs]
     out = {
         "label": pmf.label,
         "exact": pmf.exact,
         "support": list(pmf.support),
-        "probs": [rational_str(p) if pmf.exact else float(p) for p in pmf.probs],
+        "probs": probs,
     }
     if pmf.deficit is not None:
         out["deficit"] = pmf.deficit

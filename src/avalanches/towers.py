@@ -297,7 +297,9 @@ def avalanche_pmf_general(ps: Sequence[Fraction]) -> Pmf:
     k_1^{k_2}...k_{r-1}^{k_r} * prod_{S} p_i, and the composition sum is
     (a+1)^(a-1) by the paper's identity.  So P(A=a) = (a+1)^(a-1) [t^a]
     prod_i ((1 - (a+1) p_i) + t p_i), which _abel_numerators evaluates over
-    the lcm of the denominators, with equal masses grouped.
+    the lcm of the denominators, with equal masses grouped.  Unlike the
+    single-mass laws, these terms have no factored form to read prime
+    exponents from, so each is reduced with Fraction's gcd.
     """
     ps = tuple(Fraction(p) for p in ps)
     n = len(ps)
@@ -311,4 +313,6 @@ def avalanche_pmf_general(ps: Sequence[Fraction]) -> Pmf:
     v = math.lcm(*(p.denominator for p in ps))
     groups = Counter(p.numerator * (v // p.denominator) for p in ps)
     nums = _abel_numerators(list(groups.items()), v)
-    return _exact_pmf(0, nums, v**n, f"avalanche-general(N={n})")
+    den = v**n
+    label = f"avalanche-general(N={n})"
+    return _exact_pmf(0, nums, den, label, lambda terms: [Fraction(t, den) for t in terms])

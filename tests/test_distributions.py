@@ -21,6 +21,7 @@ from avalanches.distributions import (
     powerlaw_slope,
     tail_log_ratio,
 )
+import avalanches.distributions as dist
 from avalanches.distributions import _abel_numerators, _abel_term
 from avalanches.errors import DomainError
 
@@ -259,6 +260,121 @@ class TestMeansAndExpectationIdentity:
                 assert expectation_identity_check(AvalancheParams(n, p))
                 checked += 1
         assert checked >= 50
+
+
+# p = u/v beyond the grid: composite, prime and prime-power v, u > 1, and a
+# v of 31 digits, each tried at every N with N*u < v.
+EXTRA_UV = [
+    (1, 360), (7, 360), (1, 30030), (11, 30030), (1, 7919), (5, 7919), (1, 10007),
+    (1, 2**12), (3, 2**12), (1, 3**8), (2, 7**4), (13, 6**7), (1, 10**30), (3, 10**30),
+    (10**29 - 1, 10**30),
+]
+EXTRA_N = [1, 2, 3, 4, 5, 8, 13, 34, 55, 144]
+
+
+def reference_probs(law, n, p):
+    """Each law's terms over its unreduced denominator, reduced by Fraction's
+    gcd: the abelian law in its original form, over (v-(N-1)u) v^(N-1)."""
+    u, v = p.numerator, p.denominator
+    if law == "avalanche":
+        return [F(t, v**n) for t in _abel_numerators([(u, n)], v)]
+    if law == "conditional":
+        return [F(t, v ** (n - 1)) for t in _abel_numerators([(u, n - 1)], v)]
+    head, den = v * (v - n * u), (v - (n - 1) * u) * v ** (n - 1)
+    ts = _abel_numerators([(u, n - 1)], v)
+    return [F(head * t // (v - k * u), den) for k, t in enumerate(ts, 1)]
+
+
+def lowest_terms_cases():
+    for n in GRID_N:
+        for p in grid_ps(n):
+            yield n, p
+    for n in EXTRA_N:
+        for u, v in EXTRA_UV:
+            if n * u < v:
+                yield n, F(u, v)
+
+
+LAWS = {"avalanche": avalanche_pmf, "abelian": abelian_pmf, "conditional": conditional_pmf}
+
+
+class TestLowestTerms:
+    """The three laws reduce their terms by prime exponents at the small
+    primes of v, not by gcd; the results must be Fraction's, bit for bit."""
+
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    def test_matches_fraction_gcd(self, law):
+        checked = 0
+        for n, p in lowest_terms_cases():
+            if law == "abelian" and n * p >= 1:
+                continue
+            got = LAWS[law](AvalancheParams(n, p)).probs
+            want = reference_probs(law, n, p)
+            assert [(x.numerator, x.denominator) for x in got] == [
+                (x.numerator, x.denominator) for x in want
+            ], (law, n, p)
+            checked += 1
+        assert checked > 200
+
+    def test_single_entry_matches_fraction_gcd(self):
+        for n, p in lowest_terms_cases():
+            want = reference_probs("avalanche", n, p)
+            for a in sorted({0, 1, n // 2, n - 1, n}):
+                got = avalanche_prob(AvalancheParams(n, p), a)
+                assert (got.numerator, got.denominator) == (
+                    want[a].numerator,
+                    want[a].denominator,
+                ), (n, p, a)
+
+    @given(
+        st.integers(1, 40).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.integers(n + 1, 10**6).flatmap(
+                    lambda v: st.tuples(st.integers(0, (v - 1) // n), st.just(v))
+                ),
+            )
+        ),
+        st.sampled_from(sorted(LAWS)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_property_lowest_terms(self, case, law):
+        n, (u, v) = case
+        for x in LAWS[law](AvalancheParams(n, F(u, v))).probs:
+            num, den = x.numerator, x.denominator
+            assert den > 0 and math.gcd(num, den) == 1
+            assert x == F(num, den) and hash(x) == hash(F(num, den))
+
+    @staticmethod
+    def miscount(monkeypatch, fault):
+        true = dist._term_valuations
+        monkeypatch.setattr(
+            dist,
+            "_term_valuations",
+            lambda *args: [max(e + fault, 0) for e in true(*args)],
+        )
+
+    def test_undercounted_valuations_raise(self, monkeypatch):
+        # one prime exponent too few leaves a common factor: the gcd check
+        self.miscount(monkeypatch, -1)
+        params = AvalancheParams(30, F(1, 2**10))
+        for law in LAWS.values():
+            with pytest.raises(DomainError, match="lowest terms"):
+                law(params)
+        with pytest.raises(DomainError, match="lowest terms"):
+            avalanche_prob(params, 1)  # 2^30 divides t_1
+
+    def test_overcounted_valuations_raise(self, monkeypatch):
+        # one prime exponent too many no longer divides the term: the exact
+        # division; every entry, since a truncated quotient may be coprime
+        self.miscount(monkeypatch, 1)
+        params = AvalancheParams(30, F(1, 2**10))
+        for law in LAWS.values():
+            with pytest.raises(DomainError, match="lowest terms"):
+                law(params)
+        for a in range(31):
+            with pytest.raises(DomainError, match="lowest terms"):
+                avalanche_prob(params, a)
 
 
 def direct_limit_prob(alpha: float, a: int) -> float:

@@ -1,7 +1,10 @@
+import decimal
 import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avalanches.combinatorics import tree_census
 from avalanches.distributions import AvalancheParams, LimitParams, avalanche_pmf, limit_pmf
@@ -84,6 +87,71 @@ class TestDecimalStr:
     def test_precision_must_be_positive(self):
         with pytest.raises(DomainError):
             decimal_str(F(1, 3), 0)
+
+    @staticmethod
+    def decimal_division(x: F, sig_digits: int) -> str:
+        with decimal.localcontext() as ctx:
+            ctx.prec = sig_digits
+            return str(decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator))
+
+    @pytest.mark.parametrize(
+        "x,sig_digits",
+        [
+            (F(1, 8), 2),  # 0.125: a tie, rounds to even 0.12
+            (F(3, 8), 2),  # 0.375: a tie, rounds to even 0.38
+            (F(5, 2), 1),  # 2.5 -> 2
+            (F(7, 2), 1),  # 3.5 -> 4
+            (F(-5, 2), 1),
+            (F(10), 1),  # exact but one digit too long: 1E+1
+            (F(995, 1000), 2),  # rounds up to 1.0
+            (F(1, 4), 17),
+            (F(2), 3),
+            (F(0), 5),
+            (F(125, 10**40), 2),  # a tie at 1.25E-38, rounds to even
+            (F(375, 10**40), 2),
+            (F(-25, 10**40), 1),
+            (F(10**40 + 1, 2 * 10**40), 1),  # just above the tie 0.5
+            (F(10**40 - 1, 2 * 10**40), 1),  # just below it
+            (F(5, 2) + F(1, 7**60), 1),  # a tie in the leading digits only
+            (F(5, 2) - F(1, 7**60), 1),
+            (F(1, 2 * 7**30), 3),
+            (F(10**41, 10**40), 1),  # 10 exactly: 1E+1
+            (F(1, 2**200), 5),
+            (F(3 * 10**60 + 10**60 // 4, 10**60), 5),  # 3.25 exactly
+            (F(7 * 10**50, 10**50 * 3**100), 40),
+            (F(1200), 3),  # exact, needs an exponent above 0: 1.20E+3
+            (F(10**20), 17),
+            (F(10**20), 25),
+            (F(2, 7**3000), 5000),  # more digits than str(int) allows by default
+        ],
+    )
+    def test_matches_decimal_division_at_ties(self, x, sig_digits):
+        assert decimal_str(x, sig_digits) == self.decimal_division(x, sig_digits)
+
+    @given(
+        st.fractions(max_denominator=10**60)
+        | st.builds(
+            lambda c, e, twice: F(2 * c + 1, 2) * F(10) ** e if twice else F(c) * F(10) ** e,
+            st.integers(0, 10**12),
+            st.integers(-80, 40),
+            st.booleans(),
+        ),
+        st.integers(1, 40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_decimal_division(self, x, sig_digits):
+        assert decimal_str(x, sig_digits) == self.decimal_division(x, sig_digits)
+
+    def test_ignores_the_callers_flags(self):
+        # exactness is read from the flags of this one rounding only
+        with decimal.localcontext() as ctx:
+            ctx.flags[decimal.Inexact] = True
+            assert decimal_str(F(1, 4), 17) == "0.25"
+
+    def test_large_exact_law_rows(self):
+        pmf = avalanche_pmf(AvalancheParams(300, F(1, 301)))
+        for p in pmf.probs[::37]:
+            assert decimal_str(p, 17) == self.decimal_division(p, 17)
 
 
 class TestPmfSerialization:
