@@ -98,7 +98,7 @@ def _check_cap(flag: str, value: int, cap: int) -> None:
 def _parse_alpha(text: str) -> float:
     try:
         return float(Fraction(text))
-    except (ValueError, ZeroDivisionError):
+    except (OverflowError, ValueError, ZeroDivisionError):
         raise DomainError(f"cannot parse alpha {text!r}")
 
 
@@ -236,12 +236,9 @@ def cmd_simulate(args) -> int:
         for c in sys_.coords:
             check_bound(c.L)
         if args.exact_oracle:
-            ps = sys_.ps()
-            if len(set(ps)) == 1:
-                exact = avalanche_pmf(AvalancheParams(N=sys_.N, p=ps[0]))
-            else:
-                exact = avalanche_pmf_general(ps)
+            # the oracle's caps (at most 9 coordinates) also bound the law
             brute = tower_pmf_bruteforce(sys_)
+            exact = avalanche_pmf_general(sys_.ps())
         campaign = partial(simulate_tower, sys_)
     res = campaign(args.trials, args.seed, args.shards)
 

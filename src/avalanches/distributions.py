@@ -24,7 +24,7 @@ over the primes q <= n+1 dividing v, with
     val_q(t_b) = val_q(C(n,b)) + (b-1) val_q(b+1) + (n-b) val_q(v-(b+1)u)
 
 and the binomial's exponent by Legendre's formula: small-integer arithmetic
-only.  The abelian law, over s v^(N-2) with s = v-(N-1)u, shares only primes
+only.  The abelian law, over s v^(N-1)/v with s = v-(N-1)u, shares only primes
 <= N+1 with its terms too (see _lowest_terms).  A cheap gcd against v s then
 proves each reduced term is in lowest terms.  The heterogeneous law has no
 factored form and reduces with Fraction's gcd.  The large-population limit
@@ -133,7 +133,9 @@ class Pmf:
         else:
             total = sum(self.probs)
             declared = self.deficit if self.deficit is not None else 0.0
-            if abs((1.0 - float(total)) - declared) > _FLOAT_MASS_TOL:
+            # a NaN fails every comparison, so the tolerance alone would pass it
+            mismatch = abs((1.0 - float(total)) - declared) > _FLOAT_MASS_TOL
+            if not math.isfinite(total + declared) or mismatch:
                 raise DomainError(
                     f"floating pmf {self.label} has mass {total} vs deficit {declared}"
                 )
@@ -251,8 +253,8 @@ def _coprime_fraction(num: int, den: int) -> Fraction:
 def _lowest_terms(terms, bs, label: str, n: int, u: int, v: int, shift: int = 0) -> list:
     """Each terms[i] over den as a Fraction in lowest terms, with no gcd on
     the big integers.  terms[i] is t_b of the kernel at (n, u/v), b = bs[i],
-    over den = v^n (shift = 0); or, for the abelian law at N = n+1 >= 2, the
-    term (v-Nu) t_b / (v-(b+1)u) over den = s v^(n-1), s = v-nu (shift = 1).
+    over den = v^n (shift = 0); or, for the abelian law at N = n+1, the term
+    (v-Nu) t_b / (v-(b+1)u) over den = s v^n / v, s = v-nu (shift = 1).
 
     Every prime q shared by a term and den is <= n+1, so trial division
     up to n+1+shift finds them all.  The module docstring proves it for
@@ -271,7 +273,7 @@ def _lowest_terms(terms, bs, label: str, n: int, u: int, v: int, shift: int = 0)
     s_primes, s_rest = _small_prime_factors(s, n + 1 + shift)
     primes = sorted(v_primes.keys() | s_primes.keys())
     tops = [s_primes.get(q, 0) + (n - shift) * v_primes.get(q, 0) for q in primes]
-    rest = s_rest * v_rest ** (n - shift)
+    rest = s_rest * v_rest**n // v_rest**shift  # at n = 0, s = v
     carrier = v * s
     live = [b for b, t in zip(bs, terms) if t]
     keys = dict.fromkeys(live, ())  # b -> exponents of the primes in den'
@@ -343,15 +345,15 @@ def _abelian_numerators(params: AvalancheParams) -> tuple[list[int], int]:
 
     With t the kernel at n = N-1, p_k = pref * t_{k-1} / ((v-ku) v^(N-2)) and
     pref = (v-Nu)/(v-(N-1)u), so the numerators are (v-Nu) t_{k-1} / (v-ku)
-    over (v-(N-1)u) v^(N-2).  At k = N the factor v-Nu cancels the division
-    by v-ku exactly; every other t_{k-1} carries v-ku to a positive power.
-    At N = 1 the one numerator is 1 and the denominator v/v is 1.
+    over (v-(N-1)u) v^(N-1) / v.  At k = N the factor v-Nu cancels the
+    division by v-ku exactly; every other t_{k-1} carries v-ku to a positive
+    power.  At N = 1 the one numerator is 1 and the denominator v/v is 1.
     """
     params.require_subcritical()
     N, u, v = params.N, params.p.numerator, params.p.denominator
     head = v - N * u
     nums = [head * t // (v - k * u) for k, t in enumerate(_abel_numerators([(u, N - 1)], v), 1)]
-    return nums, ((v - (N - 1) * u) * v ** (N - 2) if N > 1 else 1)
+    return nums, (v - (N - 1) * u) * v ** (N - 1) // v
 
 
 def abelian_pmf(params: AvalancheParams) -> Pmf:
@@ -363,8 +365,6 @@ def abelian_pmf(params: AvalancheParams) -> Pmf:
     nums, den = _abelian_numerators(params)
     N, u, v = params.N, params.p.numerator, params.p.denominator
     label = f"abelian(N={N},p={params.p})"
-    if N == 1:  # the one term 1/1
-        return _exact_pmf(1, nums, den, label, lambda terms: map(Fraction, terms))
     return _exact_pmf(1, nums, den, label, _kernel_terms(label, N - 1, u, v, 1))
 
 

@@ -60,6 +60,8 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise DomainError(f"zero denominator in {text!r}")
+    except ValueError as exc:  # more digits than Python 3.11+ converts
+        raise DomainError(f"cannot parse a rational of {len(text)} characters: {exc}")
 
 
 def decimal_str(x, sig_digits: int = DEFAULT_SIG_DIGITS) -> str:
@@ -192,7 +194,6 @@ def simresult_to_csv(res: SimResult) -> str:
 
 # ---------------------------------------------------------------- census
 
-@unlimited_int_digits()
 def census_to_json_dict(census: TreeCensus) -> dict:
     ordered = sorted(census.profiles.items(), key=lambda kv: (kv[0].r, kv[0].parts))
     return {

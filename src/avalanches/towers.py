@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import Pmf, _abel_numerators, _exact_pmf
+from .distributions import AvalancheParams, Pmf, _abel_numerators, _exact_pmf, avalanche_pmf
 from .errors import DomainError, ResourceLimitError
 from .sampling import (
     SimResult,
@@ -37,11 +37,6 @@ from .sampling import (
 # keeps an at-cap run in the seconds range on one core (about 5 s on a 2-vCPU
 # Xeon, where criterion 7's (64,1,8) x 8 takes 0.9 s).
 DEFAULT_STATE_CAP = 10**5
-
-# Cap on N for the exact heterogeneous law.  The grouped kernel is cheap
-# well past it; the cap stays until the law is checked against campaigns at
-# larger N.
-DEFAULT_GENERAL_N_CAP = 10
 
 # Draws per vectorized block of the sampler, one per coordinate and trial:
 # a block holds max(1, _BLOCK_DRAWS // N) trials, so its int32 hit times take
@@ -190,12 +185,11 @@ def simulate_tower(sys: TowerSystem, trials: int, seed: int, shards: int = 1) ->
 def _sample_block(sys: TowerSystem, streams: list[SplitMix64], block: int) -> np.ndarray:
     """Avalanche sizes for the next ``block`` trials of one shard's coordinate streams.
 
-    Hit times are stored as int32 (int64 only if N + 1 does not fit): NumPy
-    sorts the rows of a 65536 x 8 block in leading_run about 3 times faster
-    as int32 than as uint8, the narrowest type that holds them.
+    Hit times are stored as int32: NumPy sorts the rows of a 65536 x 8 block
+    in leading_run about 3 times faster as int32 than as uint8, the narrowest
+    type that holds them.
     """
-    fits = sys.N + 1 <= np.iinfo(np.int32).max
-    hits = np.empty((block, sys.N), dtype=np.int32 if fits else np.int64)
+    hits = np.empty((block, sys.N), dtype=np.int32)
     for j, (stream, tower) in enumerate(zip(streams, sys.coords)):
         hits[:, j] = _hit_times(stream.integers_below(tower.L, block), tower, sys.N)
     return leading_run(hits, sys.N)
@@ -283,7 +277,7 @@ def tower_pmf_bruteforce(sys: TowerSystem, cap: int = DEFAULT_STATE_CAP) -> Pmf:
 
 
 def avalanche_pmf_general(ps: Sequence[Fraction]) -> Pmf:
-    """Exact avalanche law for heterogeneous excitation masses p_1..p_N.
+    """Exact avalanche law for excitation masses p_1..p_N, one per coordinate.
 
     P(A=a) sums, over the cascade depth r, the block sizes (k_1,...,k_r)
     with k_1+...+k_r = a, and the ordered partitions of the coordinates into
@@ -297,19 +291,21 @@ def avalanche_pmf_general(ps: Sequence[Fraction]) -> Pmf:
     k_1^{k_2}...k_{r-1}^{k_r} * prod_{S} p_i, and the composition sum is
     (a+1)^(a-1) by the paper's identity.  So P(A=a) = (a+1)^(a-1) [t^a]
     prod_i ((1 - (a+1) p_i) + t p_i), which _abel_numerators evaluates over
-    the lcm of the denominators, with equal masses grouped.  Unlike the
-    single-mass laws, these terms have no factored form to read prime
-    exponents from, so each is reduced with Fraction's gcd.
+    the lcm of the denominators, with equal masses grouped.
+
+    One distinct mass is the single-mass law, avalanche_pmf, whose terms are
+    reduced by prime exponents.  Several masses leave no factored form to
+    read those from, so each term is reduced with Fraction's gcd.
     """
     ps = tuple(Fraction(p) for p in ps)
     n = len(ps)
     if n < 1:
         raise DomainError("need at least one coordinate")
-    if n > DEFAULT_GENERAL_N_CAP:
-        raise ResourceLimitError(f"N = {n} exceeds the cap of {DEFAULT_GENERAL_N_CAP}")
     for i, p in enumerate(ps):
         if p < 0 or n * p > 1:
             raise DomainError(f"coordinate {i}: p = {p} outside [0, 1/N]")
+    if len(set(ps)) == 1:
+        return avalanche_pmf(AvalancheParams(n, ps[0]))
     v = math.lcm(*(p.denominator for p in ps))
     groups = Counter(p.numerator * (v // p.denominator) for p in ps)
     nums = _abel_numerators(list(groups.items()), v)

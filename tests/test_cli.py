@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import sys
 
 import pytest
 
@@ -114,6 +115,27 @@ class TestPmfCommand:
             "--format", "csv", "--digits", "4",
         )
         assert out == "a,prob\n0,0.5625\n1,0.25\n2,0.1875\n"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["pmf", "--model", "limit", "--alpha", "1e400", "--amax", "5"],
+            ["tail", "--alpha", "1e400", "--amax", "10"],
+        ],
+    )
+    def test_alpha_past_float_range_is_usage_error(self, capsys, args):
+        rc, out, err = run_cli(capsys, *args)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: cannot parse alpha") and err.count("\n") == 1
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="Python 3.10 parses any length"
+    )
+    def test_p_past_int_digit_limit_is_usage_error(self, capsys):
+        p = "1/1" + "0" * 4400
+        rc, out, err = run_cli(capsys, "pmf", "--model", "avalanche", "--N", "2", "--p", p)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: cannot parse") and err.count("\n") == 1
 
 
 class TestSimulateCommand:
@@ -374,6 +396,23 @@ class TestSimulateInputChecks:
         assert out == ""
         assert err.startswith(message) and err.count("\n") == 1
 
+    def test_tower_oracle_caps_checked_before_the_law(self, capsys, no_campaign, monkeypatch):
+        # 11 coordinates have at least C(22, 11) hit-class tuples, past the
+        # oracle's cap, so the exact law is never built at that size
+        import avalanches.cli as cli_mod
+
+        def refuse(*args):
+            raise AssertionError("the exact law was built")
+
+        monkeypatch.setattr(cli_mod, "avalanche_pmf_general", refuse)
+        coords = [arg for L in range(13, 24) for arg in ("--coord", f"{L},1,11")]
+        rc, out, err = run_cli(
+            capsys, "simulate", "--model", "tower", *coords, "--trials", "10", "--exact-oracle"
+        )
+        assert (rc, out) == (3, "")
+        assert err.startswith("resource limit: ") and err.count("\n") == 1
+        assert "hit-class tuples" in err
+
 
 class TestSizeCaps:
     """Each size input has a cap that exits 3 before any work starts."""
@@ -493,6 +532,13 @@ class TestTailCommand:
         assert out.startswith("a,log_ratio,a_log_ratio\n")
         assert "# fit_window=10,50 slope=" in out
 
+    def test_table_ends_where_the_mass_underflows(self, capsys):
+        rc, out, _ = run_cli(
+            capsys, "tail", "--alpha", "1/100", "--amax", "1000", "--fit-window", "2,10"
+        )
+        assert rc == 0
+        assert json.loads(out)["rows"][-1]["a"] == 202
+
 
 class TestCompareCommand:
     def test_roundtrip(self, capsys, tmp_path):
@@ -598,6 +644,19 @@ class TestCompareCommand:
             "simulate", "--model", "urn", "--N", "2", "--M", "4",
             "--trials", "100", "--compare", str(bad),
         )
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"probs": [0.5, 0.25, 0.25], "deficit": math.nan}, {"probs": [math.nan, 0.5, 0.5]}],
+    )
+    def test_nan_in_stored_float_pmf(self, capsys, tmp_path, fields):
+        sim_path, pmf_path = self.stored_run(capsys, tmp_path)
+        doc = {"exact": False, "support": [0, 1, 2], "label": "float", **fields}
+        pmf_path.write_text(json.dumps(doc), encoding="utf-8")
+        rc, out, err = run_cli(capsys, "compare", "--sim", str(sim_path), "--pmf", str(pmf_path))
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "nan" in err
 
 
 class TestReproducibility:

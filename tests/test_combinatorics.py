@@ -221,6 +221,12 @@ class TestForestIdentity:
     def test_ordered_sum_overcounts(self, n):
         assert forest_identity_ordered_sum(n) != identity_rhs(n)
 
+    def test_layer_not_divisible_by_r_factorial_is_a_bug(self, monkeypatch):
+        # the r = 2 layer of 3 is not a multiple of 2!
+        monkeypatch.setattr(combinatorics, "_layer_sums", lambda *args: ([1, 3], {}))
+        with pytest.raises(AssertionError, match="r=2"):
+            forest_identity_lhs(2)
+
 
 class TestPrufer:
     def test_star(self):

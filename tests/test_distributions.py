@@ -529,6 +529,19 @@ class TestPmfValidation:
         with pytest.raises(DomainError):
             Pmf(support=(0, 1), probs=(1.0,), exact=False, label="bad")
 
+    @pytest.mark.parametrize("probs,deficit", [((math.nan, 0.5), None), ((0.5, 0.5), math.nan)])
+    def test_floating_mass_must_not_be_nan(self, probs, deficit):
+        # a NaN fails every comparison, including the deficit tolerance
+        with pytest.raises(DomainError, match="nan"):
+            Pmf(support=(0, 1), probs=probs, exact=False, label="bad", deficit=deficit)
+
+    def test_numerators_must_sum_to_the_denominator(self, monkeypatch):
+        # the identity is asserted on the integers before any term is reduced
+        true = dist._abel_numerators
+        monkeypatch.setattr(dist, "_abel_numerators", lambda *args: [t + 1 for t in true(*args)])
+        with pytest.raises(DomainError, match="do not sum"):
+            avalanche_pmf(AvalancheParams(3, F(1, 5)))
+
     def test_prob_off_support(self):
         pmf = avalanche_pmf(AvalancheParams(2, F(1, 8)))
         assert pmf.prob(5) == 0

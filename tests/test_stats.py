@@ -132,6 +132,23 @@ class TestChiSquareGof:
         assert report.dof == 1
         assert report.chi_square == pytest.approx(0.0, abs=1e-12)
 
+    def test_short_left_end_folds_into_its_neighbor(self):
+        # expected: 100 * [0.02, 0.48, 0.25, 0.25]; bins close from the right
+        # at 25, 25 and 48, and the 2 left over joins the 48
+        expected = Pmf(
+            support=(0, 1, 2, 3),
+            probs=(F(2, 100), F(48, 100), F(25, 100), F(25, 100)),
+            exact=True,
+            label="head",
+        )
+        report = chi_square_gof(sim({0: 2, 1: 48, 2: 20, 3: 30}), expected)
+        assert report.dof == 2
+        assert report.chi_square == pytest.approx(0 + 25 / 25 + 25 / 25)
+
+    def test_every_bin_short_is_degenerate(self):
+        with pytest.raises(DegenerateInputError, match="one merged bin"):
+            chi_square_gof(sim({0: 2, 1: 2}), uniform_pmf(2))
+
     def test_observed_outside_expected_support(self):
         report = chi_square_gof(sim({0: 50, 1: 30, 2: 15, 5: 5}), uniform_pmf(3))
         assert report.chi_square > 0

@@ -9,6 +9,7 @@ from avalanches.combinatorics import _compositions_into
 from avalanches.distributions import AvalancheParams, avalanche_pmf
 from avalanches.errors import DomainError, ResourceLimitError
 from avalanches.sampling import SplitMix64, derive_stream, leading_run, shard_sizes
+from avalanches.stats import chi_square_gof, empirical_pmf, tv_distance
 from avalanches.towers import (
     CoordinateTower,
     _hit_times,
@@ -314,8 +315,9 @@ class TestGeneralPmf:
             assert sum(avalanche_pmf_general(ps).probs) == 1
 
     def test_caps_and_domain(self):
-        with pytest.raises(ResourceLimitError):
-            avalanche_pmf_general([F(1, 100)] * 11)
+        assert avalanche_pmf_general([F(1, 100)] * 11) == avalanche_pmf(
+            AvalancheParams(11, F(1, 100))
+        )
         with pytest.raises(DomainError):
             avalanche_pmf_general([F(2, 3), F(1, 3)])  # N*p > 1
         with pytest.raises(DomainError):
@@ -324,6 +326,18 @@ class TestGeneralPmf:
     def test_closed_boundary_still_normalizes(self):
         pmf = avalanche_pmf_general([F(1, 2), F(1, 2)])
         assert pmf.probs == (F(1, 4), F(0), F(3, 4))
+
+    def test_fifty_coordinates_four_masses_match_a_campaign(self):
+        # criterion 7's thresholds on a 10^6-trial campaign, far past the
+        # sizes the exhaustive oracles reach
+        sys_ = make_tower_system(
+            [(53, 1, 50)] * 13 + [(61, 1, 50)] * 13 + [(67, 1, 50)] * 12 + [(160, 2, 50)] * 12
+        )
+        exact = avalanche_pmf_general(sys_.ps())
+        assert exact.label == "avalanche-general(N=50)"
+        res = simulate_tower(sys_, 10**6, seed=1, shards=2)
+        assert tv_distance(empirical_pmf(res, support_upper=sys_.N), exact) <= 0.01
+        assert chi_square_gof(res, exact).approx_p_value > 0.001
 
 
 class TestVectorizedPath:
