@@ -97,9 +97,13 @@ def _check_cap(flag: str, value: int, cap: int) -> None:
 
 def _parse_alpha(text: str) -> float:
     try:
-        return float(Fraction(text))
+        exact = Fraction(text)
+        alpha = float(exact)
     except (OverflowError, ValueError, ZeroDivisionError):
         raise DomainError(f"cannot parse alpha {text!r}")
+    if exact and not alpha:
+        raise DomainError(f"alpha {text!r} underflows to 0 as a float")
+    return alpha
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:

@@ -61,7 +61,7 @@ class TestTreesCommand:
         assert sum(int(p["count"]) for p in doc["profiles"]) == 1296
 
     def test_cap_is_resource_error(self, capsys):
-        rc, _, err = run_cli(capsys, "trees", "--n", "9")
+        rc, _, err = run_cli(capsys, "trees", "--n", str(DEFAULT_TREE_ENUM_VERTICES))
         assert rc == 3
         assert "resource" in err
 
@@ -127,6 +127,20 @@ class TestPmfCommand:
         rc, out, err = run_cli(capsys, *args)
         assert (rc, out) == (2, "")
         assert err.startswith("error: cannot parse alpha") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["pmf", "--model", "limit", "--alpha", "1e-400", "--amax", "3"],
+            ["pmf", "--model", "limit", "--alpha=-1e-400", "--amax", "1"],
+            ["tail", "--alpha", "1e-400", "--amax", "10"],
+        ],
+    )
+    def test_alpha_underflowing_to_zero_is_usage_error(self, capsys, args):
+        rc, out, err = run_cli(capsys, *args)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: alpha") and "underflows to 0" in err
+        assert err.count("\n") == 1
 
     @pytest.mark.skipif(
         not hasattr(sys, "set_int_max_str_digits"), reason="Python 3.10 parses any length"
@@ -443,8 +457,12 @@ class TestSizeCaps:
             ["tail", "--alpha", "1", "--amax", str(AMAX_CAP + 1)],
             ["pmf", "--model", "avalanche", "--N", "5", "--p", "1/6", "--digits", str(DIGITS_CAP + 1)],
             ["pmf", "--model", "limit", "--alpha", "1", "--amax", "5", "--digits", str(DIGITS_CAP + 1)],
-            # 13 vertices would be 13^11 decodes; the flag may lower the cap only
-            ["trees", "--n", "12", "--max-vertices", "13"],
+            # a census one vertex over the cap; the flag may lower the cap only
+            [
+                "trees",
+                "--n", str(DEFAULT_TREE_ENUM_VERTICES),
+                "--max-vertices", str(DEFAULT_TREE_ENUM_VERTICES + 1),
+            ],
             ["trees", "--n", "2", "--max-vertices", str(DEFAULT_TREE_ENUM_VERTICES + 1)],
         ],
     )

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from avalanches import combinatorics
 from avalanches.combinatorics import (
+    DEFAULT_TREE_ENUM_VERTICES,
     Composition,
     LabeledTree,
     cascade_weight,
@@ -66,9 +67,36 @@ def heap_prufer_edges(seq):
     return frozenset(edges)
 
 
+def prufer_census(n):
+    """Profile counts of all labeled trees on {0..n}, decoded from every Pruefer
+    sequence into parent pointers; the literal reference for the shape census.
+
+    Each tree is rooted at n, the decoder's root: depths are assigned in
+    reverse removal order, where every parent comes before its child.
+    Swapping the labels 0 and n keeps the level profile and moves the root
+    from n to 0, so each profile has the same count as under root 0.  A vertex
+    reached before its parent has a depth is a decoder fault.
+    """
+    m = n + 1
+    counts = Counter()
+    for seq in itertools.product(range(m), repeat=m - 2):
+        order, parent = combinatorics._prufer_parents(seq)
+        depth = [-1] * m
+        depth[n] = 0
+        sizes = [0] * m
+        for v in reversed(order):
+            d = depth[parent[v]]
+            if d < 0:
+                raise AssertionError(f"vertex {v} reached before its parent in {seq}")
+            depth[v] = d + 1
+            sizes[d] += 1
+        counts[Composition(tuple(k for k in sizes if k))] += 1
+    return counts
+
+
 def tree_object_census(n):
     """Profile counts from one validated LabeledTree per sequence, rooted at 0;
-    reference for the parent-pointer census."""
+    a second reference, through tree objects."""
     return Counter(
         prufer_decode(seq).level_profile()
         for seq in itertools.product(range(n + 1), repeat=n - 1)
@@ -296,7 +324,7 @@ class TestTreeCensus:
     def test_n5_total(self):
         assert tree_census(5).total == 6**4
 
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 13))
     def test_profiles_match_identity_terms(self, n):
         census = tree_census(n)
         assert census.total == identity_rhs(n)
@@ -307,18 +335,44 @@ class TestTreeCensus:
     def test_matches_tree_object_census(self, n):
         assert tree_census(n).profiles == tree_object_census(n)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_prufer_census(self, n):
+        assert tree_census(n).profiles == prufer_census(n)
+
     def test_cyclic_parents_raise(self, monkeypatch):
         # vertices 0 and 1 hang from each other, so neither reaches the root 2
         monkeypatch.setattr(combinatorics, "_prufer_parents", lambda seq: ([0, 1], [1, 0, -1]))
         with pytest.raises(AssertionError, match="before its parent"):
-            tree_census(2)
+            prufer_census(2)
+
+    def test_automorphism_count_not_dividing_n_factorial_raises(self, monkeypatch):
+        # 7 is a prime above 5, so no |Aut| times 7 divides 5!
+        shapes = combinatorics._rooted_shapes
+
+        def inflated(m):
+            levels, auts, ends = shapes(m)
+            return levels, [7 * a for a in auts], ends
+
+        monkeypatch.setattr(combinatorics, "_rooted_shapes", inflated)
+        with pytest.raises(AssertionError, match="does not divide 5!"):
+            tree_census(5)
+
+    def test_shape_counts_are_the_rooted_tree_numbers(self):
+        # OEIS A000081: rooted unlabeled trees on 1..15 vertices
+        want = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766, 12486, 32973, 87811]
+        _, _, ends = combinatorics._rooted_shapes(15)
+        assert [ends[k] - ends[k - 1] for k in range(1, 16)] == want
 
     def test_shares_no_arithmetic_with_the_closed_forms(self):
         closed_forms = {
             "multinomial", "cascade_weight", "_layer_sums", "_cascade_step", "_forest_step",
             "identity_lhs", "identity_rhs", "comb", "factorial", "pow", "math",
         }
-        codes = [tree_census.__code__, combinatorics._prufer_parents.__code__]
+        codes = [
+            tree_census.__code__,
+            combinatorics._rooted_shapes.__code__,
+            combinatorics._prufer_parents.__code__,
+        ]
         codes += [c for code in codes for c in code.co_consts if hasattr(c, "co_names")]
         for code in codes:
             assert not closed_forms & set(code.co_names), code.co_name
@@ -327,7 +381,7 @@ class TestTreeCensus:
 
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
-            tree_census(8)  # 9 vertices > default cap
+            tree_census(DEFAULT_TREE_ENUM_VERTICES)  # one vertex over the default cap
         with pytest.raises(ResourceLimitError):
             tree_census(3, max_vertices=3)
         assert tree_census(3, max_vertices=4).total == 16
