@@ -8,7 +8,6 @@ them together is verified directly against a labeled-tree census.
 
 from .combinatorics import (
     Composition,
-    LabeledTree,
     TreeCensus,
     cascade_weight,
     compositions,
@@ -18,7 +17,6 @@ from .combinatorics import (
     identity_rhs,
     induction_step_check,
     multinomial,
-    prufer_decode,
     tree_census,
 )
 from .distributions import (

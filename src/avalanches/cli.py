@@ -18,7 +18,7 @@ from functools import partial
 from pathlib import Path
 
 from . import combinatorics as comb
-from . import serialize as ser
+from . import serialize as ser, towers, urn
 from .distributions import (
     AvalancheParams,
     LimitParams,
@@ -115,6 +115,8 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
 
 def cmd_identity(args) -> int:
     n = args.n
+    if args.forest and args.s is not None:
+        raise DomainError("--s splits the standard identity; it does not apply with --forest")
     _check_cap("--n", n, IDENTITY_N_CAP)
     if args.forest:
         lhs = comb.forest_identity_lhs(n)
@@ -145,9 +147,8 @@ def cmd_identity(args) -> int:
 # ---------------------------------------------------------------- trees
 
 def cmd_trees(args) -> int:
-    # --max-vertices may lower the census cap, not raise it
-    _check_cap("--max-vertices", args.max_vertices, comb.DEFAULT_TREE_ENUM_VERTICES)
-    census = comb.tree_census(args.n, max_vertices=args.max_vertices)
+    _check_cap("--n", args.n, comb.DEFAULT_TREE_ENUM_VERTICES - 1)
+    census = comb.tree_census(args.n)
     if args.format == "json":
         text = ser.dump_json(ser.census_to_json_dict(census))
     else:
@@ -163,6 +164,8 @@ def cmd_trees(args) -> int:
 # ---------------------------------------------------------------- pmf
 
 def cmd_pmf(args) -> int:
+    if args.digits < 1:
+        raise DomainError(f"--digits must be >= 1, got {args.digits}")
     _check_cap("--digits", args.digits, DIGITS_CAP)
     if args.model == "limit":
         if args.N is not None or args.p is not None:
@@ -201,6 +204,7 @@ def _tower_system_from_args(args):
             L, w, h, n = (int(t) for t in args.uniform.split(","))
         except ValueError:
             raise DomainError(f"--uniform expects L,w,height,N, got {args.uniform!r}")
+        _check_cap("--uniform N", n, towers._BLOCK_DRAWS)
         return make_tower_system([(L, w, h)] * n)
     if args.coord:
         triples = []
@@ -227,11 +231,12 @@ def cmd_simulate(args) -> int:
             raise DomainError("--coord/--uniform apply only to the tower model")
         if args.N is None or args.M is None:
             raise DomainError("urn model needs --N and --M")
+        _check_cap("--N", args.N, urn._BLOCK_DRAWS)
         cfg = UrnConfig(N=args.N, M=args.M)
         check_bound(cfg.M)
         if args.exact_oracle:
-            exact = urn_pmf_formula(cfg)
             brute = urn_pmf_bruteforce(cfg)
+            exact = urn_pmf_formula(cfg)
         campaign = partial(simulate_urns, cfg)
     else:
         if args.N is not None or args.M is not None:
@@ -335,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trees", help="emit the rooted labeled-tree census")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-vertices", type=int, default=comb.DEFAULT_TREE_ENUM_VERTICES)
     _add_output_flags(p)
     p.set_defaults(func=cmd_trees)
 

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import DomainError, ResourceLimitError
 
@@ -46,66 +45,6 @@ class Composition:
     @property
     def r(self) -> int:
         return len(self.parts)
-
-
-@dataclass(frozen=True)
-class LabeledTree:
-    """A labeled tree given by its edge set, with a distinguished root vertex."""
-
-    vertex_count: int
-    edges: frozenset[tuple[int, int]]
-    root: int = 0
-
-    def __post_init__(self) -> None:
-        if len(self.edges) != self.vertex_count - 1:
-            raise DomainError(
-                f"{self.vertex_count} vertices need {self.vertex_count - 1} edges, "
-                f"got {len(self.edges)}"
-            )
-        if not (0 <= self.root < self.vertex_count):
-            raise DomainError(f"root {self.root} outside vertex range")
-        for u, v in self.edges:
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
-                raise DomainError(f"edge ({u}, {v}) outside vertex range")
-        # edge count n-1 plus connectivity makes it a tree
-        if self.vertex_count > 1 and not self._levels:
-            raise DomainError("edge set is not connected")
-
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
-
-    @cached_property
-    def _levels(self) -> tuple[int, ...]:
-        """Sizes of the breadth-first levels below the root; () if disconnected.
-        Computed once: the connectivity check and level_profile share it."""
-        adj = self.adjacency()
-        seen = [False] * self.vertex_count
-        seen[self.root] = True
-        frontier = [self.root]
-        sizes = []
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in adj[u]:
-                    if not seen[v]:
-                        seen[v] = True
-                        nxt.append(v)
-            if nxt:
-                sizes.append(len(nxt))
-            frontier = nxt
-        if not all(seen):
-            return ()
-        return tuple(sizes)
-
-    def level_profile(self) -> Composition:
-        """Composition (|V_1|,...,|V_r|) of vertices at distance 1,...,r from the root."""
-        if self.vertex_count == 1:
-            raise DomainError("single-vertex tree has no levels below the root")
-        return Composition(self._levels)
 
 
 @dataclass(frozen=True)
@@ -265,53 +204,6 @@ def forest_identity_ordered_sum(n: int) -> int:
     return sum(_layer_sums(n, _forest_step, n)[0])
 
 
-def _prufer_parents(seq: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Decode a Pruefer sequence of length m-2 into parent pointers on {0..m-1}.
-
-    Applies the smallest-leaf rule in linear time: a pointer moves up over
-    the vertices once, and a vertex that becomes a leaf below the pointer is
-    removed next.  Returns the removal order of the m-1 leaves and the
-    vertex-indexed parents they hang from.  Vertex m-1 is never removed, so
-    it is the root; its parent entry stays -1.
-    """
-    m = len(seq) + 2
-    for v in seq:
-        if not 0 <= v < m:
-            raise DomainError(f"sequence entry {v} outside vertex set 0..{m - 1}")
-    deg = [1] * m
-    for v in seq:
-        deg[v] += 1
-    parent = [-1] * m
-    order = []
-    ptr = deg.index(1)
-    leaf = ptr
-    for v in seq:
-        order.append(leaf)
-        parent[leaf] = v
-        deg[v] -= 1
-        if v < ptr and deg[v] == 1:
-            leaf = v
-        else:
-            ptr += 1
-            while deg[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-    order.append(leaf)
-    parent[leaf] = m - 1
-    return order, parent
-
-
-def prufer_decode(seq: Sequence[int]) -> LabeledTree:
-    """Decode a Pruefer sequence of length m-2 into the labeled tree on {0..m-1}.
-
-    Uses the standard smallest-leaf convention, a bijection onto all m^(m-2)
-    labeled trees on m vertices.  The returned tree is rooted at 0.
-    """
-    order, parent = _prufer_parents(seq)
-    edges = frozenset((min(v, parent[v]), max(v, parent[v])) for v in order)
-    return LabeledTree(vertex_count=len(seq) + 2, edges=edges, root=0)
-
-
 def _rooted_shapes(m: int) -> tuple[list[int], list[int], list[int]]:
     """The rooted unlabeled trees on 1..m vertices, each generated once.
 
@@ -348,7 +240,7 @@ def _rooted_shapes(m: int) -> tuple[list[int], list[int], list[int]]:
     return levels, auts, ends
 
 
-def tree_census(n: int, max_vertices: int = DEFAULT_TREE_ENUM_VERTICES) -> TreeCensus:
+def tree_census(n: int) -> TreeCensus:
     """Count all labeled trees on {0..n} rooted at 0, grouped by level profile.
 
     Generates each rooted unlabeled tree T on n+1 vertices once and weights
@@ -365,9 +257,9 @@ def tree_census(n: int, max_vertices: int = DEFAULT_TREE_ENUM_VERTICES) -> TreeC
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     m = n + 1
-    if m > max_vertices:
+    if m > DEFAULT_TREE_ENUM_VERTICES:
         raise ResourceLimitError(
-            f"census over {m} vertices exceeds the cap of {max_vertices}"
+            f"census over {m} vertices exceeds the cap of {DEFAULT_TREE_ENUM_VERTICES}"
         )
     levels, auts, ends = _rooted_shapes(m)
     labelings = 1

@@ -38,12 +38,12 @@ from .sampling import (
 # Xeon, where criterion 7's (64,1,8) x 8 takes 0.9 s).
 DEFAULT_STATE_CAP = 10**5
 
-# Draws per vectorized block of the sampler, one per coordinate and trial:
-# a block holds max(1, _BLOCK_DRAWS // N) trials, so its int32 hit times take
-# 4 MiB per shard at any N.  A block makes one draw call per coordinate, so
-# smaller blocks pay more per-call overhead: at N = 200, blocks of 2^18
-# draws take 2.7 times as long.  A memory bound, not a semantics knob: each
-# coordinate stream is consumed in trial order regardless.
+# Draws per vectorized block of the sampler, one per coordinate and trial, and
+# the sampler's cap on N: a block holds _BLOCK_DRAWS // N trials, so its int32
+# hit times take 4 MiB per shard at any N.  A block makes one draw call per
+# coordinate, so smaller blocks pay more per-call overhead: at N = 200, blocks
+# of 2^18 draws take 2.7 times as long.  A memory bound, not a semantics knob:
+# each coordinate stream is consumed in trial order regardless.
 _BLOCK_DRAWS = 1 << 20
 
 
@@ -161,10 +161,12 @@ def simulate_tower(sys: TowerSystem, trials: int, seed: int, shards: int = 1) ->
     """Histogram of the avalanche size over i.i.d. product-uniform states.
 
     Shard i, coordinate j draws from derive_stream(seed, i, j); trial t uses
-    the t-th draw of each coordinate stream.  Same determinism contract as
-    simulate_urns.
+    the t-th draw of each coordinate stream.  Same determinism contract and
+    the same cap on N as simulate_urns.
     """
     check_seed(seed)
+    if sys.N > _BLOCK_DRAWS:
+        raise ResourceLimitError(f"{sys.N} coordinates exceed the cap of {_BLOCK_DRAWS}")
 
     def shard_sampler(i: int):
         streams = [SplitMix64(derive_stream(seed, i, j)) for j in range(sys.N)]
@@ -172,7 +174,7 @@ def simulate_tower(sys: TowerSystem, trials: int, seed: int, shards: int = 1) ->
 
     return SimResult(
         histogram=campaign_histogram(
-            trials, shards, max(1, _BLOCK_DRAWS // sys.N), sys.N, shard_sampler
+            trials, shards, _BLOCK_DRAWS // sys.N, sys.N, shard_sampler
         ),
         trials=trials,
         seed=seed,
@@ -229,7 +231,7 @@ def _group_choices(tower: CoordinateTower, m: int, n: int) -> list[tuple[list[in
     return choices
 
 
-def tower_pmf_bruteforce(sys: TowerSystem, cap: int = DEFAULT_STATE_CAP) -> Pmf:
+def tower_pmf_bruteforce(sys: TowerSystem) -> Pmf:
     """Exact avalanche law by scoring one state per tuple of hit classes.
 
     avalanche_trace reads coordinate i only through its hit class (see
@@ -248,12 +250,13 @@ def tower_pmf_bruteforce(sys: TowerSystem, cap: int = DEFAULT_STATE_CAP) -> Pmf:
     groups: dict[CoordinateTower, list[int]] = {}
     for i, c in enumerate(sys.coords):
         groups.setdefault(c, []).append(i)
+    cap = DEFAULT_STATE_CAP
     scan = sum(c.L for c in sys.coords)
+    if scan > cap:
+        raise ResourceLimitError(f"{scan} coordinate states to scan exceed the cap of {cap}")
     tuples = 1
     for c, positions in groups.items():
         tuples *= math.comb(len(positions) + min(c.L, n + 2) - 1, len(positions))
-    if scan > cap:
-        raise ResourceLimitError(f"{scan} coordinate states to scan exceed the cap of {cap}")
     if tuples > cap:
         raise ResourceLimitError(f"{tuples} hit-class tuples exceed the cap of {cap}")
     choices = [_group_choices(c, len(positions), n) for c, positions in groups.items()]

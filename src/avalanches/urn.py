@@ -33,9 +33,9 @@ from .sampling import (
 # 5 s at worst on a 2-vCPU Xeon, where (12, 13) takes 1.7 s).
 DEFAULT_ENUMERATION_CAP = 5 * 10**6
 
-# Draws per vectorized block of the sampler: a block holds
-# max(1, _BLOCK_DRAWS // N) trials, so its int64 draws take about 2 MiB per
-# shard whatever N is.  A memory bound, not a semantics knob: draws are
+# Draws per vectorized block of the sampler, and the sampler's cap on N: a
+# block holds _BLOCK_DRAWS // N trials, so its int64 draws take about 2 MiB
+# per shard whatever N is.  A memory bound, not a semantics knob: draws are
 # consumed in trial-major order regardless.
 _BLOCK_DRAWS = 1 << 18
 
@@ -94,7 +94,7 @@ def urn_pmf_formula(cfg: UrnConfig) -> Pmf:
     return replace(law, label=f"urn-formula(N={cfg.N},M={cfg.M})")
 
 
-def urn_pmf_bruteforce(cfg: UrnConfig, cap: int = DEFAULT_ENUMERATION_CAP) -> Pmf:
+def urn_pmf_bruteforce(cfg: UrnConfig) -> Pmf:
     """Exact law of X by scoring one assignment per occupancy class.
 
     X reads an assignment only through the counts c_1..c_top in urns
@@ -110,11 +110,12 @@ def urn_pmf_bruteforce(cfg: UrnConfig, cap: int = DEFAULT_ENUMERATION_CAP) -> Pm
     """
     N, M = cfg.N, cfg.M
     top = min(N, M)
-    vectors = math.comb(N + top, top)
+    cap, vectors, k = DEFAULT_ENUMERATION_CAP, 1, 0
+    while k < top and vectors <= cap:  # vectors = C(N+k, k) rises with k up to C(N+top, top)
+        k += 1
+        vectors = vectors * (N + k) // k
     if vectors > cap:
-        raise ResourceLimitError(
-            f"C({N}+{top}, {top}) = {vectors} occupancy vectors exceed the cap of {cap}"
-        )
+        raise ResourceLimitError(f"C({N}+{top}, {top}) occupancy vectors exceed the cap of {cap}")
     counts = [0] * (N + 1)
 
     def place(k: int, prefix: list[int], left: int, ways: int) -> None:
@@ -148,13 +149,15 @@ def simulate_urns(cfg: UrnConfig, trials: int, seed: int, shards: int = 1) -> Si
     so the result is a pure function of (cfg, trials, seed, shards).
     """
     check_seed(seed)
+    if cfg.N > _BLOCK_DRAWS:
+        raise ResourceLimitError(f"N = {cfg.N} balls exceed the cap of {_BLOCK_DRAWS}")
 
     def shard_sampler(i: int):
         return partial(_sample_block, cfg, SplitMix64(derive_stream(seed, i)))
 
     return SimResult(
         histogram=campaign_histogram(
-            trials, shards, max(1, _BLOCK_DRAWS // cfg.N), cfg.N, shard_sampler
+            trials, shards, _BLOCK_DRAWS // cfg.N, cfg.N, shard_sampler
         ),
         trials=trials,
         seed=seed,

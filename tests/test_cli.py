@@ -7,6 +7,8 @@ import pytest
 
 from avalanches.cli import AMAX_CAP, DIGITS_CAP, IDENTITY_N_CAP, PMF_N_CAP, main
 from avalanches.combinatorics import DEFAULT_TREE_ENUM_VERTICES
+from avalanches.towers import _BLOCK_DRAWS as TOWER_BLOCK_DRAWS
+from avalanches.urn import _BLOCK_DRAWS as URN_BLOCK_DRAWS
 
 
 def run_cli(capsys, *args):
@@ -41,6 +43,18 @@ class TestIdentityCommand:
         assert rc == 0
         assert (doc["lhs"], doc["rhs"], doc["variant"]) == ("3", "3", "forest")
 
+    def test_split_with_forest_is_usage_error(self, capsys, monkeypatch):
+        import avalanches.cli as cli_mod
+
+        def refuse(*args):
+            raise AssertionError("the work started")
+
+        for name in ("identity_lhs", "forest_identity_lhs", "induction_step_check"):
+            monkeypatch.setattr(cli_mod.comb, name, refuse)
+        rc, out, err = run_cli(capsys, "identity", "--n", "3", "--s", "2", "--forest")
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: --s") and err.count("\n") == 1
+
     def test_invalid_n_is_usage_error(self, capsys):
         rc, _, err = run_cli(capsys, "identity", "--n", "0")
         assert rc == 2
@@ -64,11 +78,6 @@ class TestTreesCommand:
         rc, _, err = run_cli(capsys, "trees", "--n", str(DEFAULT_TREE_ENUM_VERTICES))
         assert rc == 3
         assert "resource" in err
-
-    def test_raised_cap(self, capsys):
-        rc, out, _ = run_cli(capsys, "trees", "--n", "3", "--max-vertices", "4")
-        assert rc == 0
-        assert json.loads(out)["total"] == "16"
 
 
 class TestPmfCommand:
@@ -115,6 +124,17 @@ class TestPmfCommand:
             "--format", "csv", "--digits", "4",
         )
         assert out == "a,prob\n0,0.5625\n1,0.25\n2,0.1875\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("digits", ["0", "-3"])
+    def test_digits_below_one_is_usage_error(self, capsys, fmt, digits):
+        rc, out, err = run_cli(
+            capsys,
+            "pmf", "--model", "avalanche", "--N", "3", "--p", "1/4",
+            "--format", fmt, "--digits", digits,
+        )
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: --digits") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "args",
@@ -410,6 +430,46 @@ class TestSimulateInputChecks:
         assert out == ""
         assert err.startswith(message) and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "model",
+        [
+            ["--model", "urn", "--N", str(10**12), "--M", str(2 * 10**12)],
+            ["--model", "urn", "--N", str(URN_BLOCK_DRAWS + 1), "--M", str(URN_BLOCK_DRAWS + 2)],
+            ["--model", "tower", "--uniform", f"{2**22},1,{2**21},{TOWER_BLOCK_DRAWS + 1}"],
+        ],
+    )
+    def test_population_cap_checked_before_the_system(
+        self, capsys, no_campaign, no_oracles, monkeypatch, model
+    ):
+        # a sampler block holds one whole trial, so N is capped at its size
+        import avalanches.cli as cli_mod
+
+        def refuse(*args):
+            raise AssertionError("the system was built")
+
+        monkeypatch.setattr(cli_mod, "make_tower_system", refuse)
+        monkeypatch.setattr(cli_mod, "UrnConfig", refuse)
+        rc, out, err = run_cli(capsys, "simulate", *model, "--trials", "1", "--exact-oracle")
+        assert (rc, out) == (3, "")
+        assert err.startswith("resource limit: ") and err.count("\n") == 1
+
+    def test_urn_oracle_cap_checked_before_the_law(self, capsys, no_campaign, monkeypatch):
+        # (16, 17) has C(32, 16) occupancy vectors, past the oracle's cap, so
+        # the closed formula is never evaluated at that size
+        import avalanches.cli as cli_mod
+
+        def refuse(*args):
+            raise AssertionError("the exact law was built")
+
+        monkeypatch.setattr(cli_mod, "urn_pmf_formula", refuse)
+        rc, out, err = run_cli(
+            capsys, "simulate", "--model", "urn", "--N", "16", "--M", "17",
+            "--trials", "10", "--exact-oracle",
+        )
+        assert (rc, out) == (3, "")
+        assert err.startswith("resource limit: ") and err.count("\n") == 1
+        assert "occupancy vectors" in err
+
     def test_tower_oracle_caps_checked_before_the_law(self, capsys, no_campaign, monkeypatch):
         # 11 coordinates have at least C(22, 11) hit-class tuples, past the
         # oracle's cap, so the exact law is never built at that size
@@ -457,13 +517,9 @@ class TestSizeCaps:
             ["tail", "--alpha", "1", "--amax", str(AMAX_CAP + 1)],
             ["pmf", "--model", "avalanche", "--N", "5", "--p", "1/6", "--digits", str(DIGITS_CAP + 1)],
             ["pmf", "--model", "limit", "--alpha", "1", "--amax", "5", "--digits", str(DIGITS_CAP + 1)],
-            # a census one vertex over the cap; the flag may lower the cap only
-            [
-                "trees",
-                "--n", str(DEFAULT_TREE_ENUM_VERTICES),
-                "--max-vertices", str(DEFAULT_TREE_ENUM_VERTICES + 1),
-            ],
-            ["trees", "--n", "2", "--max-vertices", str(DEFAULT_TREE_ENUM_VERTICES + 1)],
+            # a census one vertex over the cap
+            ["trees", "--n", str(DEFAULT_TREE_ENUM_VERTICES)],
+            ["trees", "--n", str(DEFAULT_TREE_ENUM_VERTICES), "--format", "csv"],
         ],
     )
     def test_above_cap_is_resource_error(self, capsys, no_work, args):

@@ -11,7 +11,6 @@ from avalanches import combinatorics
 from avalanches.combinatorics import (
     DEFAULT_TREE_ENUM_VERTICES,
     Composition,
-    LabeledTree,
     cascade_weight,
     compositions,
     forest_identity_lhs,
@@ -20,7 +19,6 @@ from avalanches.combinatorics import (
     identity_rhs,
     induction_step_check,
     multinomial,
-    prufer_decode,
     tree_census,
 )
 from avalanches.errors import DomainError, ResourceLimitError
@@ -47,9 +45,11 @@ def definitional_induction_split(n, s):
 
 
 def heap_prufer_edges(seq):
-    """Edge set of a Pruefer sequence by the smallest-leaf rule with a heap of
-    leaves; reference for the linear-time decoder."""
+    """Edge set of the labeled tree on {0..m-1} with Pruefer sequence seq
+    (length m-2), by the smallest-leaf rule with a heap of leaves."""
     m = len(seq) + 2
+    if not all(0 <= v < m for v in seq):
+        raise ValueError(f"{seq} has an entry outside 0..{m - 1}")
     deg = [1] * m
     for v in seq:
         deg[v] += 1
@@ -67,38 +67,36 @@ def heap_prufer_edges(seq):
     return frozenset(edges)
 
 
+def level_sizes(m, edges):
+    """Sizes of the breadth-first levels below vertex 0 of the graph on
+    {0..m-1}; AssertionError if some vertex is not reached from 0."""
+    adj = [[] for _ in range(m)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = [True] + [False] * (m - 1)
+    frontier, sizes = [0], []
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    nxt.append(v)
+        if nxt:
+            sizes.append(len(nxt))
+        frontier = nxt
+    if not all(seen):
+        raise AssertionError(f"{sorted(edges)} does not reach every vertex of 0..{m - 1} from 0")
+    return tuple(sizes)
+
+
 def prufer_census(n):
-    """Profile counts of all labeled trees on {0..n}, decoded from every Pruefer
-    sequence into parent pointers; the literal reference for the shape census.
-
-    Each tree is rooted at n, the decoder's root: depths are assigned in
-    reverse removal order, where every parent comes before its child.
-    Swapping the labels 0 and n keeps the level profile and moves the root
-    from n to 0, so each profile has the same count as under root 0.  A vertex
-    reached before its parent has a depth is a decoder fault.
-    """
-    m = n + 1
-    counts = Counter()
-    for seq in itertools.product(range(m), repeat=m - 2):
-        order, parent = combinatorics._prufer_parents(seq)
-        depth = [-1] * m
-        depth[n] = 0
-        sizes = [0] * m
-        for v in reversed(order):
-            d = depth[parent[v]]
-            if d < 0:
-                raise AssertionError(f"vertex {v} reached before its parent in {seq}")
-            depth[v] = d + 1
-            sizes[d] += 1
-        counts[Composition(tuple(k for k in sizes if k))] += 1
-    return counts
-
-
-def tree_object_census(n):
-    """Profile counts from one validated LabeledTree per sequence, rooted at 0;
-    a second reference, through tree objects."""
+    """Profile counts of all labeled trees on {0..n} rooted at 0, one per
+    Pruefer sequence, decoded by heap_prufer_edges; the literal reference for
+    the shape census."""
     return Counter(
-        prufer_decode(seq).level_profile()
+        Composition(level_sizes(n + 1, heap_prufer_edges(seq)))
         for seq in itertools.product(range(n + 1), repeat=n - 1)
     )
 
@@ -257,57 +255,71 @@ class TestForestIdentity:
 
 
 class TestPrufer:
+    """heap_prufer_edges, the census's reference, maps the m^(m-2) sequences
+    one to one onto the labeled trees on m vertices."""
+
     def test_star(self):
-        tree = prufer_decode([0])
-        assert tree.vertex_count == 3
-        assert tree.edges == frozenset({(0, 1), (0, 2)})
+        assert heap_prufer_edges([0]) == frozenset({(0, 1), (0, 2)})
 
     def test_single_edge(self):
-        tree = prufer_decode([])
-        assert tree.vertex_count == 2
-        assert tree.edges == frozenset({(0, 1)})
+        assert heap_prufer_edges([]) == frozenset({(0, 1)})
 
     def test_three_vertices_three_trees(self):
         # Cayley count for 3 vertices: 3^1 distinct labeled trees
-        trees = {prufer_decode([v]).edges for v in range(3)}
-        assert len(trees) == 3
+        assert len({heap_prufer_edges([v]) for v in range(3)}) == 3
 
     @pytest.mark.parametrize("m", range(2, 8))
     def test_matches_heap_decoder(self, m):
-        for seq in itertools.product(range(m), repeat=m - 2):
-            assert prufer_decode(seq).edges == heap_prufer_edges(seq)
+        # the labeled trees on m vertices found without Pruefer sequences: the
+        # (m-1)-edge subsets of the complete graph that reach every vertex
+        trees = set()
+        for edges in itertools.combinations(itertools.combinations(range(m), 2), m - 1):
+            try:
+                level_sizes(m, edges)
+            except AssertionError:
+                continue
+            trees.add(frozenset(edges))
+        assert trees == {
+            heap_prufer_edges(seq) for seq in itertools.product(range(m), repeat=m - 2)
+        }
 
     @pytest.mark.parametrize("m", range(2, 8))
     def test_injective(self, m):
         decoded = {
-            prufer_decode(seq).edges for seq in itertools.product(range(m), repeat=m - 2)
+            heap_prufer_edges(seq) for seq in itertools.product(range(m), repeat=m - 2)
         }
         assert len(decoded) == m ** (m - 2)
 
     def test_vertex_out_of_range(self):
-        with pytest.raises(DomainError):
-            prufer_decode([3])
+        with pytest.raises(ValueError):
+            heap_prufer_edges([3])
+        with pytest.raises(ValueError):  # list indexing alone would accept -1
+            heap_prufer_edges([-1])
 
     @given(st.integers(2, 8).flatmap(lambda m: st.lists(st.integers(0, m - 1), min_size=m - 2, max_size=m - 2)))
     def test_decode_always_a_tree(self, seq):
-        tree = prufer_decode(seq)  # LabeledTree validates edge count + connectivity
-        assert len(tree.edges) == tree.vertex_count - 1
+        m = len(seq) + 2
+        edges = heap_prufer_edges(seq)
+        assert len(edges) == m - 1
+        assert sum(level_sizes(m, edges)) == m - 1  # every vertex reached from 0
 
 
 class TestLabeledTree:
+    """level_sizes, the reference's walk over a labeled tree's edges."""
+
     def test_rejects_wrong_edge_count(self):
-        with pytest.raises(DomainError):
-            LabeledTree(vertex_count=3, edges=frozenset({(0, 1)}))
+        with pytest.raises(AssertionError):
+            level_sizes(3, frozenset({(0, 1)}))
 
     def test_rejects_disconnected(self):
         # triangle plus an isolated vertex: right edge count, not a tree
-        with pytest.raises(DomainError):
-            LabeledTree(vertex_count=4, edges=frozenset({(0, 1), (1, 2), (0, 2)}))
+        with pytest.raises(AssertionError):
+            level_sizes(4, frozenset({(0, 1), (1, 2), (0, 2)}))
 
     def test_single_vertex_has_no_profile(self):
-        tree = LabeledTree(vertex_count=1, edges=frozenset())
+        assert level_sizes(1, frozenset()) == ()
         with pytest.raises(DomainError):
-            tree.level_profile()
+            Composition(level_sizes(1, frozenset()))
 
 
 class TestTreeCensus:
@@ -332,18 +344,15 @@ class TestTreeCensus:
         assert census.profiles == expected
 
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_matches_tree_object_census(self, n):
-        assert tree_census(n).profiles == tree_object_census(n)
-
-    @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_prufer_census(self, n):
         assert tree_census(n).profiles == prufer_census(n)
 
     def test_cyclic_parents_raise(self, monkeypatch):
-        # vertices 0 and 1 hang from each other, so neither reaches the root 2
-        monkeypatch.setattr(combinatorics, "_prufer_parents", lambda seq: ([0, 1], [1, 0, -1]))
-        with pytest.raises(AssertionError, match="before its parent"):
-            prufer_census(2)
+        # a faulty decoder: 1, 2 and 3 form a cycle, and none reaches the root 0
+        cycle = frozenset({(1, 2), (2, 3), (1, 3)})
+        monkeypatch.setitem(globals(), "heap_prufer_edges", lambda seq: cycle)
+        with pytest.raises(AssertionError, match="does not reach"):
+            prufer_census(3)
 
     def test_automorphism_count_not_dividing_n_factorial_raises(self, monkeypatch):
         # 7 is a prime above 5, so no |Aut| times 7 divides 5!
@@ -371,7 +380,6 @@ class TestTreeCensus:
         codes = [
             tree_census.__code__,
             combinatorics._rooted_shapes.__code__,
-            combinatorics._prufer_parents.__code__,
         ]
         codes += [c for code in codes for c in code.co_consts if hasattr(c, "co_names")]
         for code in codes:
@@ -379,12 +387,13 @@ class TestTreeCensus:
             for ins in dis.get_instructions(code):
                 assert ins.opname != "BINARY_POWER" and "**" not in ins.argrepr, code.co_name
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         with pytest.raises(ResourceLimitError):
-            tree_census(DEFAULT_TREE_ENUM_VERTICES)  # one vertex over the default cap
+            tree_census(DEFAULT_TREE_ENUM_VERTICES)  # one vertex over the cap
+        monkeypatch.setattr(combinatorics, "DEFAULT_TREE_ENUM_VERTICES", 4)
         with pytest.raises(ResourceLimitError):
-            tree_census(3, max_vertices=3)
-        assert tree_census(3, max_vertices=4).total == 16
+            tree_census(4)
+        assert tree_census(3).total == 16
 
     def test_invalid_n(self):
         with pytest.raises(DomainError):

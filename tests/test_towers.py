@@ -187,9 +187,15 @@ class TestBruteforce:
         pmf = tower_pmf_bruteforce(sys_)
         assert pmf.probs == tuple(avalanche_pmf_general(sys_.ps()).probs)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        import avalanches.towers as towers_mod
+
+        # 8 + 8 states to scan, C(2 + 4 - 1, 2) = 10 hit-class tuples
+        monkeypatch.setattr(towers_mod, "DEFAULT_STATE_CAP", 15)
         with pytest.raises(ResourceLimitError):
-            tower_pmf_bruteforce(TWO_COORD, cap=10)
+            tower_pmf_bruteforce(TWO_COORD)
+        monkeypatch.setattr(towers_mod, "DEFAULT_STATE_CAP", 16)
+        assert tower_pmf_bruteforce(TWO_COORD).probs == tower_pmf_by_state_walk(TWO_COORD)
 
     @pytest.mark.parametrize("specs", WALK_SYSTEMS, ids=str)
     def test_matches_state_walk(self, specs):
@@ -391,6 +397,15 @@ class TestSimulateTower:
         a = simulate_tower(TWO_COORD, 20000, seed=1, shards=1)
         b = simulate_tower(TWO_COORD, 20000, seed=1, shards=2)
         assert a.histogram != b.histogram
+
+    def test_population_cap(self, monkeypatch):
+        # a block holds one whole trial, so N past _BLOCK_DRAWS is refused
+        import avalanches.towers as towers_mod
+
+        monkeypatch.setattr(towers_mod, "_BLOCK_DRAWS", 2)
+        assert simulate_tower(TWO_COORD, 10, seed=1).trials == 10
+        with pytest.raises(ResourceLimitError, match="cap"):
+            simulate_tower(make_tower_system([(8, 1, 4)] * 3), 10, seed=1)
 
     def test_block_boundary_invariance(self, monkeypatch):
         import avalanches.towers as towers_mod

@@ -163,11 +163,15 @@ class TestUrnBruteforce:
         cfg = UrnConfig(10, 11)
         assert urn_pmf_bruteforce(cfg).probs == urn_pmf_formula(cfg).probs
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        import avalanches.urn as urn_mod
+
         # C(3+3, 3) = 20 occupancy vectors
+        monkeypatch.setattr(urn_mod, "DEFAULT_ENUMERATION_CAP", 19)
         with pytest.raises(ResourceLimitError):
-            urn_pmf_bruteforce(UrnConfig(3, 5), cap=10)
-        assert urn_pmf_bruteforce(UrnConfig(3, 5), cap=20).probs == urn_pmf_by_assignment_walk(3, 5)
+            urn_pmf_bruteforce(UrnConfig(3, 5))
+        monkeypatch.setattr(urn_mod, "DEFAULT_ENUMERATION_CAP", 20)
+        assert urn_pmf_bruteforce(UrnConfig(3, 5)).probs == urn_pmf_by_assignment_walk(3, 5)
 
     def test_cap_checked_before_scoring(self, monkeypatch):
         import avalanches.urn as urn_mod
@@ -178,6 +182,9 @@ class TestUrnBruteforce:
         monkeypatch.setattr(urn_mod, "urn_statistic", refuse)
         with pytest.raises(ResourceLimitError, match="cap"):
             urn_pmf_bruteforce(UrnConfig(16, 17))
+        # at the sampler's cap on N the full count has about 157,000 digits
+        with pytest.raises(ResourceLimitError, match="cap"):
+            urn_pmf_bruteforce(UrnConfig(2**18, 2**18 + 1))
 
 
 class TestSimulateUrns:
@@ -200,6 +207,21 @@ class TestSimulateUrns:
         a = simulate_urns(UrnConfig(3, 5), 20000, seed=1, shards=1)
         b = simulate_urns(UrnConfig(3, 5), 20000, seed=1, shards=2)
         assert a.histogram != b.histogram  # different documented stream derivation
+
+    def test_population_cap(self, monkeypatch):
+        # a block holds one whole trial, so N past _BLOCK_DRAWS is refused
+        # before any draw; at the cap a block is one trial
+        import avalanches.urn as urn_mod
+
+        n = urn_mod._BLOCK_DRAWS
+        assert simulate_urns(UrnConfig(n, n + 1), 2, seed=1).trials == 2
+
+        def refuse(*args):
+            raise AssertionError("the campaign started")
+
+        monkeypatch.setattr(urn_mod, "campaign_histogram", refuse)
+        with pytest.raises(ResourceLimitError, match="cap"):
+            simulate_urns(UrnConfig(n + 1, n + 2), 1, seed=1)
 
     def test_block_boundary_invariance(self, monkeypatch):
         import avalanches.urn as urn_mod
