@@ -38,13 +38,20 @@ from .sampling import (
 # Xeon, where criterion 7's (64,1,8) x 8 takes 0.9 s).
 DEFAULT_STATE_CAP = 10**5
 
-# Draws per vectorized block of the sampler, one per coordinate and trial, and
-# the sampler's cap on N: a block holds _BLOCK_DRAWS // N trials, so its int32
-# hit times take 4 MiB per shard at any N.  A block makes one draw call per
+# Draws per vectorized block of the sampler, one per coordinate and trial: a
+# block holds _BLOCK_DRAWS // N trials, so its int32 hit times take 4 MiB per
+# shard at any N, and N may not exceed it.  A block makes one draw call per
 # coordinate, so smaller blocks pay more per-call overhead: at N = 200, blocks
 # of 2^18 draws take 2.7 times as long.  A memory bound, not a semantics knob:
 # each coordinate stream is consumed in trial order regardless.
 _BLOCK_DRAWS = 1 << 20
+
+# Cap on the sampler's coordinate count.  Each coordinate keeps its own stream
+# and makes one draw call per block, so time and memory grow with N:
+# `simulate --model tower --uniform 2N+2,1,N,N --trials 2` took 0.3 s and
+# 40 MiB at N = 2^14, 1.0-1.2 s and 70 MiB at 2^16, and 2.1-2.2 s and 108 MiB
+# at 2^17 (2-vCPU AMD EPYC), so the cap keeps such a run near 1 s.
+COORDINATE_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -161,12 +168,14 @@ def simulate_tower(sys: TowerSystem, trials: int, seed: int, shards: int = 1) ->
     """Histogram of the avalanche size over i.i.d. product-uniform states.
 
     Shard i, coordinate j draws from derive_stream(seed, i, j); trial t uses
-    the t-th draw of each coordinate stream.  Same determinism contract and
-    the same cap on N as simulate_urns.
+    the t-th draw of each coordinate stream.  Same determinism contract as
+    simulate_urns.  N is capped at COORDINATE_CAP, and at _BLOCK_DRAWS so
+    that a block holds a whole trial, before any stream is built.
     """
     check_seed(seed)
-    if sys.N > _BLOCK_DRAWS:
-        raise ResourceLimitError(f"{sys.N} coordinates exceed the cap of {_BLOCK_DRAWS}")
+    cap = min(COORDINATE_CAP, _BLOCK_DRAWS)
+    if sys.N > cap:
+        raise ResourceLimitError(f"{sys.N} coordinates exceed the cap of {cap}")
 
     def shard_sampler(i: int):
         streams = [SplitMix64(derive_stream(seed, i, j)) for j in range(sys.N)]

@@ -1,13 +1,16 @@
 import hashlib
 import json
 import math
+import os
+import pathlib
+import stat
 import sys
 
 import pytest
 
 from avalanches.cli import AMAX_CAP, DIGITS_CAP, IDENTITY_N_CAP, PMF_N_CAP, main
 from avalanches.combinatorics import DEFAULT_TREE_ENUM_VERTICES
-from avalanches.towers import _BLOCK_DRAWS as TOWER_BLOCK_DRAWS
+from avalanches.towers import COORDINATE_CAP
 from avalanches.urn import _BLOCK_DRAWS as URN_BLOCK_DRAWS
 
 
@@ -15,6 +18,16 @@ def run_cli(capsys, *args):
     rc = main(list(args))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+PMF_LONG = ["pmf", "--model", "avalanche", "--N", "40", "--p", "1/41"]
+PMF_SHORT = ["pmf", "--model", "avalanche", "--N", "5", "--p", "1/6"]
+
+
+def stdout_of(capsys, args):
+    rc, out, _ = run_cli(capsys, *args)
+    assert rc == 0
+    return out.encode("utf-8")
 
 
 class TestIdentityCommand:
@@ -435,7 +448,7 @@ class TestSimulateInputChecks:
         [
             ["--model", "urn", "--N", str(10**12), "--M", str(2 * 10**12)],
             ["--model", "urn", "--N", str(URN_BLOCK_DRAWS + 1), "--M", str(URN_BLOCK_DRAWS + 2)],
-            ["--model", "tower", "--uniform", f"{2**22},1,{2**21},{TOWER_BLOCK_DRAWS + 1}"],
+            ["--model", "tower", "--uniform", f"{2**18},1,{2**17},{COORDINATE_CAP + 1}"],
         ],
     )
     def test_population_cap_checked_before_the_system(
@@ -452,6 +465,22 @@ class TestSimulateInputChecks:
         rc, out, err = run_cli(capsys, "simulate", *model, "--trials", "1", "--exact-oracle")
         assert (rc, out) == (3, "")
         assert err.startswith("resource limit: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "system", [["--uniform", "8,1,4,3"], ["--coord", "8,1,4"] * 3]
+    )
+    def test_tower_coordinate_cap_exits_before_any_stream(self, capsys, monkeypatch, system):
+        import avalanches.towers as towers_mod
+
+        def refuse(*args):
+            raise AssertionError("a stream was built")
+
+        monkeypatch.setattr(towers_mod, "COORDINATE_CAP", 2)
+        monkeypatch.setattr(towers_mod, "SplitMix64", refuse)
+        rc, out, err = run_cli(capsys, "simulate", "--model", "tower", *system, "--trials", "10")
+        assert (rc, out) == (3, "")
+        assert err.startswith("resource limit: ") and err.count("\n") == 1
+        assert "cap of 2" in err
 
     def test_urn_oracle_cap_checked_before_the_law(self, capsys, no_campaign, monkeypatch):
         # (16, 17) has C(32, 16) occupancy vectors, past the oracle's cap, so
@@ -806,3 +835,90 @@ class TestOutputWriteFailures:
         assert out == ""
         assert err.startswith("error: cannot write") and err.count("\n") == 1
         assert blocker.read_text() == "x"
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root may write a read-only file")
+    def test_read_only_existing_file(self, capsys, tmp_path):
+        target = tmp_path / "locked.json"
+        target.write_text("x")
+        target.chmod(0o444)
+        rc, out, err = run_cli(capsys, *PMF_SHORT, "--out", str(target))
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
+        assert target.read_text() == "x"
+
+
+class TestOutputReplace:
+    """An existing plain --out file is replaced by a new file; other paths are written in place."""
+
+    def test_rewrites_hold_exactly_the_new_bytes(self, capsys, tmp_path):
+        target = tmp_path / "o.json"
+        for args in (PMF_LONG, PMF_SHORT, PMF_SHORT):
+            assert run_cli(capsys, *args, "--out", str(target))[0] == 0
+            assert target.read_bytes() == stdout_of(capsys, args)
+
+    def test_old_file_is_replaced_not_truncated(self, capsys, tmp_path):
+        # a reader of the old file keeps its bytes; a truncation would empty it
+        target = tmp_path / "o.json"
+        run_cli(capsys, *PMF_LONG, "--out", str(target))
+        with open(target, "rb") as old:
+            assert run_cli(capsys, *PMF_SHORT, "--out", str(target))[0] == 0
+            assert old.read() == stdout_of(capsys, PMF_LONG)
+        assert target.read_bytes() == stdout_of(capsys, PMF_SHORT)
+
+    def test_symlink_stays_a_symlink(self, capsys, tmp_path):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_text("old\n" * 1000)
+        link.symlink_to(target)
+        assert run_cli(capsys, *PMF_SHORT, "--out", str(link))[0] == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == stdout_of(capsys, PMF_SHORT)
+
+    def test_hard_link_is_written_in_place(self, capsys, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text("old\n" * 1000)
+        os.link(a, b)
+        assert run_cli(capsys, *PMF_SHORT, "--out", str(a))[0] == 0
+        new = stdout_of(capsys, PMF_SHORT)
+        assert a.read_bytes() == b.read_bytes() == new
+        assert a.stat().st_nlink == 2
+
+    @pytest.mark.parametrize("mode, umask", [(0o664, 0o077), (0o600, 0o000), (0o604, 0o022)])
+    def test_permission_bits_are_kept(self, capsys, tmp_path, mode, umask):
+        target = tmp_path / "o.json"
+        target.write_text("old")
+        target.chmod(mode)
+        old_umask = os.umask(umask)
+        try:
+            rc = run_cli(capsys, *PMF_SHORT, "--out", str(target))[0]
+        finally:
+            os.umask(old_umask)
+        assert rc == 0
+        assert stat.S_IMODE(target.stat().st_mode) == mode
+        assert target.read_bytes() == stdout_of(capsys, PMF_SHORT)
+
+    def test_failed_unlink_writes_in_place(self, capsys, tmp_path, monkeypatch):
+        # as in a read-only or sticky directory
+        target = tmp_path / "o.json"
+        target.write_text("old\n" * 1000)
+
+        def refuse(self, missing_ok=False):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(pathlib.Path, "unlink", refuse)
+        assert run_cli(capsys, *PMF_SHORT, "--out", str(target))[0] == 0
+        assert target.read_bytes() == stdout_of(capsys, PMF_SHORT)
+
+    def test_null_device(self, capsys):
+        rc, out, err = run_cli(capsys, *PMF_SHORT, "--out", os.devnull)
+        assert (rc, out, err) == (0, "", "")
+        assert pathlib.Path(os.devnull).is_char_device()
+
+    @pytest.mark.skipif(os.geteuid() != 0, reason="needs root to give a file away")
+    def test_file_of_another_owner_is_written_in_place(self, capsys, tmp_path):
+        target = tmp_path / "o.json"
+        target.write_text("old")
+        os.chown(target, 65534, 65534)
+        assert run_cli(capsys, *PMF_SHORT, "--out", str(target))[0] == 0
+        st = target.stat()
+        assert (st.st_uid, st.st_gid) == (65534, 65534)
+        assert target.read_bytes() == stdout_of(capsys, PMF_SHORT)

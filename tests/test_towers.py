@@ -407,6 +407,21 @@ class TestSimulateTower:
         with pytest.raises(ResourceLimitError, match="cap"):
             simulate_tower(make_tower_system([(8, 1, 4)] * 3), 10, seed=1)
 
+    def test_coordinate_cap_refused_before_any_stream(self, monkeypatch):
+        # each coordinate keeps its own stream, so the cap is checked first
+        import avalanches.towers as towers_mod
+
+        monkeypatch.setattr(towers_mod, "COORDINATE_CAP", 2)
+        assert simulate_tower(TWO_COORD, 10, seed=1).trials == 10
+
+        def refuse(*args):
+            raise AssertionError("a stream was built")
+
+        monkeypatch.setattr(towers_mod, "SplitMix64", refuse)
+        monkeypatch.setattr(towers_mod, "derive_stream", refuse)
+        with pytest.raises(ResourceLimitError, match="cap of 2"):
+            simulate_tower(make_tower_system([(8, 1, 4)] * 3), 10, seed=1)
+
     def test_block_boundary_invariance(self, monkeypatch):
         import avalanches.towers as towers_mod
 
