@@ -1,21 +1,25 @@
 """Closed-form avalanche-size distributions, their limit law, and tail analysis.
 
-The three finite-population laws (avalanche, abelian, conditional), the
-mean identity and, with masses grouped, the heterogeneous tower law share
-one integer kernel: with p = u/v, the numerators
+The avalanche and conditional laws, the mean identity and, with masses
+grouped, the heterogeneous tower law share one integer kernel: with
+p = u/v, the numerators
 
     t_b = (b+1)^(b-1) C(n,b) u^b (v-(b+1)u)^(n-b),   b = 0..n,
 
-put the avalanche law over the single denominator v^n, and Abel's identity
-says they sum to exactly v^n.  Each law asserts that identity on its
-integers before it reduces any term, so every exact pmf still sums to
-exactly 1.
+put the avalanche law at n over the single denominator v^n, and Abel's
+identity says they sum to exactly v^n.  The avalanche, conditional and
+heterogeneous laws assert that identity on their integers before they
+reduce any term.  The conditional law is the kernel at n = N-1
+shifted up by one, and the abelian law is the conditional law reweighted,
 
-The avalanche, abelian and conditional terms are put in lowest terms
-without a gcd on the big integers, by this lemma.  A prime q dividing both
-t_b and v does not divide u (u/v is in lowest terms); if it divides
-v-(b+1)u it divides b+1; and the primes of C(n,b) are at most n.  So
-q <= n+1, and
+    p_k = (1-Np) / ((1-kp)(1-(N-1)p)) P_cond(k),   k = 1..N,
+
+its mass checked exactly by the Pmf once its terms are reweighted.
+
+The kernel's terms at (n, u/v) are put in lowest terms without a gcd on
+the big integers, by this lemma.  A prime q dividing both t_b and v does
+not divide u (u/v is in lowest terms); if it divides v-(b+1)u it divides
+b+1; and the primes of C(n,b) are at most n.  So q <= n+1, and
 
     gcd(t_b, v^n) = prod_q q^min(val_q(t_b), n val_q(v))
 
@@ -24,12 +28,12 @@ over the primes q <= n+1 dividing v, with
     val_q(t_b) = val_q(C(n,b)) + (b-1) val_q(b+1) + (n-b) val_q(v-(b+1)u)
 
 and the binomial's exponent by Legendre's formula: small-integer arithmetic
-only.  The abelian law, over s v^(N-1)/v with s = v-(N-1)u, shares only primes
-<= N+1 with its terms too (see _lowest_terms).  A cheap gcd against v s then
-proves each reduced term is in lowest terms.  The heterogeneous law has no
-factored form and reduces with Fraction's gcd.  The large-population limit
-law is floating point, computed in log space, with its truncation deficit
-reported rather than hidden.
+only.  A cheap gcd against v then proves each reduced term is in lowest
+terms.  The abelian law multiplies those reduced terms by its small
+rational weights.  The heterogeneous law has no factored form and reduces
+with Fraction's gcd.  The large-population limit law is floating point,
+computed in log space, with its truncation deficit reported rather than
+hidden.
 """
 
 from __future__ import annotations
@@ -123,6 +127,8 @@ class Pmf:
     def __post_init__(self) -> None:
         if len(self.support) != len(self.probs):
             raise DomainError("support and probs must have equal length")
+        if len(set(self.support)) != len(self.support):
+            raise DomainError(f"repeated support value in {self.label}")
         if any(p < 0 for p in self.probs):
             raise DomainError(f"negative probability in {self.label}")
         if self.exact:
@@ -142,9 +148,8 @@ class Pmf:
 
     @cached_property
     def index(self) -> dict:
-        """Support value -> probability, built on first use.  Built from the
-        right so a repeated support value keeps its first probability."""
-        return dict(zip(reversed(self.support), reversed(self.probs)))
+        """Support value -> probability, built on first use."""
+        return dict(zip(self.support, self.probs))
 
     def prob(self, a: int):
         """P(a); zero off the support."""
@@ -171,13 +176,10 @@ def _abel_numerators(groups: Sequence[tuple[int, int]], v: int) -> list[int]:
 
         t_b = (b+1)^(b-1) [t^b] prod_g (v - (b+1)u_g + t u_g)^(m_g),
 
-    so that P(b) = t_b / v^n; for 0 <= n*u_g <= v they sum to v^n.  One group
-    is _abel_term, one product per b; more groups multiply the coefficients
-    up to t^b by each coordinate's factor in turn.
+    so that P(b) = t_b / v^n; for 0 <= n*u_g <= v they sum to v^n.  The
+    coefficients up to t^b are multiplied by each coordinate's factor in
+    turn.  One group is _abel_term, which the single-mass laws call directly.
     """
-    if len(groups) == 1:
-        ((u, n),) = groups
-        return [_abel_term(n, b, u, v) for b in range(n + 1)]
     nums = []
     for b in range(sum(m for _, m in groups) + 1):
         coeffs = [1] + [0] * b
@@ -213,13 +215,11 @@ def _small_prime_factors(x: int, limit: int) -> tuple[dict[int, int], int]:
     return found, x
 
 
-def _term_valuations(q: int, n: int, u: int, v: int, shift: int, bs) -> list[int]:
+def _term_valuations(q: int, n: int, u: int, v: int, bs) -> list[int]:
     """Exponent of a prime q not dividing u in each nonzero term t_b, b in
-    bs, of the kernel at (n, u/v) (shift = 0), or in each abelian term
-    (v-(n+1)u) t_b / (v-(b+1)u) (shift = 1):
+    bs, of the kernel at (n, u/v):
 
-        val_q(C(n,b)) + (b-1) val_q(b+1) + (n-b-shift) val_q(v-(b+1)u)
-                                         + shift val_q(v-(n+1)u).
+        val_q(C(n,b)) + (b-1) val_q(b+1) + (n-b) val_q(v-(b+1)u).
 
     The binomial's exponent is val_q(n!) - val_q(b!) - val_q((n-b)!), from
     Legendre's formula in its recursive form val_q(m!) = floor(m/q) +
@@ -228,15 +228,14 @@ def _term_valuations(q: int, n: int, u: int, v: int, shift: int, bs) -> list[int
     fact = [0] * (n + 1)
     for m in range(q, n + 1):
         fact[m] = m // q + fact[m // q]
-    last = _valuation(v - (n + 1) * u, q) if shift else 0
     out = []
     for b in bs:
-        e = fact[n] - fact[b] - fact[n - b] + last
+        e = fact[n] - fact[b] - fact[n - b]
         if b > 1 and (b + 1) % q == 0:
             e += (b - 1) * _valuation(b + 1, q)
         w = v - (b + 1) * u
-        if n - b != shift and w % q == 0:
-            e += (n - b - shift) * _valuation(w, q)
+        if b != n and w % q == 0:
+            e += (n - b) * _valuation(w, q)
         out.append(e)
     return out
 
@@ -250,35 +249,26 @@ def _coprime_fraction(num: int, den: int) -> Fraction:
     return x
 
 
-def _lowest_terms(terms, bs, label: str, n: int, u: int, v: int, shift: int = 0) -> list:
-    """Each terms[i] over den as a Fraction in lowest terms, with no gcd on
-    the big integers.  terms[i] is t_b of the kernel at (n, u/v), b = bs[i],
-    over den = v^n (shift = 0); or, for the abelian law at N = n+1, the term
-    (v-Nu) t_b / (v-(b+1)u) over den = s v^n / v, s = v-nu (shift = 1).
+def _lowest_terms(terms, bs, label: str, n: int, u: int, v: int) -> list:
+    """Each terms[i] = t_b, b = bs[i], of the kernel at (n, u/v) over v^n as
+    a Fraction in lowest terms, with no gcd on the big integers.
 
-    Every prime q shared by a term and den is <= n+1, so trial division
-    up to n+1+shift finds them all.  The module docstring proves it for
-    shift = 0.  For shift = 1, q divides v or s, so not u.  The primes of
-    C(n,b) and (b+1)^(b-1) are <= n+1.  If q divides v, it divides v-Nu
-    or v-(b+1)u only through N or b+1.  If q divides s but not v, it does
-    not divide v-Nu = s-u, and it divides v-(b+1)u = s-(b+1-n)u only
-    through n-b-1.  So the exponents of those primes (_term_valuations)
-    give each term's gcd with den, and den' = den/gcd is computed once per
-    exponent vector.  Every prime of den' divides v s, so
-    gcd(gcd(x', v s), den') == 1 proves x'/den' is in lowest terms; that
-    check and the exact division by the gcd guard the valuations.
+    Every prime q shared by a term and v^n is <= n+1 (module docstring), so
+    trial division of v up to n+1 finds them all, and their exponents
+    (_term_valuations) give each term's gcd with v^n; the reduced
+    denominator is computed once per exponent vector.  Every prime of a
+    reduced denominator divides v, so gcd(gcd(x', v), den') == 1 proves
+    x'/den' is in lowest terms; that check and the exact division by the
+    gcd guard the valuations.
     """
-    s = v - n * u if shift else 1
-    v_primes, v_rest = _small_prime_factors(v, n + 1 + shift)
-    s_primes, s_rest = _small_prime_factors(s, n + 1 + shift)
-    primes = sorted(v_primes.keys() | s_primes.keys())
-    tops = [s_primes.get(q, 0) + (n - shift) * v_primes.get(q, 0) for q in primes]
-    rest = s_rest * v_rest**n // v_rest**shift  # at n = 0, s = v
-    carrier = v * s
+    v_primes, rest = _small_prime_factors(v, n + 1)
+    primes = sorted(v_primes)
+    tops = [n * v_primes[q] for q in primes]
+    rest **= n
     live = [b for b, t in zip(bs, terms) if t]
     keys = dict.fromkeys(live, ())  # b -> exponents of the primes in den'
     for q, top in zip(primes, tops):
-        for b, e in zip(live, _term_valuations(q, n, u, v, shift, live)):
+        for b, e in zip(live, _term_valuations(q, n, u, v, live)):
             keys[b] += (top - min(e, top),)
     reduced = {}  # exponents of the primes in den' -> (gcd, den')
     out = []
@@ -292,31 +282,25 @@ def _lowest_terms(terms, bs, label: str, n: int, u: int, v: int, shift: int = 0)
             reduced[key] = gcd, rest * math.prod(q**d for q, d in zip(primes, key))
         gcd, den = reduced[key]
         x, r = divmod(t, gcd)
-        if r or math.gcd(math.gcd(x, carrier), den) != 1:
+        if r or math.gcd(math.gcd(x, v), den) != 1:
             raise DomainError(f"exact pmf {label}: term at b={b} not reduced to lowest terms")
         out.append(_coprime_fraction(x, den))
     return out
 
 
-def _exact_pmf(first: int, nums: list[int], den: int, label: str, reduce) -> Pmf:
-    """The pmf nums[i] / den on first, first+1, ...; asserts the integer
-    identity sum(nums) == den before reduce(nums) puts the terms in lowest
-    terms as Fractions."""
-    total = sum(nums)
-    if total != den:
+def _kernel_pmf(first: int, n: int, u: int, v: int, label: str) -> Pmf:
+    """The kernel at (n, u/v), t_b / v^n, as a pmf on first..first+n; asserts
+    Abel's identity sum(t_b) == v^n on the integers before _lowest_terms
+    reduces the terms."""
+    nums = [_abel_term(n, b, u, v) for b in range(n + 1)]
+    if sum(nums) != v**n:
         raise DomainError(f"exact pmf {label}: numerators do not sum to the denominator")
     return Pmf(
-        support=tuple(range(first, first + len(nums))),
-        probs=tuple(reduce(nums)),
+        support=tuple(range(first, first + n + 1)),
+        probs=tuple(_lowest_terms(nums, range(n + 1), label, n, u, v)),
         exact=True,
         label=label,
     )
-
-
-def _kernel_terms(label: str, n: int, u: int, v: int, shift: int = 0):
-    """The reduce step of _exact_pmf for the terms at b = 0, 1, ... of the
-    kernel at (n, u/v), or of the abelian law (shift = 1): _lowest_terms."""
-    return lambda terms: _lowest_terms(terms, range(len(terms)), label, n, u, v, shift)
 
 
 def avalanche_prob(params: AvalancheParams, a: int) -> Fraction:
@@ -336,36 +320,29 @@ def avalanche_prob(params: AvalancheParams, a: int) -> Fraction:
 def avalanche_pmf(params: AvalancheParams) -> Pmf:
     """Exact avalanche-size law on 0..N; sums to exactly 1 on the whole domain."""
     N, u, v = params.N, params.p.numerator, params.p.denominator
-    label = f"avalanche(N={N},p={params.p})"
-    return _exact_pmf(0, _abel_numerators([(u, N)], v), v**N, label, _kernel_terms(label, N, u, v))
-
-
-def _abelian_numerators(params: AvalancheParams) -> tuple[list[int], int]:
-    """Integer numerators of the abelian law on k = 1..N over one denominator.
-
-    With t the kernel at n = N-1, p_k = pref * t_{k-1} / ((v-ku) v^(N-2)) and
-    pref = (v-Nu)/(v-(N-1)u), so the numerators are (v-Nu) t_{k-1} / (v-ku)
-    over (v-(N-1)u) v^(N-1) / v.  At k = N the factor v-Nu cancels the
-    division by v-ku exactly; every other t_{k-1} carries v-ku to a positive
-    power.  At N = 1 the one numerator is 1 and the denominator v/v is 1.
-    """
-    params.require_subcritical()
-    N, u, v = params.N, params.p.numerator, params.p.denominator
-    head = v - N * u
-    nums = [head * t // (v - k * u) for k, t in enumerate(_abel_numerators([(u, N - 1)], v), 1)]
-    return nums, (v - (N - 1) * u) * v ** (N - 1) // v
+    return _kernel_pmf(0, N, u, v, f"avalanche(N={N},p={params.p})")
 
 
 def abelian_pmf(params: AvalancheParams) -> Pmf:
     """Exact normalized avalanche law on 1..N with prefactor (1-Np)/(1-(N-1)p).
 
     p_k = pref * k^(k-2) C(N-1,k-1) p^(k-1) (1-kp)^(N-k-1).  Needs strict
-    p < 1/N: the k = N term carries (1-Np)^(-1).
+    p < 1/N: the k = N term carries (1-Np)^(-1).  That is the conditional
+    law reweighted, p_k = (1-Np) / ((1-kp)(1-(N-1)p)) P_cond(k), so each
+    reduced conditional term is multiplied by (v-Nu) v / ((v-ku) s) with
+    s = v-(N-1)u; the Pmf's own check asserts the reweighted mass is 1.
     """
-    nums, den = _abelian_numerators(params)
+    params.require_subcritical()
     N, u, v = params.N, params.p.numerator, params.p.denominator
     label = f"abelian(N={N},p={params.p})"
-    return _exact_pmf(1, nums, den, label, _kernel_terms(label, N - 1, u, v, 1))
+    n, head, s = N - 1, (v - N * u) * v, v - (N - 1) * u
+    terms = _lowest_terms([_abel_term(n, b, u, v) for b in range(N)], range(N), label, n, u, v)
+    return Pmf(
+        support=tuple(range(1, N + 1)),
+        probs=tuple(x * Fraction(head, (v - k * u) * s) for k, x in enumerate(terms, 1)),
+        exact=True,
+        label=label,
+    )
 
 
 def conditional_pmf(params: AvalancheParams) -> Pmf:
@@ -376,9 +353,7 @@ def conditional_pmf(params: AvalancheParams) -> Pmf:
     N-a-1 of the abelian law; the two are kept as distinct models.
     """
     N, u, v = params.N, params.p.numerator, params.p.denominator
-    nums = _abel_numerators([(u, N - 1)], v)
-    label = f"conditional(N={N},p={params.p})"
-    return _exact_pmf(1, nums, v ** (N - 1), label, _kernel_terms(label, N - 1, u, v))
+    return _kernel_pmf(1, N - 1, u, v, f"conditional(N={N},p={params.p})")
 
 
 def pmf_mean(pmf: Pmf):
@@ -401,14 +376,17 @@ def expectation_identity_check(params: AvalancheParams) -> bool:
         (1-Np)/(1-(N-1)p) * sum_k k^(k-1) C(N-1,k-1) p^(k-1) (1-kp)^(N-k-1)
             == 1/(1-(N-1)p).
 
-    The left side is sum_k k * n_k / D over the abelian law's integer
-    numerators n_k and denominator D; it is compared, as one integer
-    equation, against the independent closed-form mean
-    abelian_mean_closed_form.
+    With t the kernel at n = N-1 and p = u/v, the abelian law's integer
+    numerators are (v-Nu) t_{k-1} / (v-ku) over (v-(N-1)u) v^(N-1) / v: each
+    t_{k-1} with k < N carries v-ku to a positive power, and at k = N the
+    division cancels v-Nu.  The left side, sum_k k times those numerators,
+    is compared as one integer equation against the independent closed-form
+    mean abelian_mean_closed_form.
     """
-    nums, den = _abelian_numerators(params)
     mean = abelian_mean_closed_form(params)
-    lhs = sum(k * t for k, t in enumerate(nums, 1))
+    N, u, v = params.N, params.p.numerator, params.p.denominator
+    head, den = v - N * u, (v - (N - 1) * u) * v ** (N - 1) // v  # at N = 1, v/v
+    lhs = sum(k * (head * _abel_term(N - 1, k - 1, u, v) // (v - k * u)) for k in range(1, N + 1))
     return lhs * mean.denominator == mean.numerator * den
 
 

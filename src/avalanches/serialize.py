@@ -64,6 +64,14 @@ def parse_rational(text: str) -> Fraction:
         raise DomainError(f"cannot parse a rational of {len(text)} characters: {exc}")
 
 
+def _json_int(x, field: str) -> int:
+    """A stored integer field as read by json.load; int() would truncate a
+    float and turn a bool into 0 or 1, so both are refused."""
+    if type(x) is not int:
+        raise DomainError(f"{field} must be a JSON integer, got {x!r}")
+    return x
+
+
 def decimal_str(x, sig_digits: int = DEFAULT_SIG_DIGITS) -> str:
     """Decimal rendering of an exact rational or float at the given precision.
 
@@ -148,7 +156,7 @@ def pmf_from_json_dict(d: dict) -> Pmf:
     else:
         probs = tuple(float(p) for p in d["probs"])
     return Pmf(
-        support=tuple(int(a) for a in d["support"]),
+        support=tuple(_json_int(a, "support value") for a in d["support"]),
         probs=probs,
         exact=exact,
         label=str(d["label"]),
@@ -178,10 +186,10 @@ def simresult_to_json_dict(res: SimResult) -> dict:
 def simresult_from_json_dict(d: dict) -> SimResult:
     known = {"model", "trials", "seed", "shards", "histogram"}
     return SimResult(
-        histogram={int(a): int(c) for a, c in d["histogram"].items()},
-        trials=int(d["trials"]),
-        seed=int(d["seed"]),
-        shards=int(d["shards"]),
+        histogram={int(a): _json_int(c, "histogram count") for a, c in d["histogram"].items()},
+        trials=_json_int(d["trials"], "trials"),
+        seed=_json_int(d["seed"], "seed"),
+        shards=_json_int(d["shards"], "shards"),
         model=str(d["model"]),
         params={k: v for k, v in d.items() if k not in known},
     )

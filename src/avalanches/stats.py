@@ -78,8 +78,8 @@ def chi_square_gof(res: SimResult, expected: Pmf, min_expected: float = 5.0) -> 
     one.  The p-value is the upper chi-square tail via the regularized
     incomplete gamma below.
     """
-    if min_expected <= 0:
-        raise DomainError(f"min_expected must be > 0, got {min_expected}")
+    if not (math.isfinite(min_expected) and min_expected > 0):
+        raise DomainError(f"min_expected must be finite and > 0, got {min_expected}")
     support = sorted(set(expected.support) | set(res.histogram))
     observed = [float(res.histogram.get(a, 0)) for a in support]
     expected_counts = [float(expected.prob(a)) * res.trials for a in support]

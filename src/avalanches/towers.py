@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import AvalancheParams, Pmf, _abel_numerators, _exact_pmf, avalanche_pmf
+from .distributions import AvalancheParams, Pmf, _abel_numerators, avalanche_pmf
 from .errors import DomainError, ResourceLimitError
 from .sampling import (
     SimResult,
@@ -323,4 +323,11 @@ def avalanche_pmf_general(ps: Sequence[Fraction]) -> Pmf:
     nums = _abel_numerators(list(groups.items()), v)
     den = v**n
     label = f"avalanche-general(N={n})"
-    return _exact_pmf(0, nums, den, label, lambda terms: [Fraction(t, den) for t in terms])
+    if sum(nums) != den:
+        raise DomainError(f"exact pmf {label}: numerators do not sum to the denominator")
+    return Pmf(
+        support=tuple(range(n + 1)),
+        probs=tuple(Fraction(t, den) for t in nums),
+        exact=True,
+        label=label,
+    )

@@ -761,6 +761,48 @@ class TestCompareCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "nan" in err
 
+    def test_repeated_support_value(self, capsys, tmp_path):
+        # keeping one probability per value would drop 1/4 of the expected mass
+        sim_path, pmf_path = self.stored_run(capsys, tmp_path)
+        doc = {"exact": True, "support": [0, 0, 1], "probs": ["1/2", "1/4", "1/4"], "label": "d"}
+        pmf_path.write_text(json.dumps(doc), encoding="utf-8")
+        self.assert_usage_error(capsys, "compare", "--sim", str(sim_path), "--pmf", str(pmf_path))
+
+    @pytest.mark.parametrize(
+        "which, field, value",
+        [
+            ("pmf", "support", [0.9, 1.9, 2.9]),
+            ("pmf", "support", [True, 2, 3]),
+            ("sim", "trials", 1000.0),
+            ("sim", "seed", 3.5),
+            ("sim", "shards", 1.0),
+            ("sim", "histogram", None),
+        ],
+    )
+    def test_non_integer_stored_field(self, capsys, tmp_path, which, field, value):
+        # int() would truncate a float and read a bool as 0 or 1
+        paths = dict(zip(("sim", "pmf"), self.stored_run(capsys, tmp_path)))
+        doc = json.loads(paths[which].read_text(encoding="utf-8"))
+        if field == "histogram":
+            value = {a: float(c) for a, c in doc["histogram"].items()}
+        doc[field] = value
+        paths[which].write_text(json.dumps(doc), encoding="utf-8")
+        rc, out, err = run_cli(
+            capsys, "compare", "--sim", str(paths["sim"]), "--pmf", str(paths["pmf"])
+        )
+        assert (rc, out) == (2, "")
+        assert err.count("\n") == 1 and "must be a JSON integer" in err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_min_expected_must_be_finite(self, capsys, tmp_path, bad):
+        sim_path, pmf_path = self.stored_run(capsys, tmp_path)
+        rc, out, err = run_cli(
+            capsys,
+            "compare", "--sim", str(sim_path), "--pmf", str(pmf_path), f"--min-expected={bad}",
+        )
+        assert (rc, out) == (2, "")
+        assert err.count("\n") == 1 and "min_expected must be finite" in err
+
 
 class TestReproducibility:
     def test_byte_identical_reruns(self, capsys, tmp_path):

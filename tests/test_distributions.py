@@ -22,6 +22,7 @@ from avalanches.distributions import (
     tail_log_ratio,
 )
 import avalanches.distributions as dist
+import avalanches.towers as towers
 from avalanches.distributions import _abel_numerators, _abel_term
 from avalanches.errors import DomainError
 
@@ -59,8 +60,13 @@ class TestAbelKernel:
     def test_negative_exponent(self):
         # the b = 0 weight 1^(-1) stays the integer 1, never the float 1.0
         assert _abel_numerators([(2, 0)], 7) == [1]
-        assert all(type(t) is int for t in _abel_numerators([(2, 5)], 11))
+        assert all(type(_abel_term(5, b, 2, 11)) is int for b in range(6))
         assert all(type(t) is int for t in _abel_numerators([(2, 3), (1, 2)], 11))
+
+    @pytest.mark.parametrize("n,u,v", [(0, 1, 3), (1, 1, 2), (6, 1, 7), (9, 3, 40), (12, 0, 5)])
+    def test_one_group_is_the_single_mass_kernel(self, n, u, v):
+        # the grouped product with one mass expands to the closed-form term
+        assert _abel_numerators([(u, n)], v) == [_abel_term(n, b, u, v) for b in range(n + 1)]
 
     @given(
         st.integers(0, 40).flatmap(
@@ -76,7 +82,7 @@ class TestAbelKernel:
     def test_numerators_sum_to_denominator(self, case):
         # Abel's identity on the integers: sum_b t_b == v**n for 0 <= n*u <= v
         n, (u, v) = case
-        nums = _abel_numerators([(u, n)], v)
+        nums = [_abel_term(n, b, u, v) for b in range(n + 1)]
         assert len(nums) == n + 1
         assert all(t >= 0 for t in nums)
         assert sum(nums) == v**n
@@ -189,6 +195,22 @@ class TestAbelianPmf:
                 assert sum(pmf.probs) == 1
                 assert pmf_mean(pmf) == abelian_mean_closed_form(params)
 
+    @pytest.mark.parametrize(
+        "n,p",
+        [
+            (n, p)
+            for n in (1, 2, 7, 40)
+            for p in (F(0), F(1, 2 * n), F(1, n) - F(1, 10**9 * n))
+        ],
+    )
+    def test_is_reweighted_conditional_law(self, n, p):
+        # p_k = (1-Np) / ((1-kp)(1-(N-1)p)) P_cond(k), term by term
+        params = AvalancheParams(n, p)
+        abel, cond = abelian_pmf(params), conditional_pmf(params)
+        assert abel.support == cond.support == tuple(range(1, n + 1))
+        for k, x, c in zip(abel.support, abel.probs, cond.probs):
+            assert x == (1 - n * p) / ((1 - k * p) * (1 - (n - 1) * p)) * c
+
 
 class TestConditionalPmf:
     @pytest.mark.parametrize("q", [F(0), F(1, 4), F(2, 5)])
@@ -277,11 +299,11 @@ def reference_probs(law, n, p):
     gcd: the abelian law in its original form, over (v-(N-1)u) v^(N-1)."""
     u, v = p.numerator, p.denominator
     if law == "avalanche":
-        return [F(t, v**n) for t in _abel_numerators([(u, n)], v)]
+        return [F(_abel_term(n, b, u, v), v**n) for b in range(n + 1)]
     if law == "conditional":
-        return [F(t, v ** (n - 1)) for t in _abel_numerators([(u, n - 1)], v)]
+        return [F(_abel_term(n - 1, b, u, v), v ** (n - 1)) for b in range(n)]
     head, den = v * (v - n * u), (v - (n - 1) * u) * v ** (n - 1)
-    ts = _abel_numerators([(u, n - 1)], v)
+    ts = [_abel_term(n - 1, b, u, v) for b in range(n)]
     return [F(head * t // (v - k * u), den) for k, t in enumerate(ts, 1)]
 
 
@@ -537,10 +559,17 @@ class TestPmfValidation:
 
     def test_numerators_must_sum_to_the_denominator(self, monkeypatch):
         # the identity is asserted on the integers before any term is reduced
-        true = dist._abel_numerators
-        monkeypatch.setattr(dist, "_abel_numerators", lambda *args: [t + 1 for t in true(*args)])
+        true_term = dist._abel_term
+        monkeypatch.setattr(dist, "_abel_term", lambda *args: true_term(*args) + 1)
+        for law in (avalanche_pmf, conditional_pmf):
+            with pytest.raises(DomainError, match="do not sum"):
+                law(AvalancheParams(3, F(1, 5)))
+        true_nums = towers._abel_numerators
+        monkeypatch.setattr(
+            towers, "_abel_numerators", lambda *args: [t + 1 for t in true_nums(*args)]
+        )
         with pytest.raises(DomainError, match="do not sum"):
-            avalanche_pmf(AvalancheParams(3, F(1, 5)))
+            towers.avalanche_pmf_general([F(1, 5), F(1, 7), F(1, 7)])
 
     def test_prob_off_support(self):
         pmf = avalanche_pmf(AvalancheParams(2, F(1, 8)))
@@ -552,6 +581,9 @@ class TestPmfValidation:
         floating = limit_pmf(LimitParams(0.5, 3))
         assert type(floating.prob(9)) is float and floating.prob(9) == 0.0
 
-    def test_repeated_support_value_keeps_first_probability(self):
-        pmf = Pmf(support=(0, 0), probs=(0.25, 0.75), exact=False, label="dup")
-        assert pmf.prob(0) == 0.25
+    def test_repeated_support_value_refused(self):
+        # a second probability for one value would be lost from the index
+        with pytest.raises(DomainError, match="repeated support value"):
+            Pmf(support=(0, 0), probs=(0.25, 0.75), exact=False, label="dup")
+        with pytest.raises(DomainError, match="repeated support value"):
+            Pmf(support=(0, 0, 1), probs=(F(1, 2), F(1, 4), F(1, 4)), exact=True, label="dup")

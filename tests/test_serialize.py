@@ -170,6 +170,13 @@ class TestPmfSerialization:
         assert back.probs == pmf.probs
         assert back.deficit == pmf.deficit
 
+    @pytest.mark.parametrize("support", [[0.9, 1.9], [True, 2], [0, "1"]])
+    def test_support_values_must_be_json_integers(self, support):
+        # int() would read [0.9, 1.9] as [0, 1] and [true, 2] as [1, 2]
+        d = {"exact": True, "support": support, "probs": ["1/2", "1/2"], "label": "x"}
+        with pytest.raises(DomainError, match="support value must be a JSON integer"):
+            pmf_from_json_dict(d)
+
     def test_csv_shape(self):
         text = pmf_to_csv(avalanche_pmf(AvalancheParams(2, F(1, 4))), sig_digits=4)
         assert text == "a,prob\n0,0.5625\n1,0.25\n2,0.1875\n"
@@ -190,6 +197,30 @@ class TestSimResultSerialization:
         assert d["coords"] == [[8, 1, 4], [8, 1, 4]]
         assert d["histogram"] == {"0": 5, "2": 3}
         assert simresult_from_json_dict(d) == res
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("trials", 8.0),
+            ("trials", 8.9),
+            ("seed", 42.5),
+            ("seed", True),
+            ("shards", 2.0),
+            ("shards", "2"),
+        ],
+    )
+    def test_scalar_fields_must_be_json_integers(self, field, value):
+        d = {"model": "urn", "trials": 8, "seed": 42, "shards": 2, "histogram": {"0": 5, "2": 3}}
+        d[field] = value
+        with pytest.raises(DomainError, match=f"{field} must be a JSON integer"):
+            simresult_from_json_dict(d)
+
+    @pytest.mark.parametrize("count", [5.0, 5.5, True])
+    def test_histogram_counts_must_be_json_integers(self, count):
+        # int() would read trials 100.9 with counts 50.5 and 50.4 as 100 = 50 + 50
+        d = {"model": "urn", "trials": 8, "seed": 0, "shards": 1, "histogram": {"0": count, "2": 3}}
+        with pytest.raises(DomainError, match="histogram count must be a JSON integer"):
+            simresult_from_json_dict(d)
 
     def test_csv(self):
         res = SimResult(histogram={1: 2, 0: 6}, trials=8, seed=0, shards=1, model="urn")

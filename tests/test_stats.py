@@ -163,6 +163,12 @@ class TestChiSquareGof:
         with pytest.raises(DomainError):
             chi_square_gof(sim({0: 50, 1: 50}), uniform_pmf(2), min_expected=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_min_expected_must_be_finite(self, bad):
+        # no bin's expected count ever reaches nan or inf
+        with pytest.raises(DomainError, match="min_expected must be finite"):
+            chi_square_gof(sim({0: 50, 1: 50}), uniform_pmf(2), min_expected=bad)
+
     def test_seeded_urn_run_fixture(self):
         cfg = UrnConfig(2, 4)
         res = simulate_urns(cfg, 10**5, seed=7)
