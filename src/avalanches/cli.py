@@ -136,7 +136,7 @@ def _load_json(path: str, from_dict):
         raise DomainError(f"{path} is not valid JSON: {exc}")
     except KeyError as exc:
         raise DomainError(f"{path} is missing the field {exc}")
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
         raise DomainError(f"{path} is not a valid document: {exc}")
 
 

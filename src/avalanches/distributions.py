@@ -1,20 +1,20 @@
 """Closed-form avalanche-size distributions, their limit law, and tail analysis.
 
-The avalanche and conditional laws, the mean identity and, with masses
-grouped, the heterogeneous tower law share one integer kernel: with
-p = u/v, the numerators
+The avalanche and conditional laws and the mean identity share one integer
+kernel, _abel_term: with p = u/v, the numerators
 
     t_b = (b+1)^(b-1) C(n,b) u^b (v-(b+1)u)^(n-b),   b = 0..n,
 
 put the avalanche law at n over the single denominator v^n, and Abel's
-identity says they sum to exactly v^n.  The avalanche, conditional and
-heterogeneous laws assert that identity on their integers before they
-reduce any term.  The conditional law is the kernel at n = N-1
-shifted up by one, and the abelian law is the conditional law reweighted,
+identity says they sum to exactly v^n.  The avalanche and conditional laws
+assert that identity on their integers before they reduce any term.  The
+conditional law is the kernel at n = N-1 shifted up by one, and the abelian
+law is the conditional law reweighted,
 
     p_k = (1-Np) / ((1-kp)(1-(N-1)p)) P_cond(k),   k = 1..N,
 
-its mass checked exactly by the Pmf once its terms are reweighted.
+its mass checked exactly by the Pmf once its terms are reweighted.  The
+heterogeneous tower law, with one mass per coordinate, lives in towers.
 
 The kernel's terms at (n, u/v) are put in lowest terms without a gcd on
 the big integers, by this lemma.  A prime q dividing both t_b and v does
@@ -30,8 +30,7 @@ over the primes q <= n+1 dividing v, with
 and the binomial's exponent by Legendre's formula: small-integer arithmetic
 only.  A cheap gcd against v then proves each reduced term is in lowest
 terms.  The abelian law multiplies those reduced terms by its small
-rational weights.  The heterogeneous law has no factored form and reduces
-with Fraction's gcd.  The large-population limit law is floating point,
+rational weights.  The large-population limit law is floating point,
 computed in log space, with its truncation deficit reported rather than
 hidden.
 """
@@ -43,7 +42,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb
-from typing import Sequence
 
 from .errors import DomainError
 
@@ -168,27 +166,6 @@ def _abel_term(n: int, b: int, u: int, v: int) -> int:
     """
     weight = (b + 1) ** (b - 1) if b else 1
     return comb(n, b) * u**b * weight * (v - (b + 1) * u) ** (n - b)
-
-
-def _abel_numerators(groups: Sequence[tuple[int, int]], v: int) -> list[int]:
-    """t_0..t_n of the avalanche law with m_g of the n = sum(m_g) coordinates
-    at mass u_g/v, for each pair (u_g, m_g) in ``groups``:
-
-        t_b = (b+1)^(b-1) [t^b] prod_g (v - (b+1)u_g + t u_g)^(m_g),
-
-    so that P(b) = t_b / v^n; for 0 <= n*u_g <= v they sum to v^n.  The
-    coefficients up to t^b are multiplied by each coordinate's factor in
-    turn.  One group is _abel_term, which the single-mass laws call directly.
-    """
-    nums = []
-    for b in range(sum(m for _, m in groups) + 1):
-        coeffs = [1] + [0] * b
-        for u, m in groups:
-            c = v - (b + 1) * u
-            for _ in range(m):
-                coeffs = [c * x + u * y for x, y in zip(coeffs, [0] + coeffs)]
-        nums.append(((b + 1) ** (b - 1) if b else 1) * coeffs[b])
-    return nums
 
 
 def _valuation(x: int, q: int) -> int:

@@ -64,12 +64,27 @@ def parse_rational(text: str) -> Fraction:
         raise DomainError(f"cannot parse a rational of {len(text)} characters: {exc}")
 
 
-def _json_int(x, field: str) -> int:
-    """A stored integer field as read by json.load; int() would truncate a
-    float and turn a bool into 0 or 1, so both are refused."""
-    if type(x) is not int:
-        raise DomainError(f"{field} must be a JSON integer, got {x!r}")
+def _json_typed(x, kind: str, field: str):
+    """A stored field as read by json.load, refused unless it has the JSON
+    type it is written as: int() would truncate a float and turn a bool into
+    0 or 1, float() reads the string "0.5", and bool() the string "false" as
+    true.  A JSON number is an int or a float, but not a bool."""
+    types = {"integer": (int,), "number": (int, float), "string": (str,), "boolean": (bool,)}
+    if type(x) not in types[kind]:
+        raise DomainError(f"{field} must be a JSON {kind}, got {x!r}")
     return x
+
+
+def _histogram_key(key: str) -> int:
+    """A histogram key as written, str(a) for a size a >= 0.  int() alone
+    would also read "00", " 1" and "+1", so two keys could name one size."""
+    try:
+        a = int(key)
+    except ValueError:
+        a = -1
+    if a < 0 or key != str(a):
+        raise DomainError(f"histogram key must be a size a >= 0 written as str(a), got {key!r}")
+    return a
 
 
 def decimal_str(x, sig_digits: int = DEFAULT_SIG_DIGITS) -> str:
@@ -150,17 +165,17 @@ def pmf_to_json_dict(pmf: Pmf) -> dict:
 
 @unlimited_int_digits()
 def pmf_from_json_dict(d: dict) -> Pmf:
-    exact = bool(d["exact"])
+    exact = _json_typed(d["exact"], "boolean", "exact")
     if exact:
-        probs = tuple(parse_rational(str(p)) for p in d["probs"])
+        probs = tuple(parse_rational(_json_typed(p, "string", "exact prob")) for p in d["probs"])
     else:
-        probs = tuple(float(p) for p in d["probs"])
+        probs = tuple(float(_json_typed(p, "number", "prob")) for p in d["probs"])
     return Pmf(
-        support=tuple(_json_int(a, "support value") for a in d["support"]),
+        support=tuple(_json_typed(a, "integer", "support value") for a in d["support"]),
         probs=probs,
         exact=exact,
-        label=str(d["label"]),
-        deficit=float(d["deficit"]) if "deficit" in d else None,
+        label=_json_typed(d["label"], "string", "label"),
+        deficit=float(_json_typed(d["deficit"], "number", "deficit")) if "deficit" in d else None,
     )
 
 
@@ -185,12 +200,16 @@ def simresult_to_json_dict(res: SimResult) -> dict:
 
 def simresult_from_json_dict(d: dict) -> SimResult:
     known = {"model", "trials", "seed", "shards", "histogram"}
+    histogram = {
+        _histogram_key(a): _json_typed(c, "integer", "histogram count")
+        for a, c in d["histogram"].items()
+    }
     return SimResult(
-        histogram={int(a): _json_int(c, "histogram count") for a, c in d["histogram"].items()},
-        trials=_json_int(d["trials"], "trials"),
-        seed=_json_int(d["seed"], "seed"),
-        shards=_json_int(d["shards"], "shards"),
-        model=str(d["model"]),
+        histogram=histogram,
+        trials=_json_typed(d["trials"], "integer", "trials"),
+        seed=_json_typed(d["seed"], "integer", "seed"),
+        shards=_json_typed(d["shards"], "integer", "shards"),
+        model=_json_typed(d["model"], "string", "model"),
         params={k: v for k, v in d.items() if k not in known},
     )
 

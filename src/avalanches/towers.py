@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import AvalancheParams, Pmf, _abel_numerators, avalanche_pmf
+from .distributions import AvalancheParams, Pmf, avalanche_pmf
 from .errors import DomainError, ResourceLimitError
 from .sampling import (
     SimResult,
@@ -288,6 +288,28 @@ def tower_pmf_bruteforce(sys: TowerSystem) -> Pmf:
     )
 
 
+def _general_numerators(us: Sequence[int], v: int) -> list[int]:
+    """t_0..t_N of the avalanche law with coordinate i at mass u_i/v:
+
+        t_b = (b+1)^(b-1) [t^b] prod_i (v - (b+1)u_i + t u_i),
+
+    so that P(b) = t_b / v^N.  With s = t - (b+1) every factor is v + s u_i,
+    so Q(s) = prod_i (v + s u_i) = sum_j q_j s^j is one polynomial for all
+    b, expanded once in O(N^2); [t^b] Q(t - (b+1)) = sum_{j>=b} q_j C(j,b)
+    (-(b+1))^(j-b) then takes O(N) per b by Horner's rule in -(b+1).
+    """
+    q = [1]
+    for u in us:
+        q = [v * x + u * y for x, y in zip(q + [0], [0] + q)]
+    nums = []
+    for b in range(len(us) + 1):
+        acc = 0
+        for j in range(len(us), b - 1, -1):
+            acc = acc * -(b + 1) + math.comb(j, b) * q[j]
+        nums.append(((b + 1) ** (b - 1) if b else 1) * acc)
+    return nums
+
+
 def avalanche_pmf_general(ps: Sequence[Fraction]) -> Pmf:
     """Exact avalanche law for excitation masses p_1..p_N, one per coordinate.
 
@@ -302,8 +324,8 @@ def avalanche_pmf_general(ps: Sequence[Fraction]) -> Pmf:
     of a fixed firing set S sum to multinomial(a; k_1..k_r) *
     k_1^{k_2}...k_{r-1}^{k_r} * prod_{S} p_i, and the composition sum is
     (a+1)^(a-1) by the paper's identity.  So P(A=a) = (a+1)^(a-1) [t^a]
-    prod_i ((1 - (a+1) p_i) + t p_i), which _abel_numerators evaluates over
-    the lcm of the denominators, with equal masses grouped.
+    prod_i ((1 - (a+1) p_i) + t p_i), which _general_numerators evaluates
+    over the lcm of the denominators from one shifted polynomial.
 
     One distinct mass is the single-mass law, avalanche_pmf, whose terms are
     reduced by prime exponents.  Several masses leave no factored form to
@@ -319,8 +341,7 @@ def avalanche_pmf_general(ps: Sequence[Fraction]) -> Pmf:
     if len(set(ps)) == 1:
         return avalanche_pmf(AvalancheParams(n, ps[0]))
     v = math.lcm(*(p.denominator for p in ps))
-    groups = Counter(p.numerator * (v // p.denominator) for p in ps)
-    nums = _abel_numerators(list(groups.items()), v)
+    nums = _general_numerators([p.numerator * (v // p.denominator) for p in ps], v)
     den = v**n
     label = f"avalanche-general(N={n})"
     if sum(nums) != den:

@@ -793,6 +793,40 @@ class TestCompareCommand:
         assert (rc, out) == (2, "")
         assert err.count("\n") == 1 and "must be a JSON integer" in err
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"probs": ["0.5625", "0.25", "0.1875"]}, "must be a JSON number"),
+            ({"probs": [0.5625, True, 0.1875], "deficit": "-0.75"}, "must be a JSON number"),
+            ({"exact": "false"}, "must be a JSON boolean"),
+            ({"label": ["x"]}, "must be a JSON string"),
+            ({"probs": [10**400, 0, 0]}, "too large to convert to float"),
+        ],
+    )
+    def test_stored_float_pmf_fields_keep_their_json_types(
+        self, capsys, tmp_path, fields, message
+    ):
+        # float() would read the strings and true as numbers, and the document
+        # would pass with tv 0.0115 against this run
+        sim_path, pmf_path = self.stored_run(capsys, tmp_path)
+        doc = {"exact": False, "support": [0, 1, 2], "probs": [0.5625, 0.25, 0.1875], "label": "f"}
+        pmf_path.write_text(json.dumps({**doc, **fields}), encoding="utf-8")
+        rc, out, err = run_cli(capsys, "compare", "--sim", str(sim_path), "--pmf", str(pmf_path))
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+    @pytest.mark.parametrize("key", ["00", " 1", "+2"])
+    def test_stored_histogram_keys_must_be_canonical(self, capsys, tmp_path, key):
+        # int() would read a copy of a size's count under a second key as the
+        # same size, and the counts, stored summing past the trials, would pass
+        sim_path, pmf_path = self.stored_run(capsys, tmp_path)
+        doc = json.loads(sim_path.read_text(encoding="utf-8"))
+        doc["histogram"][key] = doc["histogram"][str(int(key))]
+        sim_path.write_text(json.dumps(doc), encoding="utf-8")
+        rc, out, err = run_cli(capsys, "compare", "--sim", str(sim_path), "--pmf", str(pmf_path))
+        assert (rc, out) == (2, "")
+        assert err.count("\n") == 1 and "histogram key must be" in err
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_min_expected_must_be_finite(self, capsys, tmp_path, bad):
         sim_path, pmf_path = self.stored_run(capsys, tmp_path)

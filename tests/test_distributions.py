@@ -23,7 +23,7 @@ from avalanches.distributions import (
 )
 import avalanches.distributions as dist
 import avalanches.towers as towers
-from avalanches.distributions import _abel_numerators, _abel_term
+from avalanches.distributions import _abel_term
 from avalanches.errors import DomainError
 
 # (N, p) grid covering the interior, p = 0, and the closed right boundary,
@@ -49,6 +49,19 @@ def params_strategy():
     )
 
 
+def general_numerators_by_product(us, v):
+    """Literal [t^b] reference for towers._general_numerators: the product
+    prod_i (v - (b+1)u_i + t u_i) multiplied out afresh for every b."""
+    nums = []
+    for b in range(len(us) + 1):
+        coeffs = [1]
+        for u in us:
+            c = v - (b + 1) * u
+            coeffs = [c * x + u * y for x, y in zip(coeffs + [0], [0] + coeffs)]
+        nums.append(((b + 1) ** (b - 1) if b else 1) * coeffs[b])
+    return nums
+
+
 class TestAbelKernel:
     def test_zero_exponent_always_one(self):
         # boundary factors v-(b+1)u that are 0 or negative only appear to
@@ -59,14 +72,15 @@ class TestAbelKernel:
 
     def test_negative_exponent(self):
         # the b = 0 weight 1^(-1) stays the integer 1, never the float 1.0
-        assert _abel_numerators([(2, 0)], 7) == [1]
+        assert towers._general_numerators([], 7) == [1]
         assert all(type(_abel_term(5, b, 2, 11)) is int for b in range(6))
-        assert all(type(t) is int for t in _abel_numerators([(2, 3), (1, 2)], 11))
+        assert all(type(t) is int for t in towers._general_numerators([2, 2, 2, 1, 1], 11))
 
     @pytest.mark.parametrize("n,u,v", [(0, 1, 3), (1, 1, 2), (6, 1, 7), (9, 3, 40), (12, 0, 5)])
     def test_one_group_is_the_single_mass_kernel(self, n, u, v):
-        # the grouped product with one mass expands to the closed-form term
-        assert _abel_numerators([(u, n)], v) == [_abel_term(n, b, u, v) for b in range(n + 1)]
+        # one repeated mass gives the closed-form single-mass term
+        single = [_abel_term(n, b, u, v) for b in range(n + 1)]
+        assert towers._general_numerators([u] * n, v) == single
 
     @given(
         st.integers(0, 40).flatmap(
@@ -88,28 +102,28 @@ class TestAbelKernel:
         assert sum(nums) == v**n
 
     @given(
-        st.lists(st.integers(0, 4), min_size=1, max_size=4).flatmap(
-            lambda ms: st.integers(max(sum(ms), 1), 10**4).flatmap(
-                lambda v: st.tuples(
+        st.integers(1, 20).flatmap(
+            lambda n: st.integers(1, 10**4).flatmap(
+                lambda k: st.tuples(
                     st.lists(
-                        st.integers(0, v // max(sum(ms), 1)),
-                        min_size=len(ms),
-                        max_size=len(ms),
-                    ).map(lambda us: list(zip(us, ms))),
-                    st.just(v),
+                        st.one_of(st.sampled_from([0, 1, k]), st.integers(0, k)),
+                        min_size=n,
+                        max_size=n,
+                    ),
+                    st.just(n * k),
                 )
             )
         )
     )
     @settings(max_examples=80, deadline=None)
     def test_grouped_numerators_sum_to_denominator(self, case):
-        # the heterogeneous kernel is a law too: sum_b t_b == v**N whenever N*u_g <= v
-        groups, v = case
-        n = sum(m for _, m in groups)
-        nums = _abel_numerators(groups, v)
-        assert len(nums) == n + 1
+        # up to 20 masses u_i/v <= 1/N, with repeats, zeros and the closed
+        # boundary 1/N: the kernel is the literal [t^b] product, and a law
+        us, v = case
+        nums = towers._general_numerators(us, v)
+        assert nums == general_numerators_by_product(us, v)
         assert all(t >= 0 for t in nums)
-        assert sum(nums) == v**n
+        assert sum(nums) == v ** len(us)
 
 
 class TestAvalanchePmf:
@@ -564,9 +578,9 @@ class TestPmfValidation:
         for law in (avalanche_pmf, conditional_pmf):
             with pytest.raises(DomainError, match="do not sum"):
                 law(AvalancheParams(3, F(1, 5)))
-        true_nums = towers._abel_numerators
+        true_nums = towers._general_numerators
         monkeypatch.setattr(
-            towers, "_abel_numerators", lambda *args: [t + 1 for t in true_nums(*args)]
+            towers, "_general_numerators", lambda *args: [t + 1 for t in true_nums(*args)]
         )
         with pytest.raises(DomainError, match="do not sum"):
             towers.avalanche_pmf_general([F(1, 5), F(1, 7), F(1, 7)])

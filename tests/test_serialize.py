@@ -177,6 +177,29 @@ class TestPmfSerialization:
         with pytest.raises(DomainError, match="support value must be a JSON integer"):
             pmf_from_json_dict(d)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"probs": ["0.5625", "0.25", "0.1875"]}, "prob must be a JSON number"),
+            ({"probs": [0.5625, True, 0.1875]}, "prob must be a JSON number"),
+            ({"deficit": "-0.75"}, "deficit must be a JSON number"),
+            ({"deficit": False}, "deficit must be a JSON number"),
+            ({"exact": "false"}, "exact must be a JSON boolean"),
+            ({"exact": 0}, "exact must be a JSON boolean"),
+            ({"label": 7}, "label must be a JSON string"),
+            ({"exact": True, "probs": [1, 0, 0]}, "exact prob must be a JSON string"),
+        ],
+    )
+    def test_fields_must_have_their_json_types(self, fields, message):
+        # float() reads "0.5" and true as numbers, bool() reads "false" as true
+        d = {"exact": False, "support": [0, 1, 2], "probs": [0.5, 0.25, 0.25], "label": "x"}
+        with pytest.raises(DomainError, match=message):
+            pmf_from_json_dict({**d, **fields})
+
+    def test_json_numbers_are_floating_probs(self):
+        d = {"exact": False, "support": [0, 1], "probs": [1, 0], "label": "x", "deficit": 0}
+        assert pmf_from_json_dict(d).probs == (1.0, 0.0)
+
     def test_csv_shape(self):
         text = pmf_to_csv(avalanche_pmf(AvalancheParams(2, F(1, 4))), sig_digits=4)
         assert text == "a,prob\n0,0.5625\n1,0.25\n2,0.1875\n"
@@ -220,6 +243,18 @@ class TestSimResultSerialization:
         # int() would read trials 100.9 with counts 50.5 and 50.4 as 100 = 50 + 50
         d = {"model": "urn", "trials": 8, "seed": 0, "shards": 1, "histogram": {"0": count, "2": 3}}
         with pytest.raises(DomainError, match="histogram count must be a JSON integer"):
+            simresult_from_json_dict(d)
+
+    def test_model_must_be_a_json_string(self):
+        d = {"model": ["urn"], "trials": 8, "seed": 0, "shards": 1, "histogram": {"0": 8}}
+        with pytest.raises(DomainError, match="model must be a JSON string"):
+            simresult_from_json_dict(d)
+
+    @pytest.mark.parametrize("key", ["00", "01", " 1", "1 ", "+1", "-1", "1.0", "1_0", "", "x"])
+    def test_histogram_keys_must_be_canonical(self, key):
+        # int() would read "0" and "00" as one size and add up neither
+        d = {"model": "urn", "trials": 8, "seed": 0, "shards": 1, "histogram": {"0": 5, key: 3}}
+        with pytest.raises(DomainError, match="histogram key must be"):
             simresult_from_json_dict(d)
 
     def test_csv(self):

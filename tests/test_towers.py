@@ -1,4 +1,5 @@
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction as F
 
@@ -12,6 +13,7 @@ from avalanches.sampling import SplitMix64, derive_stream, leading_run, shard_si
 from avalanches.stats import chi_square_gof, empirical_pmf, tv_distance
 from avalanches.towers import (
     CoordinateTower,
+    _general_numerators,
     _hit_times,
     avalanche_pmf_general,
     avalanche_size,
@@ -229,7 +231,7 @@ class TestBruteforce:
 class TestOracleSeparation:
     """The oracles reach their laws without the closed forms' kernels."""
 
-    FORBIDDEN = ("_abel_term", "_abel_numerators", "leading_run")
+    FORBIDDEN = ("_abel_term", "_general_numerators", "leading_run")
 
     def test_oracles_run_with_kernels_disabled(self, monkeypatch):
         import avalanches.distributions as dist_mod
@@ -343,6 +345,24 @@ class TestGeneralPmf:
         assert exact.label == "avalanche-general(N=50)"
         res = simulate_tower(sys_, 10**6, seed=1, shards=2)
         assert tv_distance(empirical_pmf(res, support_upper=sys_.N), exact) <= 0.01
+        assert chi_square_gof(res, exact).approx_p_value > 0.001
+
+    def test_hundred_distinct_masses(self):
+        # closed forms at both ends and the sum, then criterion 7's thresholds
+        # on a 10^6-trial campaign at L = 101..200
+        sys_ = make_tower_system([(L, 1, 100) for L in range(101, 201)])
+        ps, n = sys_.ps(), sys_.N
+        v = math.lcm(*range(101, 201))
+        us = [v // L for L in range(101, 201)]
+        nums = _general_numerators(us, v)
+        assert nums[0] == math.prod(v - u for u in us)
+        assert nums[n] == (n + 1) ** (n - 1) * math.prod(us)
+        assert sum(nums) == v**n
+        exact = avalanche_pmf_general(ps)
+        assert exact.probs[0] == math.prod(1 - p for p in ps)
+        assert exact.probs[n] == (n + 1) ** (n - 1) * math.prod(ps)
+        res = simulate_tower(sys_, 10**6, seed=1, shards=2)
+        assert tv_distance(empirical_pmf(res, support_upper=n), exact) <= 0.01
         assert chi_square_gof(res, exact).approx_p_value > 0.001
 
 
