@@ -58,8 +58,11 @@ from .urn import UrnConfig, simulate_urns, urn_pmf_bruteforce, urn_pmf_formula
 OUT_DIR_ENV = "AVALANCHES_OUT_DIR"
 
 # Caps on the size inputs, checked before any work (exit code 3).  Each keeps
-# a run in the seconds range on one core (2-vCPU Xeon): `identity --n 100`
-# takes about 3.5 s per sum, `pmf --N 2000` about 0.9 s plus 1.6 s of JSON at
+# a run in the seconds range on one core (2-vCPU Xeon): at `identity --n 100`
+# the sum takes 0.03 s (0.10 s with `--forest`), but `--s S` still runs the
+# layer walk to depth S and takes 3.6-4.4 s for S = 50..100, so the split
+# binds the cap;
+# `pmf --N 2000` takes about 0.9 s plus 1.6 s of JSON at
 # p = 1/2001, and `tail --amax 100000` about 2 s and 160 MiB.  Each CSV row
 # costs time and memory that grow with `pmf --digits`: at N = 2000,
 # p = 1/2001, `--digits 10000` computes the law and writes 19 MiB of CSV in

@@ -104,18 +104,18 @@ def cascade_weight(c: Composition) -> int:
     return w
 
 
-def _layer_sums(n: int, step, depth: int) -> tuple[list[int], dict[tuple[int, int], int]]:
+def _layer_sums(n: int, depth: int) -> tuple[list[int], dict[tuple[int, int], int]]:
     """For r = 1..depth, the sum over the r-part compositions (k_1,...,k_r) of n of
 
-        multinomial(n; k_1..k_r) * step(0, k_1) * step(k_1, k_2) * ... * step(k_{r-1}, k_r),
+        multinomial(n; k_1..k_r) * k_1^{k_2} * ... * k_{r-1}^{k_r},
 
     and the weights W_depth(last, rem) of the depth-part prefixes that leave rem >= 1.
 
     Layer r keeps one weight per state (last part, remainder): W_r(last, rem)
-    sums n!/(k_1!...k_r! rem!) * step(0, k_1) * ... * step(k_{r-1}, k_r) over
-    the prefixes ending in last that leave rem.  Part k extends a state by the
-    factor C(rem, k) * step(last, k); the layer sum is the weight reaching
-    rem = 0.  So the cost is polynomial in n, not 2^(n-1).
+    sums n!/(k_1!...k_r! rem!) * k_1^{k_2} * ... * k_{r-1}^{k_r} over the
+    prefixes ending in last that leave rem.  Part k extends a state by the
+    factor C(rem, k) * last^k (1 for the first part); the layer sum is the
+    weight reaching rem = 0.  So the cost is polynomial in n, not 2^(n-1).
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
@@ -126,26 +126,56 @@ def _layer_sums(n: int, step, depth: int) -> tuple[list[int], dict[tuple[int, in
         for (last, rem), w in layer.items():
             for k in range(1, rem + 1):
                 state = (k, rem - k)
-                nxt[state] = nxt.get(state, 0) + w * math.comb(rem, k) * step(last, k)
+                step = last**k if last else 1
+                nxt[state] = nxt.get(state, 0) + w * math.comb(rem, k) * step
         sums.append(sum(w for (_, rem), w in nxt.items() if rem == 0))
         layer = {state: w for state, w in nxt.items() if state[1]}
     return sums, layer
 
 
-def _cascade_step(last: int, k: int) -> int:
-    return last**k if last else 1
+def _lemma_table(n: int) -> list[list[int]]:
+    """The paper's auxiliary sums F(a, m) for a >= 1, a + m <= n, as table[m][a].
 
+    F(a, m) sums multinomial(m; k_1..k_r) * a^{k_1} * k_1^{k_2} * ... *
+    k_{r-1}^{k_r} over the compositions of m, a standing for the size of the
+    level above k_1; F(a, 0) = 1.  Splitting off the first part k gives the
+    recurrence
 
-def _forest_step(last: int, k: int) -> int:
-    return k ** (k - 1)
+        F(a, m) = sum_{k=1..m} C(m, k) * a^k * F(k, m - k),
+
+    whose coefficients c_k = C(m, k) * F(k, m - k) do not depend on a, so each
+    row is one polynomial in a, evaluated by Horner's rule.  The O(n^2)
+    entries cost O(n^3) products.  table[m][0] is a placeholder.
+    """
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
+    table = [[0] + [1] * n]
+    for m in range(1, n):
+        coeffs = [0] + [math.comb(m, k) * table[m - k][k] for k in range(1, m + 1)]
+        row = [0]
+        for a in range(1, n - m + 1):
+            acc = 0
+            for k in range(m, 0, -1):
+                acc = (acc + coeffs[k]) * a
+            row.append(acc)
+        table.append(row)
+    return table
 
 
 def identity_lhs(n: int) -> int:
     """Sum of multinomial(n,c) * cascade_weight(c) over all compositions c of n.
 
-    Equals identity_rhs(n) for every n.
+    Splitting off the first part k leaves the paper's auxiliary sum over the
+    rest (see _lemma_table):
+
+        identity_lhs(n) = sum_{k=1..n} C(n, k) * F(k, n - k),
+
+    with F(a, 0) = 1 and F(a, m) = sum_{k=1..m} C(m, k) * a^k * F(k, m - k).
+    The table takes O(n^3) products and no closed form, so the result is a
+    count to hold against identity_rhs(n), which it equals for every n.
     """
-    return sum(_layer_sums(n, _cascade_step, n)[0])
+    table = _lemma_table(n)
+    return sum(math.comb(n, k) * table[n - k][k] for k in range(1, n + 1))
 
 
 def identity_rhs(n: int) -> int:
@@ -175,9 +205,36 @@ def induction_step_check(n: int, s: int) -> tuple[int, int]:
         raise DomainError(f"n must be >= 1, got {n}")
     if not 1 <= s <= n:
         raise DomainError(f"s must lie in 1..{n}, got {s}")
-    sums, open_states = _layer_sums(n, _cascade_step, s)
+    sums, open_states = _layer_sums(n, s)
     remainder = sum(w * k * (k + rem) ** (rem - 1) for (k, rem), w in open_states.items())
     return sum(sums), remainder
+
+
+def _forest_layers(n: int) -> list[int]:
+    """For r = 1..n, the sum over the r-part compositions (k_1,...,k_r) of n of
+
+        multinomial(n; k_1..k_r) * k_1^(k_1-1) * ... * k_r^(k_r-1).
+
+    The factor of a part does not depend on the part before it, so layer r
+    keeps one weight per remainder: W_r(rem) sums n!/(k_1!...k_r! rem!) times
+    the factors over the r-part prefixes that leave rem, part k extends it by
+    C(rem, k) * k^(k-1), and the layer sum is W_r(0).  O(n^2) per layer.
+    """
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
+    step = [0] + [k ** (k - 1) for k in range(1, n + 1)]
+    sums = []
+    layer = [0] * n + [1]  # layer[rem]
+    for _ in range(n):
+        nxt = [0] * (n + 1)
+        for rem in range(1, n + 1):
+            w = layer[rem]
+            if w:
+                for k in range(1, rem + 1):
+                    nxt[rem - k] += w * math.comb(rem, k) * step[k]
+        sums.append(nxt[0])
+        layer = nxt
+    return sums
 
 
 def forest_identity_lhs(n: int) -> int:
@@ -191,7 +248,7 @@ def forest_identity_lhs(n: int) -> int:
     division is a bug, not an input error.
     """
     total = 0
-    for r, inner in enumerate(_layer_sums(n, _forest_step, n)[0], 1):
+    for r, inner in enumerate(_forest_layers(n), 1):
         q, rem = divmod(inner, math.factorial(r))
         if rem:
             raise AssertionError(f"layer r={r} of n={n} not divisible by r!")
@@ -201,7 +258,7 @@ def forest_identity_lhs(n: int) -> int:
 
 def forest_identity_ordered_sum(n: int) -> int:
     """The raw ordered sum (no 1/r!); differs from identity_rhs(n) for n >= 2."""
-    return sum(_layer_sums(n, _forest_step, n)[0])
+    return sum(_forest_layers(n))
 
 
 def _rooted_shapes(m: int) -> tuple[list[int], list[int], list[int]]:

@@ -5,19 +5,19 @@ B = {0..w-1} and excited top level U = {h*w .. h*w + w - 1}; the levels
 S^k(B), k = 0..h, are pairwise disjoint because (h+1)*w <= L, and the
 uniform measure gives U exact mass w/L.  Heights must exceed the coordinate
 count (h + 1 > N) so no coordinate can pass through its excited set twice
-within one cascade.  The exact oracle scores one state per tuple of hit
-classes with the literal cascade recursion and counts each tuple exactly,
-so it shares no arithmetic with the closed forms.
+within one cascade.  The cascade only counts coordinates by hit class, so
+the exact oracle scores one state per multiset of hit classes over all
+coordinates with the literal cascade recursion and counts each multiset
+exactly; it shares no arithmetic with the closed forms.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 from typing import Sequence
 
 import numpy as np
@@ -223,37 +223,57 @@ def _hit_classes(tower: CoordinateTower, n: int) -> dict[int, list[int]]:
     return classes
 
 
-def _group_choices(tower: CoordinateTower, m: int, n: int) -> list[tuple[list[int], int]]:
-    """For m identical coordinates, one (states, count) pair per multiset of hit classes.
+def _group_choices(
+    tower: CoordinateTower, m: int, n: int
+) -> list[tuple[tuple[int, ...], list[int], int]]:
+    """For m identical coordinates, one (combo, states, count) per multiset of hit classes.
 
-    ``states`` gives the coordinates one representative each, and ``count``
-    is the number of state tuples with that multiset: the multinomial
-    m!/(k_1!...k_j!) times the product of class size^k over the classes.
+    ``combo`` is the multiset as a sorted tuple, ``states`` gives the
+    coordinates one representative each, and ``count`` is the number of state
+    tuples with that multiset: the multinomial m!/(k_1!...k_j!) times the
+    product of class size^k over the classes.  The count is built along the
+    sorted tuple, the r-th member of a run of equal classes multiplying by
+    the class size and dividing by r; each division is exact, since m! over
+    the factorials of the runs so far is a whole number.
     """
     classes = _hit_classes(tower, n)
     choices = []
     for combo in combinations_with_replacement(sorted(classes), m):
-        count = math.factorial(m)
-        for l, k in Counter(combo).items():
-            count = count // math.factorial(k) * classes[l][0] ** k
-        choices.append(([classes[l][1] for l in combo], count))
+        count, run, prev = math.factorial(m), 0, None
+        for l in combo:
+            run = run + 1 if l == prev else 1
+            count = count * classes[l][0] // run
+            prev = l
+        choices.append((combo, [classes[l][1] for l in combo], count))
     return choices
 
 
+def _placed(x: list[int], positions: list[int], states: list[int]) -> list[int]:
+    """x with states[j] put at positions[j]."""
+    for i, xi in zip(positions, states):
+        x[i] = xi
+    return x
+
+
 def tower_pmf_bruteforce(sys: TowerSystem) -> Pmf:
-    """Exact avalanche law by scoring one state per tuple of hit classes.
+    """Exact avalanche law by scoring one state per multiset of hit classes.
 
     avalanche_trace reads coordinate i only through its hit class (see
-    _hit_classes), so two states whose coordinates lie in the same classes
-    have the same avalanche size.  Each coordinate type (L, w, h) is scanned
-    once, literally, for its class sizes and representatives; m coordinates
-    of one type take every multiset of m classes.  One representative state
-    per tuple of multisets is scored with avalanche_size and counted by the
-    product of the multinomials and class sizes.  Probabilities are
-    rationals with denominator prod(L_i).
+    _hit_classes), and only to count coordinates: A(x,1) is the number in
+    class 0, each later step the number in a class up to the last count.  So
+    the avalanche size depends only on the multiset of classes over all N
+    coordinates, whatever their types.  Each coordinate type (L, w, h) is
+    scanned once, literally, for its class sizes and representatives; m
+    coordinates of one type take every multiset of m classes.  The types are
+    merged one at a time into {multiset over the coordinates so far: count,
+    representative state}, the counts multiplying the multinomials and class
+    sizes, and one representative state per multiset over all coordinates is
+    scored with avalanche_size.  Probabilities are rationals with denominator
+    prod(L_i).
 
-    The cap bounds both the sum of the L_i and the number of tuples, taking
-    min(L, N+2) classes per coordinate type, and is checked before the scan.
+    The cap bounds both the sum of the L_i and the number of tuples of
+    per-type multisets, taking min(L, N+2) classes per coordinate type, and
+    is checked before the scan.
     """
     n = sys.N
     groups: dict[CoordinateTower, list[int]] = {}
@@ -268,15 +288,26 @@ def tower_pmf_bruteforce(sys: TowerSystem) -> Pmf:
         tuples *= math.comb(len(positions) + min(c.L, n + 2) - 1, len(positions))
     if tuples > cap:
         raise ResourceLimitError(f"{tuples} hit-class tuples exceed the cap of {cap}")
-    choices = [_group_choices(c, len(positions), n) for c, positions in groups.items()]
+    # {sorted classes: [count, representative state]}; the first type's
+    # multisets come out sorted and distinct, so they go in as they are
+    (c, positions), *rest = groups.items()
+    merged = {
+        combo: [k, _placed([0] * n, positions, states)]
+        for combo, states, k in _group_choices(c, len(positions), n)
+    }
+    for c, positions in rest:
+        choices = _group_choices(c, len(positions), n)
+        nxt: dict[tuple[int, ...], list] = {}
+        for key, (count, x) in merged.items():
+            for combo, states, k in choices:
+                new = tuple(sorted(key + combo))
+                if new in nxt:
+                    nxt[new][0] += count * k
+                else:
+                    nxt[new] = [count * k, _placed(x.copy(), positions, states)]
+        merged = nxt
     counts = [0] * (n + 1)
-    x = [0] * n
-    for choice in product(*choices):
-        count = 1
-        for (states, k), positions in zip(choice, groups.values()):
-            count *= k
-            for i, xi in zip(positions, states):
-                x[i] = xi
+    for count, x in merged.values():
         counts[avalanche_size(x, sys)] += count
     total = math.prod(c.L for c in sys.coords)
     probs = tuple(Fraction(k, total) for k in counts)

@@ -169,9 +169,27 @@ class TestIdentity:
     def test_rhs(self, n, want):
         assert identity_rhs(n) == want
 
-    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("n", range(1, 13))
     def test_lhs_matches_definitional_sum(self, n):
         assert identity_lhs(n) == definitional_identity_sum(n)
+
+    def test_lemma_table_entries(self):
+        # the paper's lemma F(a, m) = a (a+m)^(m-1), here only, never in the table
+        table = combinatorics._lemma_table(30)
+        for m, row in enumerate(table):
+            assert len(row) == 31 - m
+            for a in range(1, 31 - m):
+                assert row[a] == (a * (a + m) ** (m - 1) if m else 1), (a, m)
+
+    def test_lemma_table_matches_definitional_sums(self):
+        # F(a, m) straight from its definition: a^{k_1} k_1^{k_2} ... over compositions of m
+        table = combinatorics._lemma_table(10)
+        for m in range(1, 10):
+            for a in range(1, 11 - m):
+                want = sum(
+                    multinomial(m, c) * a ** c.parts[0] * cascade_weight(c) for c in compositions(m)
+                )
+                assert table[m][a] == want, (a, m)
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_identity_holds(self, n):
@@ -247,9 +265,19 @@ class TestForestIdentity:
     def test_ordered_sum_overcounts(self, n):
         assert forest_identity_ordered_sum(n) != identity_rhs(n)
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_layers_match_definitional_sums(self, n):
+        want = [0] * n
+        for c in compositions(n):
+            term = multinomial(n, c)
+            for k in c.parts:
+                term *= k ** (k - 1)
+            want[c.r - 1] += term
+        assert combinatorics._forest_layers(n) == want
+
     def test_layer_not_divisible_by_r_factorial_is_a_bug(self, monkeypatch):
         # the r = 2 layer of 3 is not a multiple of 2!
-        monkeypatch.setattr(combinatorics, "_layer_sums", lambda *args: ([1, 3], {}))
+        monkeypatch.setattr(combinatorics, "_forest_layers", lambda *args: [1, 3])
         with pytest.raises(AssertionError, match="r=2"):
             forest_identity_lhs(2)
 
@@ -374,7 +402,7 @@ class TestTreeCensus:
 
     def test_shares_no_arithmetic_with_the_closed_forms(self):
         closed_forms = {
-            "multinomial", "cascade_weight", "_layer_sums", "_cascade_step", "_forest_step",
+            "multinomial", "cascade_weight", "_layer_sums", "_lemma_table", "_forest_layers",
             "identity_lhs", "identity_rhs", "comb", "factorial", "pow", "math",
         }
         codes = [

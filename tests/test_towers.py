@@ -39,6 +39,21 @@ def tower_pmf_by_state_walk(sys_):
     return tuple(F(counts.get(a, 0), total) for a in range(sys_.N + 1))
 
 
+def count_avalanche_size_calls(monkeypatch):
+    """Wrap towers.avalanche_size with a counter; returns the one-item count list."""
+    import avalanches.towers as towers_mod
+
+    calls = [0]
+    literal = towers_mod.avalanche_size
+
+    def counted(x, sys_):
+        calls[0] += 1
+        return literal(x, sys_)
+
+    monkeypatch.setattr(towers_mod, "avalanche_size", counted)
+    return calls
+
+
 # w > 1, L not a multiple of w, L = (h+1)w (no state outside the tower),
 # heights above N, and repeated, mixed and interleaved coordinate types
 WALK_SYSTEMS = [
@@ -52,6 +67,9 @@ WALK_SYSTEMS = [
     [(9, 2, 3), (5, 1, 3), (9, 2, 3)],
     [(6, 1, 4), (7, 1, 4), (6, 1, 4), (11, 2, 4)],
     [(16, 3, 4), (5, 1, 4), (16, 3, 4), (5, 1, 4)],
+    # three distinct types, each with all N + 2 hit classes non-empty: one
+    # multiset of classes gathers state tuples from different type orders
+    [(5, 1, 3), (8, 1, 4), (11, 2, 3)],
 ]
 
 
@@ -207,11 +225,21 @@ class TestBruteforce:
         assert pmf.probs == tower_pmf_by_state_walk(sys_)
         assert pmf.label == f"tower-bruteforce(N={sys_.N})"
 
-    def test_criterion_7_tower_past_the_old_cap(self):
-        # 64^8 = 2.8e14 states; 24310 multisets of hit classes
+    def test_criterion_7_tower_past_the_old_cap(self, monkeypatch):
+        # 64^8 = 2.8e14 states; 24310 multisets of hit classes, one state scored each
+        calls = count_avalanche_size_calls(monkeypatch)
         sys_ = make_tower_system([(64, 1, 8)] * 8)
         pmf = tower_pmf_bruteforce(sys_)
         assert pmf.probs == avalanche_pmf(AvalancheParams(8, F(1, 64))).probs
+        assert calls == [24310]
+
+    def test_one_state_per_multiset_across_types(self, monkeypatch):
+        # 5 hit classes per type, 5^3 tuples of classes, C(5 + 3 - 1, 3) = 35 multisets
+        calls = count_avalanche_size_calls(monkeypatch)
+        sys_ = make_tower_system([(9, 1, 3), (10, 1, 3), (11, 1, 3)])
+        pmf = tower_pmf_bruteforce(sys_)
+        assert calls == [35]
+        assert pmf.probs == tower_pmf_by_state_walk(sys_)
 
     def test_tuple_cap_checked_before_scan(self, monkeypatch):
         import avalanches.towers as towers_mod
