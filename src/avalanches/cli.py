@@ -58,17 +58,18 @@ from .urn import UrnConfig, simulate_urns, urn_pmf_bruteforce, urn_pmf_formula
 OUT_DIR_ENV = "AVALANCHES_OUT_DIR"
 
 # Caps on the size inputs, checked before any work (exit code 3).  Each keeps
-# a run in the seconds range on one core (2-vCPU Xeon): at `identity --n 100`
-# the sum takes 0.03 s (0.10 s with `--forest`), but `--s S` still runs the
-# layer walk to depth S and takes 3.6-4.4 s for S = 50..100, so the split
-# binds the cap;
+# a run in the seconds range on one core (2-vCPU Xeon): `identity --n 150`
+# takes 0.3-0.4 s (0.6-0.7 s with `--forest`), and the split binds the cap,
+# `--s S` taking 2.9-4.7 s at its slowest S, about 50..60, and 31 MiB, where
+# the previous split took 3.9-4.9 s at n = 100 (runs alternated with it,
+# Python start-up included);
 # `pmf --N 2000` takes about 0.9 s plus 1.6 s of JSON at
 # p = 1/2001, and `tail --amax 100000` about 2 s and 160 MiB.  Each CSV row
 # costs time and memory that grow with `pmf --digits`: at N = 2000,
 # p = 1/2001, `--digits 10000` computes the law and writes 19 MiB of CSV in
 # 10.7 s and 92 MiB, 4.9 ms a row (1.0 s and 46 MiB at the default 17
 # digits, 0.02 ms a row).
-IDENTITY_N_CAP = 100
+IDENTITY_N_CAP = 150
 PMF_N_CAP = 2000
 AMAX_CAP = 10**5
 DIGITS_CAP = 10**4

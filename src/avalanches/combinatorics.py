@@ -104,69 +104,51 @@ def cascade_weight(c: Composition) -> int:
     return w
 
 
-def _layer_sums(n: int, depth: int) -> tuple[list[int], dict[tuple[int, int], int]]:
-    """For r = 1..depth, the sum over the r-part compositions (k_1,...,k_r) of n of
+def _lemma_row(m: int, below: list[list[int]], width: int) -> list[int]:
+    """Row m >= 1 of the paper's recurrence, [0, G(1, m), ..., G(width, m)]:
 
-        multinomial(n; k_1..k_r) * k_1^{k_2} * ... * k_{r-1}^{k_r},
+        G(a, m) = sum_{k=1..m} C(m, k) * a^k * below[m - k][k],
 
-    and the weights W_depth(last, rem) of the depth-part prefixes that leave rem >= 1.
-
-    Layer r keeps one weight per state (last part, remainder): W_r(last, rem)
-    sums n!/(k_1!...k_r! rem!) * k_1^{k_2} * ... * k_{r-1}^{k_r} over the
-    prefixes ending in last that leave rem.  Part k extends a state by the
-    factor C(rem, k) * last^k (1 for the first part); the layer sum is the
-    weight reaching rem = 0.  So the cost is polynomial in n, not 2^(n-1).
+    splitting off the first part k of a composition of m, a standing for the
+    size of the level above it.  The coefficients C(m, k) * below[m - k][k] do
+    not depend on a, so the row is one polynomial in a, evaluated by Horner's
+    rule in O(m * width) products.  Row j of below must reach index m - j.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    sums = []
-    layer = {(0, n): 1}
-    for _ in range(depth):
-        nxt: dict[tuple[int, int], int] = {}
-        for (last, rem), w in layer.items():
-            for k in range(1, rem + 1):
-                state = (k, rem - k)
-                step = last**k if last else 1
-                nxt[state] = nxt.get(state, 0) + w * math.comb(rem, k) * step
-        sums.append(sum(w for (_, rem), w in nxt.items() if rem == 0))
-        layer = {state: w for state, w in nxt.items() if state[1]}
-    return sums, layer
+    coeffs = [math.comb(m, k) * below[m - k][k] for k in range(1, m + 1)]
+    row = [0]
+    for a in range(1, width + 1):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc + c) * a
+        row.append(acc)
+    return row
 
 
 def _lemma_table(n: int) -> list[list[int]]:
     """The paper's auxiliary sums F(a, m) for a >= 1, a + m <= n, as table[m][a].
 
     F(a, m) sums multinomial(m; k_1..k_r) * a^{k_1} * k_1^{k_2} * ... *
-    k_{r-1}^{k_r} over the compositions of m, a standing for the size of the
-    level above k_1; F(a, 0) = 1.  Splitting off the first part k gives the
-    recurrence
+    k_{r-1}^{k_r} over the compositions of m; F(a, 0) = 1.  The table feeds
+    itself: row m is _lemma_row over the rows below it,
 
         F(a, m) = sum_{k=1..m} C(m, k) * a^k * F(k, m - k),
 
-    whose coefficients c_k = C(m, k) * F(k, m - k) do not depend on a, so each
-    row is one polynomial in a, evaluated by Horner's rule.  The O(n^2)
-    entries cost O(n^3) products.  table[m][0] is a placeholder.
+    so the O(n^2) entries cost O(n^3) products and no closed form.
+    table[m][0] is a placeholder.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     table = [[0] + [1] * n]
     for m in range(1, n):
-        coeffs = [0] + [math.comb(m, k) * table[m - k][k] for k in range(1, m + 1)]
-        row = [0]
-        for a in range(1, n - m + 1):
-            acc = 0
-            for k in range(m, 0, -1):
-                acc = (acc + coeffs[k]) * a
-            row.append(acc)
-        table.append(row)
+        table.append(_lemma_row(m, table, n - m))
     return table
 
 
 def identity_lhs(n: int) -> int:
     """Sum of multinomial(n,c) * cascade_weight(c) over all compositions c of n.
 
-    Splitting off the first part k leaves the paper's auxiliary sum over the
-    rest (see _lemma_table):
+    That is F(1, n) of the paper's lemma: one more _lemma_row over the table
+    (see _lemma_table),
 
         identity_lhs(n) = sum_{k=1..n} C(n, k) * F(k, n - k),
 
@@ -174,8 +156,7 @@ def identity_lhs(n: int) -> int:
     The table takes O(n^3) products and no closed form, so the result is a
     count to hold against identity_rhs(n), which it equals for every n.
     """
-    table = _lemma_table(n)
-    return sum(math.comb(n, k) * table[n - k][k] for k in range(1, n + 1))
+    return _lemma_row(n, _lemma_table(n), 1)[1]
 
 
 def identity_rhs(n: int) -> int:
@@ -197,17 +178,27 @@ def induction_step_check(n: int, s: int) -> tuple[int, int]:
     with m = k_1+...+k_s and b = n - k_1 - ... - k_{s-1}.  The two always
     add up to identity_rhs(n).
 
-    One run of _layer_sums to depth s gives both: the partial sums its layers,
-    and as b = k_s + rem and n-m-1 = rem-1 for rem = n-m, the remainder sums
-    W_s(k, rem) * k * (k+rem)^(rem-1) over the states it leaves open.
+    Both are s steps of _lemma_row, each of which puts one more part in
+    front, read at (a, m) = (1, n).  partial starts from the empty
+    composition, 1 at m = 0 and 0 elsewhere; remainder from the lemma's
+    closed form a * (a+m)^(m-1) for m >= 1, which closes the tail after the
+    s-th part, and 0 at m = 0.  The two are counted apart, never one as
+    rhs minus the other.  After step j only a + m <= n+1-s+j is read again,
+    so the tables shrink to that range.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if not 1 <= s <= n:
         raise DomainError(f"s must lie in 1..{n}, got {s}")
-    sums, open_states = _layer_sums(n, s)
-    remainder = sum(w * k * (k + rem) ** (rem - 1) for (k, rem), w in open_states.items())
-    return sum(sums), remainder
+    reach = n + 1 - s  # the start tables hold a + m <= reach
+    partial = [[0] + [1] * reach] + [[0] * (reach + 1 - m) for m in range(1, reach)]
+    remainder = [[0] * (reach + 1)] + [
+        [0] + [a * (a + m) ** (m - 1) for a in range(1, reach + 1 - m)] for m in range(1, reach)
+    ]
+    for top in range(reach + 1, n + 2):
+        partial = [[0] + [1] * top] + [_lemma_row(m, partial, top - m) for m in range(1, top)]
+        remainder = [[0] * (top + 1)] + [_lemma_row(m, remainder, top - m) for m in range(1, top)]
+    return partial[n][1], remainder[n][1]
 
 
 def _forest_layers(n: int) -> list[int]:

@@ -76,7 +76,9 @@ def chi_square_gof(res: SimResult, expected: Pmf, min_expected: float = 5.0) -> 
     Bins with expected count below ``min_expected`` are merged into their
     neighbor, deterministically from the right; dof is merged bins minus
     one.  The p-value is the upper chi-square tail via the regularized
-    incomplete gamma below.
+    incomplete gamma below.  A statistic past the float range, which tiny
+    expected counts can give, raises DegenerateInputError, since the report
+    could not be written as JSON.
     """
     if not (math.isfinite(min_expected) and min_expected > 0):
         raise DomainError(f"min_expected must be finite and > 0, got {min_expected}")
@@ -86,7 +88,14 @@ def chi_square_gof(res: SimResult, expected: Pmf, min_expected: float = 5.0) -> 
     obs, exp = _merge_bins(observed, expected_counts, min_expected)
     if len(obs) < 2:
         raise DegenerateInputError("all mass ends up in one merged bin")
-    chi2 = math.fsum((o - e) ** 2 / e for o, e in zip(obs, exp))
+    try:
+        chi2 = math.fsum((o - e) ** 2 / e for o, e in zip(obs, exp))
+    except OverflowError:  # a term or the running sum leaves the float range
+        chi2 = math.inf
+    if not math.isfinite(chi2):
+        raise DegenerateInputError(
+            f"the chi-square statistic is not a finite float (min_expected={min_expected!r})"
+        )
     dof = len(obs) - 1
     return GofReport(
         tv_distance=tv_distance(empirical_pmf(res, support_upper=max(support)), expected),
@@ -104,12 +113,14 @@ def regularized_gamma_q(s: float, x: float) -> float:
     both iterate to relative 1e-14, giving comfortably better than 1e-8
     absolute accuracy over the chi-square range used here.
     """
-    if s <= 0:
+    if not s > 0:  # also nan
         raise DomainError(f"shape must be > 0, got {s}")
-    if x < 0:
+    if not x >= 0:
         raise DomainError(f"x must be >= 0, got {x}")
     if x == 0.0:
         return 1.0
+    if x == math.inf:
+        return 0.0
     log_prefactor = -x + s * math.log(x) - math.lgamma(s)
     if x < s + 1.0:
         # P(s,x) as a rising series, then complement.

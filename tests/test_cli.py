@@ -827,6 +827,18 @@ class TestCompareCommand:
         assert (rc, out) == (2, "")
         assert err.count("\n") == 1 and "histogram key must be" in err
 
+    def test_infinite_statistic_exits_2(self, capsys, tmp_path):
+        # the report would read "chi2": Infinity, "p": NaN, which is not JSON
+        sim_path, pmf_path = self.stored_run(capsys, tmp_path)
+        doc = {"exact": False, "support": [0, 1], "probs": [1.0, 5e-324], "label": "tiny"}
+        pmf_path.write_text(json.dumps(doc), encoding="utf-8")
+        rc, out, err = run_cli(
+            capsys,
+            "compare", "--sim", str(sim_path), "--pmf", str(pmf_path), "--min-expected", "5e-324",
+        )
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "not a finite" in err
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_min_expected_must_be_finite(self, capsys, tmp_path, bad):
         sim_path, pmf_path = self.stored_run(capsys, tmp_path)

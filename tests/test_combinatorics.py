@@ -200,6 +200,10 @@ class TestIdentity:
     def test_identities_hold_at_large_n(self, n):
         assert identity_lhs(n) == identity_rhs(n)
         assert forest_identity_lhs(n) == identity_rhs(n)
+        for s in (1, n // 2):
+            partial, remainder = induction_step_check(n, s)
+            assert partial + remainder == identity_rhs(n)
+        assert induction_step_check(n, n) == (identity_rhs(n), 0)
 
     def test_invalid_n(self):
         with pytest.raises(DomainError):
@@ -232,10 +236,16 @@ class TestInductionStep:
             partial, remainder = induction_step_check(n, s)
             assert partial + remainder == identity_rhs(n)
 
-    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("n", range(1, 13))
     def test_matches_definitional_split(self, n):
         for s in range(1, n + 1):
             assert induction_step_check(n, s) == definitional_induction_split(n, s)
+
+    def test_counts_both_parts(self):
+        # partial + remainder == rhs is a theorem, so a remainder taken as
+        # rhs - partial would match every value test and check nothing
+        names = set(induction_step_check.__code__.co_names)
+        assert not {"identity_rhs", "identity_lhs"} & names
 
     def test_s_out_of_range(self):
         with pytest.raises(DomainError):
@@ -402,7 +412,7 @@ class TestTreeCensus:
 
     def test_shares_no_arithmetic_with_the_closed_forms(self):
         closed_forms = {
-            "multinomial", "cascade_weight", "_layer_sums", "_lemma_table", "_forest_layers",
+            "multinomial", "cascade_weight", "_lemma_row", "_lemma_table", "_forest_layers",
             "identity_lhs", "identity_rhs", "comb", "factorial", "pow", "math",
         }
         codes = [

@@ -91,11 +91,19 @@ class TestRegularizedGammaQ:
                     float(gammaincc(s, x)), abs=1e-8
                 )
 
+    @pytest.mark.parametrize("s", [0.5, 1.0, 25.0])
+    def test_at_infinity(self, s):
+        # the series and the continued fraction would both give nan here
+        assert regularized_gamma_q(s, math.inf) == 0.0 == float(gammaincc(s, math.inf))
+
     def test_validation(self):
         with pytest.raises(DomainError):
             regularized_gamma_q(0.0, 1.0)
         with pytest.raises(DomainError):
             regularized_gamma_q(1.0, -0.5)
+        for s, x in ((math.nan, 1.0), (1.0, math.nan)):
+            with pytest.raises(DomainError):
+                regularized_gamma_q(s, x)
 
 
 class TestChiSquareGof:
@@ -168,6 +176,18 @@ class TestChiSquareGof:
         # no bin's expected count ever reaches nan or inf
         with pytest.raises(DomainError, match="min_expected must be finite"):
             chi_square_gof(sim({0: 50, 1: 50}), uniform_pmf(2), min_expected=bad)
+
+    @pytest.mark.parametrize(
+        "probs, min_expected",
+        [
+            ((1.0, 5e-324), 5e-324),  # one term is (259 + 190)^2 / 5e-321 = inf
+            ((1.0, 5e-307, 5e-307), 1e-305),  # two finite terms whose sum overflows
+        ],
+    )
+    def test_statistic_past_the_float_range_is_degenerate(self, probs, min_expected):
+        tiny = Pmf(support=tuple(range(len(probs))), probs=probs, exact=False, label="tiny")
+        with pytest.raises(DegenerateInputError, match="not a finite float"):
+            chi_square_gof(sim({0: 551, 1: 259, 2: 190}), tiny, min_expected=min_expected)
 
     def test_seeded_urn_run_fixture(self):
         cfg = UrnConfig(2, 4)
