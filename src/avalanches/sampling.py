@@ -158,6 +158,8 @@ class SimResult:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if any(c < 0 for c in self.histogram.values()):
+            raise DomainError("histogram counts must be >= 0")
         if sum(self.histogram.values()) != self.trials:
             raise DomainError("histogram counts do not add up to the trial count")
 

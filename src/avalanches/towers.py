@@ -6,18 +6,19 @@ S^k(B), k = 0..h, are pairwise disjoint because (h+1)*w <= L, and the
 uniform measure gives U exact mass w/L.  Heights must exceed the coordinate
 count (h + 1 > N) so no coordinate can pass through its excited set twice
 within one cascade.  The cascade only counts coordinates by hit class, so
-the exact oracle scores one state per multiset of hit classes over all
-coordinates with the literal cascade recursion and counts each multiset
-exactly; it shares no arithmetic with the closed forms.
+the exact oracle builds the multisets of hit classes in one loop over the
+coordinates, counting the state tuples in each exactly, and scores one state
+per multiset with the literal cascade recursion; it shares no arithmetic
+with the closed forms.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import combinations_with_replacement
 from typing import Sequence
 
 import numpy as np
@@ -34,8 +35,8 @@ from .sampling import (
 )
 
 # Cap on the oracle's scan (the sum of the L_i) and on its hit-class tuples;
-# keeps an at-cap run in the seconds range on one core (about 5 s on a 2-vCPU
-# Xeon, where criterion 7's (64,1,8) x 8 takes 0.9 s).
+# keeps an at-cap run in the seconds range on one core (3.3-3.9 s for
+# (11,1,9) x 9 on a 2-vCPU Xeon, where criterion 7's (64,1,8) x 8 takes 0.6 s).
 DEFAULT_STATE_CAP = 10**5
 
 # Draws per vectorized block of the sampler, one per coordinate and trial: a
@@ -223,38 +224,6 @@ def _hit_classes(tower: CoordinateTower, n: int) -> dict[int, list[int]]:
     return classes
 
 
-def _group_choices(
-    tower: CoordinateTower, m: int, n: int
-) -> list[tuple[tuple[int, ...], list[int], int]]:
-    """For m identical coordinates, one (combo, states, count) per multiset of hit classes.
-
-    ``combo`` is the multiset as a sorted tuple, ``states`` gives the
-    coordinates one representative each, and ``count`` is the number of state
-    tuples with that multiset: the multinomial m!/(k_1!...k_j!) times the
-    product of class size^k over the classes.  The count is built along the
-    sorted tuple, the r-th member of a run of equal classes multiplying by
-    the class size and dividing by r; each division is exact, since m! over
-    the factorials of the runs so far is a whole number.
-    """
-    classes = _hit_classes(tower, n)
-    choices = []
-    for combo in combinations_with_replacement(sorted(classes), m):
-        count, run, prev = math.factorial(m), 0, None
-        for l in combo:
-            run = run + 1 if l == prev else 1
-            count = count * classes[l][0] // run
-            prev = l
-        choices.append((combo, [classes[l][1] for l in combo], count))
-    return choices
-
-
-def _placed(x: list[int], positions: list[int], states: list[int]) -> list[int]:
-    """x with states[j] put at positions[j]."""
-    for i, xi in zip(positions, states):
-        x[i] = xi
-    return x
-
-
 def tower_pmf_bruteforce(sys: TowerSystem) -> Pmf:
     """Exact avalanche law by scoring one state per multiset of hit classes.
 
@@ -263,48 +232,44 @@ def tower_pmf_bruteforce(sys: TowerSystem) -> Pmf:
     class 0, each later step the number in a class up to the last count.  So
     the avalanche size depends only on the multiset of classes over all N
     coordinates, whatever their types.  Each coordinate type (L, w, h) is
-    scanned once, literally, for its class sizes and representatives; m
-    coordinates of one type take every multiset of m classes.  The types are
-    merged one at a time into {multiset over the coordinates so far: count,
-    representative state}, the counts multiplying the multinomials and class
-    sizes, and one representative state per multiset over all coordinates is
-    scored with avalanche_size.  Probabilities are rationals with denominator
-    prod(L_i).
+    scanned once, literally, for its class sizes and representatives.  One
+    loop over the coordinates in order builds {multiset over the coordinates
+    so far: [count, representative states]}: each class of the next
+    coordinate extends every multiset, its size multiplying the count.  A
+    multiset is keyed by its class counts packed as base-(N+1) digits, class
+    l in digit l; no count exceeds N, so adding a class never carries.  One
+    representative state per multiset over all coordinates is scored with
+    avalanche_size.  Probabilities are rationals with denominator prod(L_i).
 
     The cap bounds both the sum of the L_i and the number of tuples of
     per-type multisets, taking min(L, N+2) classes per coordinate type, and
     is checked before the scan.
     """
     n = sys.N
-    groups: dict[CoordinateTower, list[int]] = {}
-    for i, c in enumerate(sys.coords):
-        groups.setdefault(c, []).append(i)
+    types = Counter(sys.coords)
     cap = DEFAULT_STATE_CAP
     scan = sum(c.L for c in sys.coords)
     if scan > cap:
         raise ResourceLimitError(f"{scan} coordinate states to scan exceed the cap of {cap}")
     tuples = 1
-    for c, positions in groups.items():
-        tuples *= math.comb(len(positions) + min(c.L, n + 2) - 1, len(positions))
+    for c, m in types.items():
+        tuples *= math.comb(m + min(c.L, n + 2) - 1, m)
     if tuples > cap:
         raise ResourceLimitError(f"{tuples} hit-class tuples exceed the cap of {cap}")
-    # {sorted classes: [count, representative state]}; the first type's
-    # multisets come out sorted and distinct, so they go in as they are
-    (c, positions), *rest = groups.items()
-    merged = {
-        combo: [k, _placed([0] * n, positions, states)]
-        for combo, states, k in _group_choices(c, len(positions), n)
+    steps = {
+        c: [((n + 1) ** l, size, x) for l, (size, x) in _hit_classes(c, n).items()]
+        for c in types
     }
-    for c, positions in rest:
-        choices = _group_choices(c, len(positions), n)
-        nxt: dict[tuple[int, ...], list] = {}
+    merged: dict[int, list] = {0: [1, []]}
+    for c in sys.coords:
+        nxt: dict[int, list] = {}
         for key, (count, x) in merged.items():
-            for combo, states, k in choices:
-                new = tuple(sorted(key + combo))
+            for step, size, rep in steps[c]:
+                new = key + step
                 if new in nxt:
-                    nxt[new][0] += count * k
+                    nxt[new][0] += count * size
                 else:
-                    nxt[new] = [count * k, _placed(x.copy(), positions, states)]
+                    nxt[new] = [count * size, x + [rep]]
         merged = nxt
     counts = [0] * (n + 1)
     for count, x in merged.values():

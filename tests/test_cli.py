@@ -827,6 +827,16 @@ class TestCompareCommand:
         assert (rc, out) == (2, "")
         assert err.count("\n") == 1 and "histogram key must be" in err
 
+    def test_negative_count_exits_2(self, capsys, tmp_path):
+        sim_path, pmf_path = self.stored_run(capsys, tmp_path)
+        doc = json.loads(sim_path.read_text(encoding="utf-8"))
+        doc["histogram"]["0"] += 1
+        doc["histogram"]["3"] = -1
+        sim_path.write_text(json.dumps(doc), encoding="utf-8")
+        rc, out, err = run_cli(capsys, "compare", "--sim", str(sim_path), "--pmf", str(pmf_path))
+        assert (rc, out) == (2, "")
+        assert err.count("\n") == 1 and "histogram counts must be >= 0" in err
+
     def test_infinite_statistic_exits_2(self, capsys, tmp_path):
         # the report would read "chi2": Infinity, "p": NaN, which is not JSON
         sim_path, pmf_path = self.stored_run(capsys, tmp_path)

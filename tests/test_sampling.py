@@ -142,6 +142,11 @@ class TestSimResultAndShards:
         with pytest.raises(DomainError):
             SimResult(histogram={0: 3}, trials=4, seed=0, shards=1, model="urn")
 
+    def test_histogram_counts_must_be_nonnegative(self):
+        # the counts add up to the trials, so only this check refuses them
+        with pytest.raises(DomainError, match="counts must be >= 0"):
+            SimResult(histogram={0: 1001, 1: -1}, trials=1000, seed=0, shards=1, model="urn")
+
     def test_shard_sizes(self):
         assert shard_sizes(10, 3) == [4, 3, 3]
         assert shard_sizes(6, 6) == [1] * 6

@@ -162,6 +162,11 @@ class TestChiSquareGof:
         assert report.chi_square > 0
         assert report.trials == 100
 
+    def test_far_observed_size_is_cheap(self):
+        # the TV once ran over every size up to the largest key, here 10^23
+        report = chi_square_gof(sim({0: 500, 10**23: 500}), uniform_pmf(2))
+        assert report.tv_distance == 0.5
+
     def test_point_mass_is_degenerate(self):
         point = Pmf(support=(0,), probs=(F(1),), exact=True, label="point")
         with pytest.raises(DegenerateInputError):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from collections import Counter
 from fractions import Fraction as F
 
@@ -233,12 +234,38 @@ class TestBruteforce:
         assert pmf.probs == avalanche_pmf(AvalancheParams(8, F(1, 64))).probs
         assert calls == [24310]
 
-    def test_one_state_per_multiset_across_types(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "specs",
+        [[(9, 1, 3), (10, 1, 3), (11, 1, 3)], [(9, 1, 3), (10, 1, 3), (9, 1, 3)]],
+        ids=["distinct", "interleaved"],
+    )
+    def test_one_state_per_multiset_across_types(self, monkeypatch, specs):
         # 5 hit classes per type, 5^3 tuples of classes, C(5 + 3 - 1, 3) = 35 multisets
         calls = count_avalanche_size_calls(monkeypatch)
-        sys_ = make_tower_system([(9, 1, 3), (10, 1, 3), (11, 1, 3)])
+        sys_ = make_tower_system(specs)
         pmf = tower_pmf_bruteforce(sys_)
         assert calls == [35]
+        assert pmf.probs == tower_pmf_by_state_walk(sys_)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_mixed_systems(self, monkeypatch, seed):
+        # N = 1..4 coordinates drawn from two types, so types repeat and interleave
+        rng = random.Random(seed)
+        n = rng.randint(1, 4)
+        types = []
+        for _ in range(2):
+            w, h = rng.randint(1, 2), rng.randint(n, n + 2)
+            types.append((rng.randint((h + 1) * w, (h + 1) * w + 3), w, h))
+        sys_ = make_tower_system([rng.choice(types) for _ in range(n)])
+
+        def hit_class(c, x):
+            return next((l for l in range(n + 1) if c.in_excited(c.step(x, l))), n + 1)
+
+        classes = [{hit_class(c, x) for x in range(c.L)} for c in sys_.coords]
+        multisets = {tuple(sorted(t)) for t in itertools.product(*classes)}
+        calls = count_avalanche_size_calls(monkeypatch)
+        pmf = tower_pmf_bruteforce(sys_)
+        assert calls == [len(multisets)]
         assert pmf.probs == tower_pmf_by_state_walk(sys_)
 
     def test_tuple_cap_checked_before_scan(self, monkeypatch):
@@ -305,7 +332,6 @@ class TestOracleSeparation:
         oracles = [
             urn_mod.urn_pmf_bruteforce,
             towers_mod.tower_pmf_bruteforce,
-            towers_mod._group_choices,
             towers_mod._hit_classes,
         ]
         for fn in oracles:
