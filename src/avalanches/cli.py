@@ -296,6 +296,7 @@ def cmd_simulate(args) -> int:
         if args.N is not None or args.M is not None:
             raise DomainError("--N/--M apply only to the urn model")
         sys_ = _tower_system_from_args(args)
+        towers.check_streams(sys_.N, args.trials, args.shards)
         for c in sys_.coords:
             check_bound(c.L)
         if args.exact_oracle:

@@ -17,7 +17,9 @@ Bounded draws use rejection below the largest multiple of the bound, so
 there is no modulo bias: the k-th draw in [0, bound) is (the k-th raw
 output below floor(2^64/bound)*bound) mod bound.  The stream counter
 advances over every raw output examined, accepted or not.  Bounds run up to
-2^63, so every draw fits an int64.
+2^63, so every draw fits an int64.  The mod is taken without a division per
+draw, as x - (x // bound) * bound: NumPy divides a uint64 array by a scalar
+with a multiply and a shift.
 """
 
 from __future__ import annotations
@@ -59,6 +61,9 @@ _MUL2 = np.uint64(0x94D049BB133111EB)
 # each slice stays in cache across the mix's passes.
 _SLICE = 1 << 15
 
+# leading_run reads the density of zeros in a block from its first values.
+_SAMPLE = 1 << 12
+
 # Most shards one campaign may use; shard_sizes builds a list this long.
 MAX_SHARDS = 1 << 16
 
@@ -81,6 +86,26 @@ def _mix64_inplace(z: np.ndarray) -> np.ndarray:
     np.right_shift(z, 31, out=t)
     z ^= t
     return z
+
+
+def _remainder_inplace(x: np.ndarray, bound: np.uint64) -> np.ndarray:
+    """x mod bound over a uint64 array, in place, as x - (x // bound) * bound.
+
+    NumPy divides a uint64 array by a scalar with a multiply and a shift,
+    where np.remainder divides element by element, so this takes about half
+    the time.  The quotients go through one slice-sized buffer, reused.
+    Up to 2^11 values one np.remainder call costs less than the extra calls.
+    """
+    if len(x) <= 1 << 11:
+        return np.remainder(x, bound, out=x)
+    q = np.empty(min(len(x), _SLICE), dtype=np.uint64)
+    for lo in range(0, len(x), _SLICE):
+        v = x[lo : lo + _SLICE]
+        t = q[: len(v)]
+        np.floor_divide(v, bound, out=t)
+        t *= bound
+        v -= t
+    return x
 
 
 class SplitMix64:
@@ -108,6 +133,7 @@ class SplitMix64:
         Rejection sampling against the largest multiple of ``bound``; the
         counter lands exactly after the raw output that produced the last
         accepted draw, so results do not depend on the batch size used here.
+        The accepted raw outputs are reduced in place by _remainder_inplace.
         """
         check_bound(bound)
         if count < 0:
@@ -118,9 +144,8 @@ class SplitMix64:
         head = raws[:count]
         if limit == 1 << 64 or count == 0 or int(head.max()) < limit:
             # every raw output up to the last needed one is accepted
-            np.remainder(head, bound_np, out=head)
             self.counter += count
-            return head.view(np.int64)
+            return _remainder_inplace(head, bound_np).view(np.int64)
         parts, filled = [], 0
         while True:
             hits = np.flatnonzero(raws < np.uint64(limit))[: count - filled]
@@ -129,18 +154,42 @@ class SplitMix64:
             if filled == count:
                 # stop right after the raw that produced the last needed draw
                 self.counter += int(hits[-1]) + 1
-                return (np.concatenate(parts) % bound_np).astype(np.int64)
+                return _remainder_inplace(np.concatenate(parts), bound_np).view(np.int64)
             self.counter += len(raws)
             raws = self._raw_block(max(count - filled + 16, 1024))
 
 
 def leading_run(hits: np.ndarray, cap: int) -> np.ndarray:
     """Per row of a (rows, n) array of hit times, the first k < cap with
-    sorted(row)[k] > k, or cap if there is none (cap <= n).  Sorts the rows
-    in place.  With hit time = urn id - 1 and cap = min(N, M) this is the
-    urn statistic; with the towers' hit times and cap = N, the cascade size.
+    sorted(row)[k] > k, or cap if there is none (cap <= n).  With hit time =
+    urn id - 1 and cap = min(N, M) this is the urn statistic; with the
+    towers' hit times and cap = N, the cascade size.
+
+    A row with no hit time 0 scores 0 unsorted, and near criticality most
+    rows hold none (P(A = 0) = (1 - p)^N), so only the rows holding a 0 are
+    gathered, sorted and scored, and the others score 0; one flat pass over
+    the block finds them, where a per-row reduction costs 25-40 ns a row.
+    A block of at most _SAMPLE values, or one whose first _SAMPLE values hold
+    more than one 0 per two rows, is sorted whole in place instead: there
+    the gather costs more than it saves (README gives the timings).  So
+    ``hits`` may come back with its rows sorted.
     """
-    hits.sort(axis=1)
+    rows, n = hits.shape
+    flat = hits.ravel()
+    if len(flat) <= _SAMPLE or 2 * n * np.count_nonzero(flat[:_SAMPLE] == 0) > _SAMPLE:
+        hits.sort(axis=1)
+        return _score_sorted(hits, cap)
+    held = np.zeros(rows, dtype=bool)
+    held[np.flatnonzero(flat == 0) // n] = True
+    sub = hits[held]
+    sub.sort(axis=1)
+    out = np.zeros(rows, dtype=np.intp)
+    out[held] = _score_sorted(sub, cap)
+    return out
+
+
+def _score_sorted(hits: np.ndarray, cap: int) -> np.ndarray:
+    """leading_run on rows already sorted."""
     ok = np.zeros((hits.shape[0], cap + 1), dtype=bool)  # column cap stays False
     np.less_equal(hits[:, :cap], np.arange(cap), out=ok[:, :cap])
     return ok.argmin(axis=1)
@@ -203,10 +252,11 @@ def campaign_histogram(
     ``shard_sampler(i)`` returns shard i's sampler: given a trial count, it
     returns one statistic per trial, drawn trial-major from the shard's
     streams, so the block size (at most ``block_trials``) cannot change it.
-    Shards run on min(shards, available_cpus()) worker threads; each returns
-    its own counts and the counts are added, so the histogram does not
-    depend on which thread ran which shard.  NumPy releases the interpreter
-    lock inside its array kernels, so the threads overlap.
+    Shards run on min(shards, trials, available_cpus()) worker threads, and
+    a shard with no trial builds no sampler; each returns its own counts and
+    the counts are added, so the histogram does not depend on which thread
+    ran which shard.  NumPy releases the interpreter lock inside its array
+    kernels, so the threads overlap.
     """
     # imported here: the executor costs about 0.6 MiB and 5 ms to import,
     # which the exact-law commands never need
@@ -219,7 +269,9 @@ def campaign_histogram(
             counts += np.bincount(sample(min(block_trials, n_trials - done)), minlength=top + 1)
         return counts
 
+    # the first min(trials, shards) shards are the ones that get a trial
+    busy = min(trials, shards)
     sizes = shard_sizes(trials, shards)
-    with ThreadPoolExecutor(max_workers=min(shards, available_cpus())) as pool:
-        counts = sum(pool.map(shard_counts, range(shards), sizes))
+    with ThreadPoolExecutor(max_workers=min(busy, available_cpus())) as pool:
+        counts = sum(pool.map(shard_counts, range(busy), sizes[:busy]))
     return {a: int(c) for a, c in enumerate(counts) if c}

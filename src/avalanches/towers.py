@@ -29,6 +29,7 @@ from .sampling import (
     SimResult,
     SplitMix64,
     campaign_histogram,
+    check_campaign,
     check_seed,
     derive_stream,
     leading_run,
@@ -47,11 +48,14 @@ DEFAULT_STATE_CAP = 10**5
 # each coordinate stream is consumed in trial order regardless.
 _BLOCK_DRAWS = 1 << 20
 
-# Cap on the sampler's coordinate count.  Each coordinate keeps its own stream
-# and makes one draw call per block, so time and memory grow with N:
+# Cap on the sampler's coordinate streams.  Each non-empty shard keeps one
+# stream per coordinate and makes one draw call per coordinate and block, so
+# time grows with N times the non-empty shards, and memory with N times the
+# shards live at once (one per worker thread):
 # `simulate --model tower --uniform 2N+2,1,N,N --trials 2` took 0.3 s and
 # 40 MiB at N = 2^14, 1.0-1.2 s and 70 MiB at 2^16, and 2.1-2.2 s and 108 MiB
-# at 2^17 (2-vCPU AMD EPYC), so the cap keeps such a run near 1 s.
+# at 2^17 (2-vCPU AMD EPYC), so the cap keeps such a run near 1 s there.
+# README's Caps section has the times split over shards.
 COORDINATE_CAP = 1 << 16
 
 
@@ -154,15 +158,34 @@ def avalanche_size(x: Sequence[int], sys: TowerSystem) -> int:
 
 def _hit_times(states: np.ndarray, tower: CoordinateTower, horizon: int) -> np.ndarray:
     """Per-state smallest l <= horizon with S^l(x) excited; horizon+1 if none.
+    Overwrites ``states``, an int64 array of states in 0..L-1.
 
     Inside the tower (x < (h+1)w) the hit happens at l = h - x//w, the
     number of levels still to climb; outside it no iterate within
     l <= N <= h can re-enter the top level, because the levels are disjoint
-    and wrapping lands strictly below it.
+    and wrapping lands strictly below it.  All in uint64, in place: outside
+    the tower h - x//w wraps past 2^63 (x//w - h < L <= 2^63), above
+    horizon+1, so the minimum maps it there.
     """
-    t = tower.height - states // tower.w  # negative outside the tower
-    # as uint64 a negative t exceeds horizon+1, so the minimum maps it there
-    return np.minimum(t.view(np.uint64), horizon + 1).view(np.int64)
+    t = states.view(np.uint64)
+    t //= tower.w
+    np.subtract(tower.height, t, out=t)
+    np.minimum(t, horizon + 1, out=t)
+    return states
+
+
+def check_streams(n: int, trials: int, shards: int) -> None:
+    """A campaign of n coordinates builds n streams on each shard that gets
+    a trial, min(trials, shards) of them: at most COORDINATE_CAP in all, and
+    at most _BLOCK_DRAWS, so that a block holds a whole trial."""
+    check_campaign(trials, shards)
+    busy = min(trials, shards)
+    cap = min(COORDINATE_CAP, _BLOCK_DRAWS)
+    if n * busy > cap:
+        raise ResourceLimitError(
+            f"{n} coordinates x {busy} non-empty shards = {n * busy} streams "
+            f"exceed the cap of {cap}"
+        )
 
 
 def simulate_tower(sys: TowerSystem, trials: int, seed: int, shards: int = 1) -> SimResult:
@@ -170,13 +193,11 @@ def simulate_tower(sys: TowerSystem, trials: int, seed: int, shards: int = 1) ->
 
     Shard i, coordinate j draws from derive_stream(seed, i, j); trial t uses
     the t-th draw of each coordinate stream.  Same determinism contract as
-    simulate_urns.  N is capped at COORDINATE_CAP, and at _BLOCK_DRAWS so
-    that a block holds a whole trial, before any stream is built.
+    simulate_urns.  N times the non-empty shards is capped at COORDINATE_CAP
+    (see check_streams) before any stream is built.
     """
     check_seed(seed)
-    cap = min(COORDINATE_CAP, _BLOCK_DRAWS)
-    if sys.N > cap:
-        raise ResourceLimitError(f"{sys.N} coordinates exceed the cap of {cap}")
+    check_streams(sys.N, trials, shards)
 
     def shard_sampler(i: int):
         streams = [SplitMix64(derive_stream(seed, i, j)) for j in range(sys.N)]

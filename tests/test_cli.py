@@ -482,6 +482,32 @@ class TestSimulateInputChecks:
         assert err.startswith("resource limit: ") and err.count("\n") == 1
         assert "cap of 2" in err
 
+    @pytest.mark.parametrize(
+        "system, trials, shards",
+        [
+            (["--uniform", "8,1,4,3"], 2**16, 2**16),
+            (["--uniform", f"{2**16 + 2},1,{2**15},{2**15}"], 10, 3),
+            (["--coord", "8,1,4", "--coord", "9,1,4"], 10**6, 2**15 + 1),
+        ],
+    )
+    def test_stream_cap_exits_before_any_oracle_or_stream(
+        self, capsys, no_oracles, monkeypatch, system, trials, shards
+    ):
+        # coordinates x non-empty shards streams, checked before the oracles
+        import avalanches.towers as towers_mod
+
+        def refuse(*args):
+            raise AssertionError("a stream was built")
+
+        monkeypatch.setattr(towers_mod, "SplitMix64", refuse)
+        rc, out, err = run_cli(
+            capsys, "simulate", "--model", "tower", *system,
+            "--trials", str(trials), "--shards", str(shards), "--exact-oracle",
+        )
+        assert (rc, out) == (3, "")
+        assert err.startswith("resource limit: ") and err.count("\n") == 1
+        assert f"streams exceed the cap of {COORDINATE_CAP}" in err
+
     def test_urn_oracle_cap_checked_before_the_law(self, capsys, no_campaign, monkeypatch):
         # (16, 17) has C(32, 16) occupancy vectors, past the oracle's cap, so
         # the closed formula is never evaluated at that size

@@ -105,20 +105,24 @@ class TestIntegersBelow:
         with pytest.raises(DomainError):
             SplitMix64(1).integers_below(10, -1)
 
-    @pytest.mark.parametrize("bound", [3, 2**62 + 1, 2**64 // 3 + 1, 2**63])
+    @pytest.mark.parametrize(
+        "bound",
+        [1, 2, 3, 64, 100, 2**32 + 1, 2**62 + 1, 2**64 // 3 + 1, 3 * 2**61, 2**63 - 1, 2**63],
+    )
     def test_matches_reference_across_split_calls(self, bound):
-        # 2^62+1 and floor(2^64/3)+1 reject about 1/4 and 1/3 of raw outputs,
-        # so the 1500- and 2100-draw calls run out of their first raw block
+        # 2^62+1, floor(2^64/3)+1 and 3*2^61 reject about 1/4, 1/3 and 1/4 of
+        # raw outputs, so the 1500- and 2100-draw calls run out of their first
+        # raw block; 33000 draws span two slices of the division-free reduce
         base = derive_stream(11, 2)
         stream, counter, total = SplitMix64(base), 0, 0
-        for count in (1, 0, 7, 1500, 2100, 3):
+        for count in (1, 0, 7, 1500, 2100, 3, 33000):
             want, counter = reference_integers_below(base, counter, bound, count)
             got = stream.integers_below(bound, count)
             assert got.dtype == np.int64
             assert got.tolist() == want
             assert stream.counter == counter
             total += count
-        if bound in (2**62 + 1, 2**64 // 3 + 1):
+        if bound in (2**62 + 1, 2**64 // 3 + 1, 3 * 2**61):
             assert counter > total + 1024
 
     @pytest.mark.parametrize("bound", [2**63 + 1, 2**64 - 1, 2**64, 2**70])
@@ -184,6 +188,16 @@ class TestSimResultAndShards:
         for i, blocks in ((0, [3, 1]), (1, [3]), (2, [3])):
             assert [b for j, b in calls if j == i] == blocks
         assert len(calls) == 4
+
+    def test_empty_shards_build_no_sampler(self):
+        built = []
+
+        def shard_sampler(i):
+            built.append(i)
+            return lambda block: np.zeros(block, dtype=np.int64)
+
+        assert campaign_histogram(3, 8, 2, 1, shard_sampler) == {0: 3}
+        assert sorted(built) == [0, 1, 2]
 
 
 def stream_sampler(seed, bound=7, width=5):
@@ -269,6 +283,51 @@ class TestLeadingRun:
         rows, cap = case
         got = leading_run(np.array(rows, dtype=np.int64), cap)
         assert got.tolist() == [leading_run_by_definition(r, cap) for r in rows]
+
+    @given(
+        st.integers(1, 1200),
+        st.integers(1, 12),
+        st.data(),
+        st.sampled_from([np.int32, np.int64]),
+        st.sampled_from(["sparse", "dense", "no zero", "every row"]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_definition_on_both_paths(self, rows, n, data, dtype, kind, seed):
+        # blocks above 2^12 values with few zeros take the gathered path, the
+        # others are sorted whole
+        cap = data.draw(st.integers(1, n))
+        rng = np.random.default_rng(seed)
+        top = {"sparse": 20 * n, "dense": n, "no zero": 3 * n, "every row": n + 2}[kind]
+        hits = rng.integers(0, top, size=(rows, n)).astype(dtype)
+        if kind == "no zero":
+            hits += 1
+        elif kind == "every row":
+            hits[np.arange(rows), rng.integers(0, n, size=rows)] = 0
+        want = [leading_run_by_definition(r, cap) for r in hits.tolist()]
+        assert leading_run(hits, cap).tolist() == want
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_only_large_sparse_blocks_are_gathered(self, dtype):
+        # a gathered block is left as it was; a sorted-whole one comes back sorted
+        rng = np.random.default_rng(6)
+        for shape, top, gathered in (((5000, 4), 40, True), ((5000, 4), 4, False), ((1000, 4), 40, False)):
+            hits = rng.integers(0, top, size=shape).astype(dtype)
+            before = hits.copy()
+            want = [leading_run_by_definition(r, 4) for r in before.tolist()]
+            assert leading_run(hits, 4).tolist() == want
+            assert (hits == before).all() == gathered
+            assert (hits == np.sort(before, axis=1)).all() != gathered
+
+    def test_one_row_and_one_column(self):
+        assert leading_run(np.array([[0], [1], [0]], dtype=np.int32), 1).tolist() == [1, 0, 1]
+        dense = np.zeros((6000, 1), dtype=np.int64)
+        dense[::3] = 5
+        assert leading_run(dense, 1).tolist() == [0, 1, 1] * 2000
+        sparse = np.ones((6000, 1), dtype=np.int32)
+        sparse[::10] = 0
+        assert leading_run(sparse, 1).tolist() == ([1] + [0] * 9) * 600
+        assert leading_run(np.array([[2, 0, 1, 7]]), 4).tolist() == [3]
 
     def test_full_run_reaches_cap(self):
         assert leading_run(np.array([[0, 0, 1], [2, 1, 0], [0, 5, 9]]), 3).tolist() == [3, 3, 1]

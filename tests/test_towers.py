@@ -437,6 +437,24 @@ class TestVectorizedPath:
                     )
                     assert ts[x] == want
 
+    @pytest.mark.parametrize(
+        "spec", [(2**63, 2**60, 6), (2**63 - 1, 1, 2), (2**63 - 1, 3 * 2**59, 4), (2**63, 2**62, 1)]
+    )
+    def test_hit_times_near_two_to_63(self, spec):
+        # states above the tower wrap h - x//w past 2^63 in uint64
+        tower = CoordinateTower(*spec)
+        L, w, h = spec
+        top = (h + 1) * w
+        states = [0, w - 1, w, h * w - 1, h * w, top - 1, top, top + 1, L // 2, L - 2, L - 1]
+        states = [x for x in states if x < L]
+        for horizon in (0, 1, h):
+            got = _hit_times(np.array(states, dtype=np.int64), tower, horizon)
+            want = [
+                next((l for l in range(horizon + 1) if tower.in_excited(tower.step(x, l))), horizon + 1)
+                for x in states
+            ]
+            assert got.tolist() == want
+
     def test_sizes_match_literal_recursion_exhaustive(self):
         het_three = make_tower_system([(5, 1, 3), (9, 2, 3), (4, 1, 3)])
         for sys_ in (TWO_COORD, HET_TWO, het_three):
@@ -495,6 +513,38 @@ class TestSimulateTower:
         monkeypatch.setattr(towers_mod, "derive_stream", refuse)
         with pytest.raises(ResourceLimitError, match="cap of 2"):
             simulate_tower(make_tower_system([(8, 1, 4)] * 3), 10, seed=1)
+
+    @pytest.mark.parametrize("trials, shards", [(10, 2), (2, 5), (100, 3)])
+    def test_stream_cap_counts_coordinates_times_nonempty_shards(self, monkeypatch, trials, shards):
+        # 3 coordinates on min(trials, shards) shards; empty shards build no stream
+        import avalanches.towers as towers_mod
+
+        sys_ = make_tower_system([(8, 1, 4)] * 3)
+        streams = 3 * min(trials, shards)
+        built = []
+        monkeypatch.setattr(towers_mod, "COORDINATE_CAP", streams)
+        monkeypatch.setattr(towers_mod, "derive_stream", lambda *a: built.append(a) or 0)
+        assert simulate_tower(sys_, trials, seed=1, shards=shards).trials == trials
+        assert len(built) == streams
+
+        def refuse(*args):
+            raise AssertionError("a stream was built")
+
+        monkeypatch.setattr(towers_mod, "COORDINATE_CAP", streams - 1)
+        monkeypatch.setattr(towers_mod, "SplitMix64", refuse)
+        monkeypatch.setattr(towers_mod, "derive_stream", refuse)
+        with pytest.raises(ResourceLimitError, match=f"= {streams} streams exceed the cap of {streams - 1}"):
+            simulate_tower(sys_, trials, seed=1, shards=shards)
+
+    def test_more_shards_than_trials(self):
+        # shards 0..2 hold one trial each and draw as they always did
+        import avalanches.towers as towers_mod
+
+        want = Counter()
+        for i in range(3):
+            streams = [SplitMix64(derive_stream(4, i, j)) for j in range(HET_TWO.N)]
+            want.update(towers_mod._sample_block(HET_TWO, streams, 1).tolist())
+        assert simulate_tower(HET_TWO, 3, seed=4, shards=7).histogram == dict(want)
 
     def test_block_boundary_invariance(self, monkeypatch):
         import avalanches.towers as towers_mod
