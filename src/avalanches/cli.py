@@ -24,6 +24,7 @@ unlink and 67 ms to truncate after an fsync (12 files each).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import stat
@@ -60,9 +61,8 @@ OUT_DIR_ENV = "AVALANCHES_OUT_DIR"
 # Caps on the size inputs, checked before any work (exit code 3).  Each keeps
 # a run in the seconds range on one core (2-vCPU Xeon): `identity --n 150`
 # takes 0.3-0.4 s (0.6-0.7 s with `--forest`), and the split binds the cap,
-# `--s S` taking 2.9-4.7 s at its slowest S, about 50..60, and 31 MiB, where
-# the previous split took 3.9-4.9 s at n = 100 (runs alternated with it,
-# Python start-up included);
+# `--s S` taking 2.9-4.7 s at its slowest S, about 50..60, and 31 MiB
+# (Python start-up included);
 # `pmf --N 2000` takes about 0.9 s plus 1.6 s of JSON at
 # p = 1/2001, and `tail --amax 100000` about 2 s and 160 MiB.  Each CSV row
 # costs time and memory that grow with `pmf --digits`: at N = 2000,
@@ -258,18 +258,21 @@ def _tower_system_from_args(args):
             L, w, h, n = (int(t) for t in args.uniform.split(","))
         except ValueError:
             raise DomainError(f"--uniform expects L,w,height,N, got {args.uniform!r}")
-        _check_cap("--uniform N", n, towers.COORDINATE_CAP)
-        return make_tower_system([(L, w, h)] * n)
-    if args.coord:
-        triples = []
+        specs = itertools.repeat((L, w, h), n)
+    elif args.coord:
+        specs = []
         for spec in args.coord:
             try:
                 L, w, h = (int(t) for t in spec.split(","))
             except ValueError:
                 raise DomainError(f"--coord expects L,w,height, got {spec!r}")
-            triples.append((L, w, h))
-        return make_tower_system(triples)
-    raise DomainError("tower model needs --uniform or at least one --coord")
+            specs.append((L, w, h))
+        n = len(specs)
+    else:
+        raise DomainError("tower model needs --uniform or at least one --coord")
+    # n streams on each non-empty shard, so this also caps n itself
+    towers.check_streams(n, args.trials, args.shards)
+    return make_tower_system(specs)
 
 
 def cmd_simulate(args) -> int:
@@ -296,7 +299,6 @@ def cmd_simulate(args) -> int:
         if args.N is not None or args.M is not None:
             raise DomainError("--N/--M apply only to the urn model")
         sys_ = _tower_system_from_args(args)
-        towers.check_streams(sys_.N, args.trials, args.shards)
         for c in sys_.coords:
             check_bound(c.L)
         if args.exact_oracle:

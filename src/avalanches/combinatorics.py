@@ -12,6 +12,7 @@ and is the independent oracle for the identity, term by term.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -64,23 +65,16 @@ def compositions(n: int) -> Iterator[Composition]:
     """All 2^(n-1) compositions of n, in ascending part count then lexicographic order.
 
     The order is fixed so fixtures and serialized profiles are reproducible:
-    n=3 yields (3), (1,2), (2,1), (1,1,1).
+    n=3 yields (3), (1,2), (2,1), (1,1,1).  An r-part composition is the gaps
+    between cuts 0 < c_1 < ... < c_{r-1} < n, and cut sets taken in
+    lexicographic order give their parts in lexicographic order.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     for r in range(1, n + 1):
-        for parts in _compositions_into(n, r):
-            yield Composition(parts)
-
-
-def _compositions_into(n: int, r: int) -> Iterator[tuple[int, ...]]:
-    """Compositions of n into exactly r positive parts, lexicographically."""
-    if r == 1:
-        yield (n,)
-        return
-    for first in range(1, n - r + 2):
-        for rest in _compositions_into(n - first, r - 1):
-            yield (first,) + rest
+        for cuts in itertools.combinations(range(1, n), r - 1):
+            ends = (0, *cuts, n)
+            yield Composition(tuple(b - a for a, b in zip(ends, ends[1:])))
 
 
 def multinomial(n: int, parts: Composition | Iterable[int]) -> int:

@@ -9,9 +9,10 @@ multiply avalanche chain (z ^= z>>30; z *= 0xBF58476D1CE4E5B9; z ^= z>>27;
 z *= 0x94D049BB133111EB; z ^= z>>31).  Streams for shard i (and, for
 multi-coordinate models, coordinate j) are derived by feeding the indices
 through the same mix: derive_stream(seed, i) = finalize(seed + (i+1)*GOLDEN),
-applied once per index.  Because outputs are a pure function of (base,
-counter), results are bit-reproducible and independent of internal batch
-sizes.
+applied once per index; run_campaign hands shard i its base, and a
+multi-coordinate sampler forks coordinate j from that.  Because outputs are
+a pure function of (base, counter), results are bit-reproducible and
+independent of internal batch sizes.
 
 Bounded draws use rejection below the largest multiple of the bound, so
 there is no modulo bias: the k-th draw in [0, bound) is (the k-th raw
@@ -24,6 +25,7 @@ with a multiply and a shift.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -72,6 +74,17 @@ def check_bound(bound: int) -> None:
     """Bounded draws take bounds in 1..2^63, so every draw fits an int64."""
     if not 1 <= bound <= 1 << 63:
         raise DomainError(f"bound must be in 1..2^63, got {bound}")
+
+
+def _raw_count(need: int, limit: int) -> int:
+    """Raw outputs to generate for ``need`` draws accepted below ``limit``.
+
+    With rejection rate q = 1 - limit/2^64, the need-th acceptance comes after
+    need*q/(1-q) rejections on average, with standard deviation sqrt(need*q)/(1-q);
+    the mean plus 4 of them makes one block the usual case.  Where q is next to 0
+    (any power of two, 100) both terms floor to 0, leaving need + 16."""
+    extra = need * ((1 << 64) - limit) / limit
+    return max(need + 16 + int(extra + 4 * math.sqrt(extra * (1 << 64) / limit)), 1024)
 
 
 def _mix64_inplace(z: np.ndarray) -> np.ndarray:
@@ -132,31 +145,32 @@ class SplitMix64:
 
         Rejection sampling against the largest multiple of ``bound``; the
         counter lands exactly after the raw output that produced the last
-        accepted draw, so results do not depend on the batch size used here.
-        The accepted raw outputs are reduced in place by _remainder_inplace.
+        accepted draw, so results do not depend on the batch size used here,
+        which _raw_count sets from the rejection rate.  The accepted raw
+        outputs are reduced in place by _remainder_inplace.
         """
         check_bound(bound)
         if count < 0:
             raise DomainError(f"count must be >= 0, got {count}")
         limit = ((1 << 64) // bound) * bound
         bound_np = np.uint64(bound)
-        raws = self._raw_block(max(count + 16, 1024))
+        raws = self._raw_block(_raw_count(count, limit))
         head = raws[:count]
         if limit == 1 << 64 or count == 0 or int(head.max()) < limit:
             # every raw output up to the last needed one is accepted
             self.counter += count
             return _remainder_inplace(head, bound_np).view(np.int64)
-        parts, filled = [], 0
+        out, filled = np.empty(count, dtype=np.uint64), 0
         while True:
             hits = np.flatnonzero(raws < np.uint64(limit))[: count - filled]
-            parts.append(raws[hits])
+            np.take(raws, hits, out=out[filled : filled + len(hits)], mode="clip")
             filled += len(hits)
             if filled == count:
                 # stop right after the raw that produced the last needed draw
                 self.counter += int(hits[-1]) + 1
-                return _remainder_inplace(np.concatenate(parts), bound_np).view(np.int64)
+                return _remainder_inplace(out, bound_np).view(np.int64)
             self.counter += len(raws)
-            raws = self._raw_block(max(count - filled + 16, 1024))
+            raws = self._raw_block(_raw_count(count - filled, limit))
 
 
 def leading_run(hits: np.ndarray, cap: int) -> np.ndarray:
@@ -244,26 +258,31 @@ def available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def campaign_histogram(
-    trials: int, shards: int, block_trials: int, top: int, shard_sampler
-) -> dict[int, int]:
-    """Histogram over 0..top of a statistic sampled on every shard of a campaign.
+def run_campaign(
+    model: str, params: dict, trials: int, seed: int, shards: int,
+    block_trials: int, top: int, shard_sampler,
+) -> SimResult:
+    """Sample a statistic in 0..top on every shard of a campaign; its SimResult.
 
-    ``shard_sampler(i)`` returns shard i's sampler: given a trial count, it
-    returns one statistic per trial, drawn trial-major from the shard's
-    streams, so the block size (at most ``block_trials``) cannot change it.
-    Shards run on min(shards, trials, available_cpus()) worker threads, and
-    a shard with no trial builds no sampler; each returns its own counts and
-    the counts are added, so the histogram does not depend on which thread
-    ran which shard.  NumPy releases the interpreter lock inside its array
-    kernels, so the threads overlap.
+    ``shard_sampler(base)`` returns the sampler of the shard whose stream
+    base is derive_stream(seed, i): given a trial count, it returns one
+    statistic per trial, drawn trial-major from streams rooted at that base,
+    so the block size (at most ``block_trials``) cannot change it.  The seed
+    is checked before any sampler is built.  Shards run on
+    min(shards, trials, available_cpus()) worker threads, and a shard with
+    no trial builds no sampler; each returns its own counts and the counts
+    are added, so the histogram does not depend on which thread ran which
+    shard.  NumPy releases the interpreter lock inside its array kernels, so
+    the threads overlap.
     """
     # imported here: the executor costs about 0.6 MiB and 5 ms to import,
     # which the exact-law commands never need
     from concurrent.futures import ThreadPoolExecutor
 
+    check_seed(seed)
+
     def shard_counts(i: int, n_trials: int) -> np.ndarray:
-        sample = shard_sampler(i)
+        sample = shard_sampler(derive_stream(seed, i))
         counts = np.zeros(top + 1, dtype=np.int64)
         for done in range(0, n_trials, block_trials):
             counts += np.bincount(sample(min(block_trials, n_trials - done)), minlength=top + 1)
@@ -274,4 +293,7 @@ def campaign_histogram(
     sizes = shard_sizes(trials, shards)
     with ThreadPoolExecutor(max_workers=min(busy, available_cpus())) as pool:
         counts = sum(pool.map(shard_counts, range(busy), sizes[:busy]))
-    return {a: int(c) for a, c in enumerate(counts) if c}
+    histogram = {a: int(c) for a, c in enumerate(counts) if c}
+    return SimResult(
+        histogram=histogram, trials=trials, seed=seed, shards=shards, model=model, params=params
+    )

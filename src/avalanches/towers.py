@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -28,11 +28,10 @@ from .errors import DomainError, ResourceLimitError
 from .sampling import (
     SimResult,
     SplitMix64,
-    campaign_histogram,
     check_campaign,
-    check_seed,
     derive_stream,
     leading_run,
+    run_campaign,
 )
 
 # Cap on the oracle's scan (the sum of the L_i) and on its hit-class tuples;
@@ -113,7 +112,7 @@ class TowerSystem:
         return tuple(c.p for c in self.coords)
 
 
-def make_tower_system(specs: Sequence[tuple[int, int, int]]) -> TowerSystem:
+def make_tower_system(specs: Iterable[tuple[int, int, int]]) -> TowerSystem:
     """Build and validate a system from (L, w, height) triples."""
     return TowerSystem(coords=tuple(CoordinateTower(L, w, h) for L, w, h in specs))
 
@@ -191,27 +190,22 @@ def check_streams(n: int, trials: int, shards: int) -> None:
 def simulate_tower(sys: TowerSystem, trials: int, seed: int, shards: int = 1) -> SimResult:
     """Histogram of the avalanche size over i.i.d. product-uniform states.
 
-    Shard i, coordinate j draws from derive_stream(seed, i, j); trial t uses
-    the t-th draw of each coordinate stream.  Same determinism contract as
-    simulate_urns.  N times the non-empty shards is capped at COORDINATE_CAP
-    (see check_streams) before any stream is built.
+    Coordinate j of shard i draws from derive_stream(base, j), forked from
+    the base run_campaign gives the shard, derive_stream(seed, i); that is
+    derive_stream(seed, i, j).  Trial t uses the t-th draw of each
+    coordinate stream.  Same determinism contract as simulate_urns.  N times
+    the non-empty shards is capped at COORDINATE_CAP (see check_streams)
+    before any stream is built.
     """
-    check_seed(seed)
     check_streams(sys.N, trials, shards)
 
-    def shard_sampler(i: int):
-        streams = [SplitMix64(derive_stream(seed, i, j)) for j in range(sys.N)]
+    def shard_sampler(base: int):
+        streams = [SplitMix64(derive_stream(base, j)) for j in range(sys.N)]
         return partial(_sample_block, sys, streams)
 
-    return SimResult(
-        histogram=campaign_histogram(
-            trials, shards, _BLOCK_DRAWS // sys.N, sys.N, shard_sampler
-        ),
-        trials=trials,
-        seed=seed,
-        shards=shards,
-        model="tower",
-        params={"coords": [[c.L, c.w, c.height] for c in sys.coords]},
+    params = {"coords": [[c.L, c.w, c.height] for c in sys.coords]}
+    return run_campaign(
+        "tower", params, trials, seed, shards, _BLOCK_DRAWS // sys.N, sys.N, shard_sampler
     )
 
 

@@ -19,14 +19,7 @@ import numpy as np
 
 from .distributions import AvalancheParams, Pmf, avalanche_pmf
 from .errors import DomainError, ResourceLimitError
-from .sampling import (
-    SimResult,
-    SplitMix64,
-    campaign_histogram,
-    check_seed,
-    derive_stream,
-    leading_run,
-)
+from .sampling import SimResult, SplitMix64, leading_run, run_campaign
 
 # Cap on C(N + min(N, M), min(N, M)), the occupancy vectors the oracle may
 # have to score; keeps an at-cap run in the seconds range on one core (about
@@ -144,26 +137,16 @@ def urn_pmf_bruteforce(cfg: UrnConfig) -> Pmf:
 def simulate_urns(cfg: UrnConfig, trials: int, seed: int, shards: int = 1) -> SimResult:
     """Histogram of X over i.i.d. uniform assignments.
 
-    Shard i draws from the stream derive_stream(seed, i); within a shard,
-    draws are consumed trial-major (trial 0 balls 1..N, then trial 1, ...),
-    so the result is a pure function of (cfg, trials, seed, shards).
+    Shard i draws from the one stream at the base run_campaign gives it,
+    derive_stream(seed, i); within a shard, draws are consumed trial-major
+    (trial 0 balls 1..N, then trial 1, ...), so the result is a pure
+    function of (cfg, trials, seed, shards).
     """
-    check_seed(seed)
     if cfg.N > _BLOCK_DRAWS:
         raise ResourceLimitError(f"N = {cfg.N} balls exceed the cap of {_BLOCK_DRAWS}")
-
-    def shard_sampler(i: int):
-        return partial(_sample_block, cfg, SplitMix64(derive_stream(seed, i)))
-
-    return SimResult(
-        histogram=campaign_histogram(
-            trials, shards, _BLOCK_DRAWS // cfg.N, cfg.N, shard_sampler
-        ),
-        trials=trials,
-        seed=seed,
-        shards=shards,
-        model="urn",
-        params={"N": cfg.N, "M": cfg.M},
+    return run_campaign(
+        "urn", {"N": cfg.N, "M": cfg.M}, trials, seed, shards, _BLOCK_DRAWS // cfg.N, cfg.N,
+        lambda base: partial(_sample_block, cfg, SplitMix64(base)),
     )
 
 

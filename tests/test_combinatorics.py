@@ -108,6 +108,11 @@ class TestCompositions:
     def test_n3_exact_order(self):
         assert [c.parts for c in compositions(3)] == [(3,), (1, 2), (2, 1), (1, 1, 1)]
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_order_is_part_count_then_lexicographic(self, n):
+        parts = [c.parts for c in compositions(n)]
+        assert parts == sorted(parts, key=lambda p: (len(p), p))
+
     def test_n20_count(self):
         assert sum(1 for _ in compositions(20)) == 2**19
 

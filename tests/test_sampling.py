@@ -17,11 +17,11 @@ from avalanches.sampling import (
     SplitMix64,
     _mix64_inplace,
     available_cpus,
-    campaign_histogram,
     check_seed,
     derive_stream,
     leading_run,
     mix64,
+    run_campaign,
     shard_sizes,
 )
 
@@ -65,6 +65,26 @@ class TestDeriveStream:
 
     def test_masks_seed(self):
         assert derive_stream(2**70 + 5) == derive_stream((2**70 + 5) & MASK64)
+
+    @given(st.integers(0, MASK64), st.integers(0, 2**16), st.integers(0, 2**16))
+    @settings(max_examples=200, deadline=None)
+    def test_forking_a_shard_base_folds_one_more_index(self, seed, i, j):
+        # simulate_tower forks coordinate j from shard i's base
+        assert derive_stream(derive_stream(seed, i), j) == derive_stream(seed, i, j)
+
+
+@pytest.fixture
+def raw_blocks(monkeypatch):
+    """The sizes of the raw blocks SplitMix64 generates, in order."""
+    sizes = []
+    raw_block = SplitMix64._raw_block
+
+    def recording(self, count):
+        sizes.append(count)
+        return raw_block(self, count)
+
+    monkeypatch.setattr(SplitMix64, "_raw_block", recording)
+    return sizes
 
 
 class TestIntegersBelow:
@@ -111,8 +131,9 @@ class TestIntegersBelow:
     )
     def test_matches_reference_across_split_calls(self, bound):
         # 2^62+1, floor(2^64/3)+1 and 3*2^61 reject about 1/4, 1/3 and 1/4 of
-        # raw outputs, so the 1500- and 2100-draw calls run out of their first
-        # raw block; 33000 draws span two slices of the division-free reduce
+        # raw outputs; the calls pin the stream and counter across split calls,
+        # and test_matches_reference_when_blocks_fall_short covers the refill
+        # loop; 33000 draws span two slices of the division-free reduce
         base = derive_stream(11, 2)
         stream, counter, total = SplitMix64(base), 0, 0
         for count in (1, 0, 7, 1500, 2100, 3, 33000):
@@ -124,6 +145,39 @@ class TestIntegersBelow:
             total += count
         if bound in (2**62 + 1, 2**64 // 3 + 1, 3 * 2**61):
             assert counter > total + 1024
+
+    @pytest.mark.parametrize("bound", [2**62 + 1, 2**64 // 3 + 1, 3 * 2**61])
+    def test_matches_reference_when_blocks_fall_short(self, monkeypatch, bound):
+        # blocks of need + 1 raw outputs run out after two rejections, so
+        # these bounds take the refill loop again and again
+        import avalanches.sampling as sampling_mod
+
+        blocks = []
+        monkeypatch.setattr(
+            sampling_mod, "_raw_count", lambda need, limit: blocks.append(need) or need + 1
+        )
+        base = derive_stream(12, 0)
+        stream, counter = SplitMix64(base), 0
+        for count in (1, 7, 1500, 40000):
+            want, counter = reference_integers_below(base, counter, bound, count)
+            assert stream.integers_below(bound, count).tolist() == want
+            assert stream.counter == counter
+        assert len(blocks) > 4 * 2  # the 1500- and 40000-draw calls refilled
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_blocks_sized_by_the_rejection_rate(self, raw_blocks, seed):
+        # 3*2^61 rejects a quarter of raw outputs; one block is the usual case
+        stream = SplitMix64(derive_stream(seed, 0))
+        for _ in range(3):
+            raw_blocks.clear()
+            stream.integers_below(3 * 2**61, 2**18)
+            assert 1 <= len(raw_blocks) <= 2
+
+    @pytest.mark.parametrize("bound", [1, 7, 64, 100, 2**32, 2**63])
+    def test_block_is_count_plus_16_where_nothing_is_rejected(self, raw_blocks, bound):
+        SplitMix64(3).integers_below(bound, 2**18)
+        SplitMix64(3).integers_below(bound, 10)
+        assert raw_blocks == [2**18 + 16, 1024]
 
     @pytest.mark.parametrize("bound", [2**63 + 1, 2**64 - 1, 2**64, 2**70])
     def test_bound_above_two_to_63_rejected(self, bound):
@@ -173,17 +227,21 @@ class TestSimResultAndShards:
             with pytest.raises(DomainError):
                 check_seed(seed)
 
-    def test_campaign_histogram_sums_blocks_over_shards(self):
+    def test_run_campaign_sums_blocks_over_shards(self):
         calls = []
+        shard_of = {derive_stream(4, i): i for i in range(3)}
 
-        def shard_sampler(i):
+        def shard_sampler(base):
+            i = shard_of[base]
+
             def sample(block):
                 calls.append((i, block))
                 return np.full(block, i)
 
             return sample
 
-        assert campaign_histogram(10, 3, 3, 4, shard_sampler) == {0: 4, 1: 3, 2: 3}
+        res = run_campaign("urn", {}, 10, 4, 3, 3, 4, shard_sampler)
+        assert res.histogram == {0: 4, 1: 3, 2: 3}
         # shards may run on different threads; within a shard, blocks run in order
         for i, blocks in ((0, [3, 1]), (1, [3]), (2, [3])):
             assert [b for j, b in calls if j == i] == blocks
@@ -192,24 +250,42 @@ class TestSimResultAndShards:
     def test_empty_shards_build_no_sampler(self):
         built = []
 
-        def shard_sampler(i):
-            built.append(i)
+        def shard_sampler(base):
+            built.append(base)
             return lambda block: np.zeros(block, dtype=np.int64)
 
-        assert campaign_histogram(3, 8, 2, 1, shard_sampler) == {0: 3}
-        assert sorted(built) == [0, 1, 2]
+        assert run_campaign("urn", {}, 3, 9, 8, 2, 1, shard_sampler).histogram == {0: 3}
+        assert sorted(built) == sorted(derive_stream(9, i) for i in range(3))
 
+    def test_run_campaign_hands_out_shard_bases_and_echoes_the_run(self):
+        bases = []
 
-def stream_sampler(seed, bound=7, width=5):
-    """A shard sampler over real streams: the leading run of width-wide rows."""
+        def shard_sampler(base):
+            bases.append(base)
+            return lambda block: np.ones(block, dtype=np.int64)
 
-    def shard_sampler(i):
-        stream = SplitMix64(derive_stream(seed, i))
-        return lambda block: leading_run(
-            stream.integers_below(bound, block * width).reshape(block, width), width
+        params = {"N": 2, "M": 3}
+        res = run_campaign("model-x", params, 7, MASK64, 5, 4, 2, shard_sampler)
+        assert sorted(bases) == sorted(derive_stream(MASK64, i) for i in range(5))
+        assert res == SimResult(
+            histogram={1: 7}, trials=7, seed=MASK64, shards=5, model="model-x", params=params
         )
 
-    return shard_sampler
+    @pytest.mark.parametrize("seed", [-1, MASK64 + 1])
+    def test_run_campaign_rejects_a_bad_seed_before_any_sampler(self, seed):
+        def shard_sampler(base):
+            raise AssertionError("a sampler was built")
+
+        with pytest.raises(DomainError, match="seed"):
+            run_campaign("urn", {}, 10, seed, 2, 5, 1, shard_sampler)
+
+
+def stream_sampler(base, bound=7, width=5):
+    """A shard sampler over a real stream: the leading run of width-wide rows."""
+    stream = SplitMix64(base)
+    return lambda block: leading_run(
+        stream.integers_below(bound, block * width).reshape(block, width), width
+    )
 
 
 class TestThreadedCampaign:
@@ -221,14 +297,14 @@ class TestThreadedCampaign:
         trials, shards, seed = 20000, 4 * available_cpus() + 1, 5
         want = np.zeros(6, dtype=np.int64)
         for i, n in enumerate(shard_sizes(trials, shards)):
-            want += np.bincount(stream_sampler(seed)(i)(n), minlength=6)
+            want += np.bincount(stream_sampler(derive_stream(seed, i))(n), minlength=6)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = campaign_histogram(trials, shards, 97, 5, stream_sampler(seed))
+            got = run_campaign("urn", {}, trials, seed, shards, 97, 5, stream_sampler)
         finally:
             sys.setswitchinterval(interval)
-        assert got == {a: int(c) for a, c in enumerate(want) if c}
+        assert got.histogram == {a: int(c) for a, c in enumerate(want) if c}
 
     def test_threads_bounded_by_cpus(self, monkeypatch):
         import avalanches.sampling as sampling_mod
@@ -237,7 +313,7 @@ class TestThreadedCampaign:
         idents, alive = set(), []
         before = threading.active_count()
 
-        def shard_sampler(i):
+        def shard_sampler(base):
             def sample(block):
                 idents.add(threading.get_ident())
                 alive.append(threading.active_count())
@@ -246,22 +322,25 @@ class TestThreadedCampaign:
 
             return sample
 
-        assert campaign_histogram(1600, 16, 50, 3, shard_sampler) == {0: 1600}
+        res = run_campaign("urn", {}, 1600, 0, 16, 50, 3, shard_sampler)
+        assert res.histogram == {0: 1600}
         assert 1 <= len(idents) <= 2
         assert max(alive) <= before + 2
         assert threading.active_count() == before  # the workers were joined
 
     def test_shard_error_reaches_caller(self):
-        def shard_sampler(i):
+        bad_base = derive_stream(0, 2)
+
+        def shard_sampler(base):
             def sample(block):
-                if i == 2:
+                if base == bad_base:
                     raise DomainError("shard 2 failed")
                 return np.zeros(block, dtype=np.int64)
 
             return sample
 
         with pytest.raises(DomainError, match="shard 2 failed"):
-            campaign_histogram(100, 5, 7, 3, shard_sampler)
+            run_campaign("urn", {}, 100, 0, 5, 7, 3, shard_sampler)
 
 
 def leading_run_by_definition(row, cap):

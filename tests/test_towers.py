@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from avalanches.combinatorics import _compositions_into
+from avalanches.combinatorics import compositions
 from avalanches.distributions import AvalancheParams, avalanche_pmf
 from avalanches.errors import DomainError, ResourceLimitError
 from avalanches.sampling import SplitMix64, derive_stream, leading_run, shard_sizes
@@ -102,20 +102,19 @@ def general_pmf_by_partition_enumeration(ps):
             probs.append(total)
             continue
         total = F(0)
-        for r in range(1, a + 1):
-            for parts in _compositions_into(a, r):
-                for firing_blocks in ordered_partitions(coords, list(parts)):
-                    fired = set().union(*firing_blocks)
-                    term = F(1)
-                    for i in firing_blocks[0]:
-                        term *= ps[i]
-                    for l in range(1, r):
-                        for i in firing_blocks[l]:
-                            term *= parts[l - 1] * ps[i]
-                    for i in coords:
-                        if i not in fired:
-                            term *= 1 - (a + 1) * ps[i]
-                    total += term
+        for parts in (c.parts for c in compositions(a)):
+            for firing_blocks in ordered_partitions(coords, list(parts)):
+                fired = set().union(*firing_blocks)
+                term = F(1)
+                for i in firing_blocks[0]:
+                    term *= ps[i]
+                for l in range(1, len(parts)):
+                    for i in firing_blocks[l]:
+                        term *= parts[l - 1] * ps[i]
+                for i in coords:
+                    if i not in fired:
+                        term *= 1 - (a + 1) * ps[i]
+                total += term
         probs.append(total)
     return probs
 

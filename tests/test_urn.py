@@ -219,7 +219,7 @@ class TestSimulateUrns:
         def refuse(*args):
             raise AssertionError("the campaign started")
 
-        monkeypatch.setattr(urn_mod, "campaign_histogram", refuse)
+        monkeypatch.setattr(urn_mod, "run_campaign", refuse)
         with pytest.raises(ResourceLimitError, match="cap"):
             simulate_urns(UrnConfig(n + 1, n + 2), 1, seed=1)
 
