@@ -30,14 +30,13 @@ from .distributions import (
     conditional_pmf,
     expectation_identity_check,
     limit_pmf,
-    local_maxima,
     pmf_mean,
     powerlaw_slope,
     tail_log_ratio,
 )
 from .errors import DegenerateInputError, DomainError, ResourceLimitError
 from .sampling import SimResult, SplitMix64, derive_stream, mix64
-from .stats import GofReport, chi_square_gof, empirical_pmf, mean_ci, tv_distance
+from .stats import GofReport, chi_square_gof, empirical_pmf, tv_distance
 from .towers import (
     CoordinateTower,
     TowerSystem,

@@ -302,7 +302,7 @@ def cmd_simulate(args) -> int:
         for c in sys_.coords:
             check_bound(c.L)
         if args.exact_oracle:
-            # the oracle's caps (at most 9 coordinates) also bound the law
+            # the oracle's caps (at most 214 coordinates) also bound the law
             brute = tower_pmf_bruteforce(sys_)
             exact = avalanche_pmf_general(sys_.ps())
         campaign = partial(simulate_tower, sys_)

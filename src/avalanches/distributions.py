@@ -434,20 +434,3 @@ def powerlaw_slope(pmf: Pmf, a_min: int, a_max: int) -> float:
     sxx = math.fsum((x - mx) ** 2 for x in xs)
     sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
     return sxy / sxx
-
-
-def local_maxima(pmf: Pmf) -> list[int]:
-    """Support points whose mass strictly exceeds every existing neighbor,
-    in ascending order.  Boundary points compare against their one neighbor."""
-    if not pmf.support:
-        raise DomainError("empty support")
-    out = []
-    probs = pmf.probs
-    last = len(probs) - 1
-    for i, a in enumerate(pmf.support):
-        left_ok = i == 0 or probs[i] > probs[i - 1]
-        right_ok = i == last or probs[i] > probs[i + 1]
-        if left_ok and right_ok:
-            out.append(a)
-    return out
-

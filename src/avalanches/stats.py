@@ -159,15 +159,3 @@ def regularized_gamma_q(s: float, x: float) -> float:
         if abs(delta - 1.0) < 1e-14:
             break
     return h * math.exp(log_prefactor)
-
-
-def mean_ci(res: SimResult, z: float) -> tuple[float, float]:
-    """Sample mean of the simulated statistic and z * stddev / sqrt(trials)."""
-    n = res.trials
-    if n < 2:
-        raise DomainError(f"need at least 2 trials, got {n}")
-    s1 = math.fsum(a * c for a, c in res.histogram.items())
-    s2 = math.fsum(a * a * c for a, c in res.histogram.items())
-    mean = s1 / n
-    var = max(s2 - n * mean * mean, 0.0) / (n - 1)
-    return mean, z * math.sqrt(var / n)

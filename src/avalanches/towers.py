@@ -5,11 +5,11 @@ B = {0..w-1} and excited top level U = {h*w .. h*w + w - 1}; the levels
 S^k(B), k = 0..h, are pairwise disjoint because (h+1)*w <= L, and the
 uniform measure gives U exact mass w/L.  Heights must exceed the coordinate
 count (h + 1 > N) so no coordinate can pass through its excited set twice
-within one cascade.  The cascade only counts coordinates by hit class, so
-the exact oracle builds the multisets of hit classes in one loop over the
-coordinates, counting the state tuples in each exactly, and scores one state
-per multiset with the literal cascade recursion; it shares no arithmetic
-with the closed forms.
+within one cascade.  The cascade reads a coordinate only through its hit
+class, and its size is the leading run of the hit classes, so the exact
+oracle scans each coordinate type once, literally, for its class sizes and
+counts the states by leading run with combinatorics.leading_run_counts; it
+shares no arithmetic with the closed forms.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .combinatorics import check_leading_run, leading_run_counts
 from .distributions import AvalancheParams, Pmf, avalanche_pmf
 from .errors import DomainError, ResourceLimitError
 from .sampling import (
@@ -34,9 +35,8 @@ from .sampling import (
     run_campaign,
 )
 
-# Cap on the oracle's scan (the sum of the L_i) and on its hit-class tuples;
-# keeps an at-cap run in the seconds range on one core (3.3-3.9 s for
-# (11,1,9) x 9 on a 2-vCPU Xeon, where criterion 7's (64,1,8) x 8 takes 0.6 s).
+# Cap on the oracle's scan, the sum of the L_i: each state costs one
+# in_excited call per class, up to N + 1.
 DEFAULT_STATE_CAP = 10**5
 
 # Draws per vectorized block of the sampler, one per coordinate and trial: a
@@ -222,43 +222,35 @@ def _sample_block(sys: TowerSystem, streams: list[SplitMix64], block: int) -> np
     return leading_run(hits, sys.N)
 
 
-def _hit_classes(tower: CoordinateTower, n: int) -> dict[int, list[int]]:
+def _hit_classes(tower: CoordinateTower, n: int) -> list[int]:
     """Scan a coordinate's L states for their hit class in a system of n coordinates.
 
     State x is in class l for the first l <= n with S^l(x) excited, and in
     class n+1 if there is none; avalanche_trace reads a coordinate only
-    through that.  Returns {class: [size, first state in it]}.
+    through that.  Returns the number of states in each class 0..n+1.
     """
-    classes: dict[int, list[int]] = {}
+    sizes = [0] * (n + 2)
     for x in range(tower.L):
-        l = next((l for l in range(n + 1) if tower.in_excited(tower.step(x, l))), n + 1)
-        if l in classes:
-            classes[l][0] += 1
-        else:
-            classes[l] = [1, x]
-    return classes
+        sizes[next((l for l in range(n + 1) if tower.in_excited(tower.step(x, l))), n + 1)] += 1
+    return sizes
 
 
 def tower_pmf_bruteforce(sys: TowerSystem) -> Pmf:
-    """Exact avalanche law by scoring one state per multiset of hit classes.
+    """Exact avalanche law by counting the product states by leading run.
 
     avalanche_trace reads coordinate i only through its hit class (see
     _hit_classes), and only to count coordinates: A(x,1) is the number in
-    class 0, each later step the number in a class up to the last count.  So
-    the avalanche size depends only on the multiset of classes over all N
-    coordinates, whatever their types.  Each coordinate type (L, w, h) is
-    scanned once, literally, for its class sizes and representatives.  One
-    loop over the coordinates in order builds {multiset over the coordinates
-    so far: [count, representative states]}: each class of the next
-    coordinate extends every multiset, its size multiplying the count.  A
-    multiset is keyed by its class counts packed as base-(N+1) digits, class
-    l in digit l; no count exceeds N, so adding a class never carries.  One
-    representative state per multiset over all coordinates is scored with
-    avalanche_size.  Probabilities are rationals with denominator prod(L_i).
+    class 0, each later step the number in a class up to the last count.
+    The stable count is the leading run of the N hit classes: the first
+    k < N with at most k coordinates in classes 0..k, or N.  Each coordinate
+    type (L, w, h) is scanned once, literally, for its class sizes, and
+    leading_run_counts counts the states, a type of m coordinates with those
+    sizes and L states each.  Probabilities are rationals with denominator
+    prod(L_i).
 
-    The cap bounds both the sum of the L_i and the number of tuples of
-    per-type multisets, taking min(L, N+2) classes per coordinate type, and
-    is checked before the scan.
+    Both caps, the sum of the L_i (the scan) and the leading-run count's
+    (combinatorics.LEADING_RUN_CAP, from N and the type multiplicities),
+    are checked before the scan.
     """
     n = sys.N
     types = Counter(sys.coords)
@@ -266,29 +258,8 @@ def tower_pmf_bruteforce(sys: TowerSystem) -> Pmf:
     scan = sum(c.L for c in sys.coords)
     if scan > cap:
         raise ResourceLimitError(f"{scan} coordinate states to scan exceed the cap of {cap}")
-    tuples = 1
-    for c, m in types.items():
-        tuples *= math.comb(m + min(c.L, n + 2) - 1, m)
-    if tuples > cap:
-        raise ResourceLimitError(f"{tuples} hit-class tuples exceed the cap of {cap}")
-    steps = {
-        c: [((n + 1) ** l, size, x) for l, (size, x) in _hit_classes(c, n).items()]
-        for c in types
-    }
-    merged: dict[int, list] = {0: [1, []]}
-    for c in sys.coords:
-        nxt: dict[int, list] = {}
-        for key, (count, x) in merged.items():
-            for step, size, rep in steps[c]:
-                new = key + step
-                if new in nxt:
-                    nxt[new][0] += count * size
-                else:
-                    nxt[new] = [count * size, x + [rep]]
-        merged = nxt
-    counts = [0] * (n + 1)
-    for count, x in merged.values():
-        counts[avalanche_size(x, sys)] += count
+    check_leading_run(list(types.values()), n)
+    counts = leading_run_counts([(m, _hit_classes(c, n), c.L) for c, m in types.items()], n)
     total = math.prod(c.L for c in sys.coords)
     probs = tuple(Fraction(k, total) for k in counts)
     return Pmf(

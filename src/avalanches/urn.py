@@ -1,15 +1,17 @@
-"""The ball-and-urn model: statistic, exact formula, enumeration oracle, sampler.
+"""The ball-and-urn model: statistic, exact formula, counting oracle, sampler.
 
 N distinguishable balls land uniformly in M urns.  The statistic X is the
 largest r in {1..M} such that urns 1..k hold at least k balls for every
-k <= r.  Its law matches the avalanche law with p = 1/M.  The oracle
-scores one assignment per occupancy class with urn_statistic and counts
-each class exactly, so it shares no arithmetic with the closed formula.
+k <= r.  Its law matches the avalanche law with p = 1/M.  X is the leading
+run of the balls' hit times (urn id - 1), so the oracle counts the
+assignments by leading run, urn by urn, with
+combinatorics.leading_run_counts; it shares no arithmetic with the closed
+formula.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
@@ -17,14 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .combinatorics import leading_run_counts
 from .distributions import AvalancheParams, Pmf, avalanche_pmf
 from .errors import DomainError, ResourceLimitError
 from .sampling import SimResult, SplitMix64, leading_run, run_campaign
-
-# Cap on C(N + min(N, M), min(N, M)), the occupancy vectors the oracle may
-# have to score; keeps an at-cap run in the seconds range on one core (about
-# 5 s at worst on a 2-vCPU Xeon, where (12, 13) takes 1.7 s).
-DEFAULT_ENUMERATION_CAP = 5 * 10**6
 
 # Draws per vectorized block of the sampler, and the sampler's cap on N: a
 # block holds _BLOCK_DRAWS // N trials, so its int64 draws take about 2 MiB
@@ -88,42 +86,17 @@ def urn_pmf_formula(cfg: UrnConfig) -> Pmf:
 
 
 def urn_pmf_bruteforce(cfg: UrnConfig) -> Pmf:
-    """Exact law of X by scoring one assignment per occupancy class.
+    """Exact law of X by counting the M^N assignments by leading run.
 
-    X reads an assignment only through the counts c_1..c_top in urns
-    1..top, top = min(N, M).  The counts are chosen urn by urn; once the
-    running count falls short (c_1 + ... + c_k < k), X = k - 1 whatever the
-    other R balls do, so the branch stops and they may land in any of urns
-    k+1..M.  A class (c_1..c_k, R) holds N!/(c_1!...c_k! R!) * (M-k)^R
-    assignments, and urn_statistic scores one of them: c_j balls in urn j,
-    the R others in urn k+1.  Probabilities are rationals over M^N.
-
-    The cap bounds C(N+top, top), the number of count vectors
-    (c_1..c_top, rest), which is at least the number of classes scored.
+    A ball's hit time is its urn id - 1, and X is the first k < top =
+    min(N, M) with at most k balls in urns 1..k+1, or top if there is none:
+    the leading run of the N hit times.  So leading_run_counts counts the
+    assignments with one type of N balls, one way into each urn 1..top and
+    M ways in all.  Probabilities are rationals over M^N.  The cap
+    (combinatorics.LEADING_RUN_CAP) is checked before any work.
     """
     N, M = cfg.N, cfg.M
-    top = min(N, M)
-    cap, vectors, k = DEFAULT_ENUMERATION_CAP, 1, 0
-    while k < top and vectors <= cap:  # vectors = C(N+k, k) rises with k up to C(N+top, top)
-        k += 1
-        vectors = vectors * (N + k) // k
-    if vectors > cap:
-        raise ResourceLimitError(f"C({N}+{top}, {top}) occupancy vectors exceed the cap of {cap}")
-    counts = [0] * (N + 1)
-
-    def place(k: int, prefix: list[int], left: int, ways: int) -> None:
-        # urns 1..k-1 hold the balls of prefix; ways = N!/(c_1!...c_{k-1}! left!).
-        # Urn M, the last one, takes every ball left.
-        placed = N - left
-        for c in (left,) if k == M else range(left + 1):
-            rest = left - c
-            w = ways * math.comb(left, c)
-            if placed + c < k or k == top:  # X is fixed: score the class
-                counts[urn_statistic(prefix + [k] * c + [k + 1] * rest, M)] += w * (M - k) ** rest
-            else:
-                place(k + 1, prefix + [k] * c, rest, w)
-
-    place(1, [], N, 1)
+    counts = leading_run_counts([(N, itertools.repeat(1), M)], min(N, M))
     total = M**N
     probs = tuple(Fraction(k, total) for k in counts)
     return Pmf(

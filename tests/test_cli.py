@@ -229,7 +229,7 @@ class TestSimulateCommand:
     def test_cap_exit_code(self, capsys):
         rc, _, err = run_cli(
             capsys,
-            "simulate", "--model", "urn", "--N", "16", "--M", "17",
+            "simulate", "--model", "urn", "--N", str(2**18), "--M", "5",
             "--trials", "10", "--seed", "1", "--exact-oracle",
         )
         assert rc == 3
@@ -430,9 +430,9 @@ class TestSimulateInputChecks:
     @pytest.mark.parametrize(
         "model,code,message",
         [
-            (["--model", "urn", "--N", "16", "--M", "17"], 3, "resource limit: "),
+            (["--model", "urn", "--N", str(2**18), "--M", "5"], 3, "resource limit: "),
             (["--model", "urn", "--N", "5", "--M", "5"], 2, "error: "),
-            (["--model", "tower", "--uniform", "400,1,12,11"], 3, "resource limit: "),
+            (["--model", "tower", "--uniform", "217,1,216,216"], 3, "resource limit: "),
         ],
     )
     def test_exact_oracle_checked_before_campaign(self, capsys, no_campaign, model, code, message):
@@ -509,8 +509,8 @@ class TestSimulateInputChecks:
         assert f"streams exceed the cap of {COORDINATE_CAP}" in err
 
     def test_urn_oracle_cap_checked_before_the_law(self, capsys, no_campaign, monkeypatch):
-        # (16, 17) has C(32, 16) occupancy vectors, past the oracle's cap, so
-        # the closed formula is never evaluated at that size
+        # (2^18, 5) needs 5 x (2^18 + 1)^2 leading-run transitions, past the
+        # oracle's cap, so the closed formula is never evaluated at that size
         import avalanches.cli as cli_mod
 
         def refuse(*args):
@@ -518,29 +518,29 @@ class TestSimulateInputChecks:
 
         monkeypatch.setattr(cli_mod, "urn_pmf_formula", refuse)
         rc, out, err = run_cli(
-            capsys, "simulate", "--model", "urn", "--N", "16", "--M", "17",
+            capsys, "simulate", "--model", "urn", "--N", str(2**18), "--M", "5",
             "--trials", "10", "--exact-oracle",
         )
         assert (rc, out) == (3, "")
         assert err.startswith("resource limit: ") and err.count("\n") == 1
-        assert "occupancy vectors" in err
+        assert "transitions" in err
 
     def test_tower_oracle_caps_checked_before_the_law(self, capsys, no_campaign, monkeypatch):
-        # 11 coordinates have at least C(22, 11) hit-class tuples, past the
-        # oracle's cap, so the exact law is never built at that size
+        # 16 distinct types need 16 x 2^16 x 17 leading-run transitions, past
+        # the oracle's cap, so the exact law is never built at that size
         import avalanches.cli as cli_mod
 
         def refuse(*args):
             raise AssertionError("the exact law was built")
 
         monkeypatch.setattr(cli_mod, "avalanche_pmf_general", refuse)
-        coords = [arg for L in range(13, 24) for arg in ("--coord", f"{L},1,11")]
+        coords = [arg for L in range(17, 33) for arg in ("--coord", f"{L},1,16")]
         rc, out, err = run_cli(
             capsys, "simulate", "--model", "tower", *coords, "--trials", "10", "--exact-oracle"
         )
         assert (rc, out) == (3, "")
         assert err.startswith("resource limit: ") and err.count("\n") == 1
-        assert "hit-class tuples" in err
+        assert "transitions" in err
 
 
 class TestSizeCaps:

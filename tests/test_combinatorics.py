@@ -1,10 +1,11 @@
 import dis
 import heapq
 import itertools
+import math
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avalanches import combinatorics
@@ -18,6 +19,7 @@ from avalanches.combinatorics import (
     identity_lhs,
     identity_rhs,
     induction_step_check,
+    leading_run_counts,
     multinomial,
     tree_census,
 )
@@ -441,3 +443,73 @@ class TestTreeCensus:
     def test_invalid_n(self):
         with pytest.raises(DomainError):
             tree_census(0)
+
+
+def leading_run_counts_by_tuple_walk(types, cap):
+    """leading_run_counts straight from its definition: every tuple of classes
+    over the coordinates, class cap standing for all the classes above, with
+    its product of class sizes as weight, scored by the first k < cap with at
+    most k coordinates in classes 0..k."""
+    ways = []
+    for m, sizes, total in types:
+        per = list(sizes[:cap]) + [total - sum(sizes[:cap])]
+        ways += [per] * m
+    counts = [0] * (len(ways) + 1)
+    for classes in itertools.product(range(cap + 1), repeat=len(ways)):
+        x = next((k for k in range(cap) if sum(1 for l in classes if l <= k) <= k), cap)
+        weight = 1
+        for per, l in zip(ways, classes):
+            weight *= per[l]
+        counts[x] += weight
+    return counts
+
+
+@st.composite
+def leading_run_inputs(draw):
+    types = []
+    for _ in range(draw(st.integers(1, 3))):
+        m = draw(st.integers(0, 2))
+        sizes = draw(st.lists(st.integers(0, 3), min_size=4, max_size=4))
+        types.append((m, sizes, sum(sizes) + draw(st.integers(0, 3))))
+    n = sum(m for m, _, _ in types)
+    if n == 0:
+        types[0] = (1, *types[0][1:])
+        n = 1
+    return types, draw(st.integers(1, min(n, 4)))
+
+
+class TestLeadingRunCounts:
+    def test_hand_census(self):
+        # two balls in four urns: 9 leave urn 1 empty, 3 fill urns 1..2, 4 rest
+        assert leading_run_counts([(2, [1, 1], 4)], 2) == [9, 4, 3]
+
+    def test_cap_below_n_leaves_the_top_empty(self):
+        # three balls in two urns: X <= 2, and the 2^3 assignments all counted
+        counts = leading_run_counts([(3, itertools.repeat(1), 2)], 2)
+        assert counts[3] == 0 and sum(counts) == 8
+
+    @given(leading_run_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_tuple_walk(self, case):
+        types, cap = case
+        want = leading_run_counts_by_tuple_walk(types, cap)
+        assert leading_run_counts(types, cap) == want
+        assert sum(want) == math.prod(total**m for m, _, total in types)
+
+    def test_cap_checked_before_any_level(self, monkeypatch):
+        def refuse():
+            raise AssertionError("a level was counted")
+            yield
+
+        with pytest.raises(ResourceLimitError, match="transitions"):
+            leading_run_counts([(2**18, refuse(), 5)], 5)
+        with pytest.raises(ResourceLimitError, match="transitions"):
+            leading_run_counts([(1, refuse(), 20)] * 16, 16)
+        monkeypatch.setattr(combinatorics, "LEADING_RUN_CAP", 17)
+        with pytest.raises(ResourceLimitError, match="cap of 17 "):
+            leading_run_counts([(2, refuse(), 8)], 2)
+
+    @pytest.mark.parametrize("cap", [0, 3])
+    def test_cap_outside_one_to_n(self, cap):
+        with pytest.raises(DomainError):
+            leading_run_counts([(2, [1, 1, 1], 4)], cap)

@@ -16,7 +16,6 @@ from avalanches.distributions import (
     conditional_pmf,
     expectation_identity_check,
     limit_pmf,
-    local_maxima,
     pmf_mean,
     powerlaw_slope,
     tail_log_ratio,
@@ -514,25 +513,6 @@ class TestPowerlawSlope:
         degenerate = Pmf(support=(1, 2), probs=(1.0, 0.0), exact=False, label="d")
         with pytest.raises(DomainError):
             powerlaw_slope(degenerate, 1, 2)
-
-
-class TestLocalMaxima:
-    def test_strictly_decreasing(self):
-        pmf = Pmf(support=(0, 1, 2), probs=(0.5, 0.3, 0.2), exact=False, label="dec")
-        assert local_maxima(pmf) == [0]
-
-    def test_interior_peak(self):
-        pmf = Pmf(support=(0, 1, 2), probs=(0.2, 0.5, 0.3), exact=False, label="peak")
-        assert local_maxima(pmf) == [1]
-
-    def test_single_point(self):
-        pmf = Pmf(support=(4,), probs=(1.0,), exact=False, label="point")
-        assert local_maxima(pmf) == [4]
-
-    def test_near_critical_mode_fixture(self):
-        # golden fixture from the scan itself: mass piles up at both ends
-        pmf = avalanche_pmf(AvalancheParams(100, F(99, 10000)))
-        assert local_maxima(pmf) == [0, 100]
 
 
 class TestPmfValidation:

@@ -11,7 +11,6 @@ from avalanches.sampling import SimResult
 from avalanches.stats import (
     chi_square_gof,
     empirical_pmf,
-    mean_ci,
     regularized_gamma_q,
     tv_distance,
 )
@@ -200,27 +199,6 @@ class TestChiSquareGof:
         report = chi_square_gof(res, urn_pmf_formula(cfg))
         assert report.approx_p_value > 0.001
         assert report.trials == 10**5
-
-
-class TestMeanCi:
-    def test_constant_outcome(self):
-        mean, half = mean_ci(sim({3: 50}), z=1.96)
-        assert mean == 3.0
-        assert half == 0.0
-
-    def test_even_split(self):
-        mean, half = mean_ci(sim({0: 500, 1: 500}), z=2.0)
-        assert mean == 0.5
-        assert half == pytest.approx(2.0 * math.sqrt((250 / 999) / 1000))
-
-    def test_quadrupling_trials_halves_halfwidth(self):
-        _, h1 = mean_ci(sim({0: 500, 1: 500}), z=1.0)
-        _, h2 = mean_ci(sim({0: 2000, 1: 2000}), z=1.0)
-        assert h2 / h1 == pytest.approx(0.5, rel=1e-3)
-
-    def test_needs_two_trials(self):
-        with pytest.raises(DomainError):
-            mean_ci(sim({0: 1}), z=1.0)
 
 
 class TestConvergenceFixture:

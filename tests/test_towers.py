@@ -6,7 +6,10 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import avalanches.towers as towers_mod
 from avalanches.combinatorics import compositions
 from avalanches.distributions import AvalancheParams, avalanche_pmf
 from avalanches.errors import DomainError, ResourceLimitError
@@ -40,10 +43,63 @@ def tower_pmf_by_state_walk(sys_):
     return tuple(F(counts.get(a, 0), total) for a in range(sys_.N + 1))
 
 
+def hit_class(tower, x, n):
+    """The first l <= n with S^l(x) excited, or n + 1 if there is none."""
+    return next((l for l in range(n + 1) if tower.in_excited(tower.step(x, l))), n + 1)
+
+
+def tower_pmf_by_class_multisets(sys_):
+    """Law of the avalanche size by scoring one state per multiset of hit
+    classes with avalanche_size.
+
+    avalanche_trace reads a coordinate only through its hit class, and only
+    to count coordinates, so the size depends only on the multiset of
+    classes over all N coordinates.  One loop over the coordinates builds
+    {multiset so far: [count, representative states]}: each class of the
+    next coordinate extends every multiset, its size multiplying the count.
+    A multiset is keyed by its class counts packed as base-(N+1) digits,
+    class l in digit l; no count exceeds N, so adding a class never carries.
+    One representative state per multiset over all coordinates is scored.
+    The literal reference for the leading-run oracle past the state walk's
+    sizes, such as criterion 7's (64,1,8) x 8.
+    """
+    n = sys_.N
+    steps = {}
+    for c in set(sys_.coords):
+        classes = {}
+        for x in range(c.L):
+            classes.setdefault(hit_class(c, x, n), [0, x])[0] += 1
+        steps[c] = [((n + 1) ** l, size, x) for l, (size, x) in classes.items()]
+    merged = {0: [1, []]}
+    for c in sys_.coords:
+        nxt = {}
+        for key, (count, x) in merged.items():
+            for step, size, rep in steps[c]:
+                nxt.setdefault(key + step, [0, x + [rep]])[0] += count * size
+        merged = nxt
+    counts = [0] * (n + 1)
+    for count, x in merged.values():
+        counts[towers_mod.avalanche_size(x, sys_)] += count
+    total = math.prod(c.L for c in sys_.coords)
+    return tuple(F(k, total) for k in counts)
+
+
+@st.composite
+def small_tower_systems(draw):
+    """N = 1..5 coordinates drawn from 1-3 random types, kept small enough
+    for the state walk: w <= 2 and h <= N + 1 up to N = 3, w = 1 and h = N
+    above."""
+    n = draw(st.integers(1, 5))
+    kinds = []
+    for _ in range(draw(st.integers(1, 3))):
+        w = draw(st.integers(1, 2 if n <= 3 else 1))
+        h = draw(st.integers(n, n + 1 if n <= 3 else n))
+        kinds.append(((h + 1) * w + draw(st.integers(0, 2 if n <= 3 else 1)), w, h))
+    return make_tower_system([draw(st.sampled_from(kinds)) for _ in range(n)])
+
+
 def count_avalanche_size_calls(monkeypatch):
     """Wrap towers.avalanche_size with a counter; returns the one-item count list."""
-    import avalanches.towers as towers_mod
-
     calls = [0]
     literal = towers_mod.avalanche_size
 
@@ -208,13 +264,19 @@ class TestBruteforce:
         assert pmf.probs == tuple(avalanche_pmf_general(sys_.ps()).probs)
 
     def test_cap(self, monkeypatch):
-        import avalanches.towers as towers_mod
+        import avalanches.combinatorics as comb_mod
 
-        # 8 + 8 states to scan, C(2 + 4 - 1, 2) = 10 hit-class tuples
+        # 8 + 8 states to scan
         monkeypatch.setattr(towers_mod, "DEFAULT_STATE_CAP", 15)
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError, match="scan"):
             tower_pmf_bruteforce(TWO_COORD)
         monkeypatch.setattr(towers_mod, "DEFAULT_STATE_CAP", 16)
+        assert tower_pmf_bruteforce(TWO_COORD).probs == tower_pmf_by_state_walk(TWO_COORD)
+        # one type of 2 coordinates: 2 levels x (2 + 1) x (2 + 1) transitions
+        monkeypatch.setattr(comb_mod, "LEADING_RUN_CAP", 17)
+        with pytest.raises(ResourceLimitError, match="transitions"):
+            tower_pmf_bruteforce(TWO_COORD)
+        monkeypatch.setattr(comb_mod, "LEADING_RUN_CAP", 18)
         assert tower_pmf_bruteforce(TWO_COORD).probs == tower_pmf_by_state_walk(TWO_COORD)
 
     @pytest.mark.parametrize("specs", WALK_SYSTEMS, ids=str)
@@ -225,12 +287,20 @@ class TestBruteforce:
         assert pmf.probs == tower_pmf_by_state_walk(sys_)
         assert pmf.label == f"tower-bruteforce(N={sys_.N})"
 
+    @given(small_tower_systems())
+    @settings(max_examples=40, deadline=None)
+    def test_random_systems_match_state_walk(self, sys_):
+        assert tower_pmf_bruteforce(sys_).probs == tower_pmf_by_state_walk(sys_)
+
     def test_criterion_7_tower_past_the_old_cap(self, monkeypatch):
-        # 64^8 = 2.8e14 states; 24310 multisets of hit classes, one state scored each
+        # 64^8 = 2.8e14 states; the reference scores one state for each of the
+        # 24310 multisets of hit classes
         calls = count_avalanche_size_calls(monkeypatch)
         sys_ = make_tower_system([(64, 1, 8)] * 8)
         pmf = tower_pmf_bruteforce(sys_)
+        assert calls == [0]
         assert pmf.probs == avalanche_pmf(AvalancheParams(8, F(1, 64))).probs
+        assert pmf.probs == tower_pmf_by_class_multisets(sys_)
         assert calls == [24310]
 
     @pytest.mark.parametrize(
@@ -239,10 +309,12 @@ class TestBruteforce:
         ids=["distinct", "interleaved"],
     )
     def test_one_state_per_multiset_across_types(self, monkeypatch, specs):
-        # 5 hit classes per type, 5^3 tuples of classes, C(5 + 3 - 1, 3) = 35 multisets
+        # the reference scores one state per multiset: 5 hit classes per type,
+        # 5^3 tuples of classes, C(5 + 3 - 1, 3) = 35 multisets
         calls = count_avalanche_size_calls(monkeypatch)
         sys_ = make_tower_system(specs)
         pmf = tower_pmf_bruteforce(sys_)
+        assert pmf.probs == tower_pmf_by_class_multisets(sys_)
         assert calls == [35]
         assert pmf.probs == tower_pmf_by_state_walk(sys_)
 
@@ -256,28 +328,25 @@ class TestBruteforce:
             w, h = rng.randint(1, 2), rng.randint(n, n + 2)
             types.append((rng.randint((h + 1) * w, (h + 1) * w + 3), w, h))
         sys_ = make_tower_system([rng.choice(types) for _ in range(n)])
-
-        def hit_class(c, x):
-            return next((l for l in range(n + 1) if c.in_excited(c.step(x, l))), n + 1)
-
-        classes = [{hit_class(c, x) for x in range(c.L)} for c in sys_.coords]
+        classes = [{hit_class(c, x, n) for x in range(c.L)} for c in sys_.coords]
         multisets = {tuple(sorted(t)) for t in itertools.product(*classes)}
         calls = count_avalanche_size_calls(monkeypatch)
         pmf = tower_pmf_bruteforce(sys_)
+        assert pmf.probs == tower_pmf_by_class_multisets(sys_)
         assert calls == [len(multisets)]
         assert pmf.probs == tower_pmf_by_state_walk(sys_)
 
     def test_tuple_cap_checked_before_scan(self, monkeypatch):
-        import avalanches.towers as towers_mod
-
+        # the leading-run cap bounds the count over coordinate tuples
         def refuse(*args):
             raise AssertionError("the oracle started scanning")
 
         monkeypatch.setattr(towers_mod, "_hit_classes", refuse)
-        monkeypatch.setattr(towers_mod, "avalanche_size", refuse)
-        # C(11 + 13 - 1, 11) = 1352078 tuples from only 4400 states
-        with pytest.raises(ResourceLimitError, match="tuples"):
-            tower_pmf_bruteforce(make_tower_system([(400, 1, 12)] * 11))
+        monkeypatch.setattr(towers_mod, "leading_run_counts", refuse)
+        # 16 distinct types: 16 levels x 2^16 x 17 = 1.8e7 transitions from
+        # only 392 states
+        with pytest.raises(ResourceLimitError, match="transitions"):
+            tower_pmf_bruteforce(make_tower_system([(L, 1, 16) for L in range(17, 33)]))
         with pytest.raises(ResourceLimitError, match="states"):
             tower_pmf_bruteforce(make_tower_system([(10**6, 1, 1)]))
 
@@ -288,6 +357,7 @@ class TestOracleSeparation:
     FORBIDDEN = ("_abel_term", "_general_numerators", "leading_run")
 
     def test_oracles_run_with_kernels_disabled(self, monkeypatch):
+        import avalanches.combinatorics as comb_mod
         import avalanches.distributions as dist_mod
         import avalanches.sampling as sampling_mod
         import avalanches.towers as towers_mod
@@ -300,7 +370,7 @@ class TestOracleSeparation:
         def refuse(*args):
             raise AssertionError("an oracle used a closed-form kernel")
 
-        for mod in (dist_mod, sampling_mod, towers_mod, urn_mod):
+        for mod in (comb_mod, dist_mod, sampling_mod, towers_mod, urn_mod):
             for name in self.FORBIDDEN:
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, refuse)
@@ -310,6 +380,7 @@ class TestOracleSeparation:
     def test_oracles_name_nothing_from_distributions_but_pmf(self):
         import types
 
+        import avalanches.combinatorics as comb_mod
         import avalanches.distributions as dist_mod
         import avalanches.towers as towers_mod
         import avalanches.urn as urn_mod
@@ -332,6 +403,7 @@ class TestOracleSeparation:
             urn_mod.urn_pmf_bruteforce,
             towers_mod.tower_pmf_bruteforce,
             towers_mod._hit_classes,
+            comb_mod.leading_run_counts,
         ]
         for fn in oracles:
             assert not names(fn.__code__) & kernel, fn.__name__

@@ -1,4 +1,6 @@
 import itertools
+import math
+import types
 from collections import Counter
 from fractions import Fraction as F
 
@@ -38,6 +40,34 @@ def urn_pmf_by_assignment_walk(n, m):
         urn_statistic(assignment, m) for assignment in itertools.product(range(1, m + 1), repeat=n)
     )
     return tuple(F(counts.get(a, 0), m**n) for a in range(n + 1))
+
+
+def urn_pmf_by_occupancy_classes(n, m):
+    """Law of X by scoring one assignment per occupancy class with urn_statistic.
+
+    The counts c_1, c_2, ... of urns 1, 2, ... are chosen urn by urn; once the
+    running count falls short (c_1 + ... + c_k < k) or k = min(N, M), X is
+    fixed whatever the R balls left do, so they may land in any of urns
+    k+1..M.  The class (c_1..c_k, R) holds N!/(c_1!...c_k! R!) (M-k)^R
+    assignments, and one of them is scored: c_j balls in urn j, the R others
+    in urn k+1.  A literal reference that reaches sizes past the assignment
+    walk, such as (10, 11).
+    """
+    top = min(n, m)
+    counts = [0] * (n + 1)
+
+    def place(k, prefix, left, ways):
+        placed = n - left
+        for c in (left,) if k == m else range(left + 1):
+            rest = left - c
+            w = ways * math.comb(left, c)
+            if placed + c < k or k == top:
+                counts[urn_statistic(prefix + [k] * c + [k + 1] * rest, m)] += w * (m - k) ** rest
+            else:
+                place(k + 1, prefix + [k] * c, rest, w)
+
+    place(1, [], n, 1)
+    return tuple(F(c, m**n) for c in counts)
 
 
 # every (N, M) with M^N <= 10^5 and M <= 12, so M <= N and M > N both occur
@@ -162,26 +192,37 @@ class TestUrnBruteforce:
         # 11^10 = 2.6e10 assignments, far past what the assignment walk can score
         cfg = UrnConfig(10, 11)
         assert urn_pmf_bruteforce(cfg).probs == urn_pmf_formula(cfg).probs
+        assert urn_pmf_bruteforce(cfg).probs == urn_pmf_by_occupancy_classes(10, 11)
+
+    @pytest.mark.parametrize("n,m", [(9, 4), (10, 10), (8, 1)])
+    def test_matches_occupancy_classes_with_few_urns(self, n, m):
+        assert urn_pmf_bruteforce(UrnConfig(n, m)).probs == urn_pmf_by_occupancy_classes(n, m)
+
+    def test_matches_formula_at_n100(self):
+        cfg = UrnConfig(100, 101)
+        assert urn_pmf_bruteforce(cfg).probs == urn_pmf_formula(cfg).probs
 
     def test_cap(self, monkeypatch):
-        import avalanches.urn as urn_mod
+        import avalanches.combinatorics as comb_mod
 
-        # C(3+3, 3) = 20 occupancy vectors
-        monkeypatch.setattr(urn_mod, "DEFAULT_ENUMERATION_CAP", 19)
+        # 3 levels x (3 + 1) x (3 + 1) transitions
+        monkeypatch.setattr(comb_mod, "LEADING_RUN_CAP", 47)
         with pytest.raises(ResourceLimitError):
             urn_pmf_bruteforce(UrnConfig(3, 5))
-        monkeypatch.setattr(urn_mod, "DEFAULT_ENUMERATION_CAP", 20)
+        monkeypatch.setattr(comb_mod, "LEADING_RUN_CAP", 48)
         assert urn_pmf_bruteforce(UrnConfig(3, 5)).probs == urn_pmf_by_assignment_walk(3, 5)
 
     def test_cap_checked_before_scoring(self, monkeypatch):
         import avalanches.urn as urn_mod
 
         def refuse(*args):
-            raise AssertionError("an assignment was scored")
+            raise AssertionError("a level was counted")
+            yield
 
-        monkeypatch.setattr(urn_mod, "urn_statistic", refuse)
+        # the class sizes are read one level at a time, so no level is walked
+        monkeypatch.setattr(urn_mod, "itertools", types.SimpleNamespace(repeat=refuse))
         with pytest.raises(ResourceLimitError, match="cap"):
-            urn_pmf_bruteforce(UrnConfig(16, 17))
+            urn_pmf_bruteforce(UrnConfig(2**18, 5))
         # at the sampler's cap on N the full count has about 157,000 digits
         with pytest.raises(ResourceLimitError, match="cap"):
             urn_pmf_bruteforce(UrnConfig(2**18, 2**18 + 1))
