@@ -30,7 +30,7 @@ import os
 import stat
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from . import combinatorics as comb
@@ -63,12 +63,12 @@ OUT_DIR_ENV = "AVALANCHES_OUT_DIR"
 # takes 0.3-0.4 s (0.6-0.7 s with `--forest`), and the split binds the cap,
 # `--s S` taking 2.9-4.7 s at its slowest S, about 50..60, and 31 MiB
 # (Python start-up included);
-# `pmf --N 2000` takes about 0.9 s plus 1.6 s of JSON at
-# p = 1/2001, and `tail --amax 100000` about 2 s and 160 MiB.  Each CSV row
-# costs time and memory that grow with `pmf --digits`: at N = 2000,
-# p = 1/2001, `--digits 10000` computes the law and writes 19 MiB of CSV in
-# 10.7 s and 92 MiB, 4.9 ms a row (1.0 s and 46 MiB at the default 17
-# digits, 0.02 ms a row).
+# `pmf --N 2000` at p = 1/2001 takes 2.3-2.7 s as JSON (0.55-0.83 s of it
+# for the law, 1.3-1.6 s for the JSON), and `tail --amax 100000` about 2 s
+# and 160 MiB.  Each CSV row costs time and memory that grow with
+# `pmf --digits`: at N = 2000, p = 1/2001, `--digits 10000` computes the law
+# and writes 19 MiB of CSV in 8.3-8.9 s and 93 MiB, about 3.8 ms a row
+# (0.8-1.0 s and 41 MiB at the default 17 digits, 0.015 ms a row).
 IDENTITY_N_CAP = 150
 PMF_N_CAP = 2000
 AMAX_CAP = 10**5
@@ -292,6 +292,7 @@ def cmd_simulate(args) -> int:
         cfg = UrnConfig(N=args.N, M=args.M)
         check_bound(cfg.M)
         if args.exact_oracle:
+            urn.check_exact_oracle(cfg)
             brute = urn_pmf_bruteforce(cfg)
             exact = urn_pmf_formula(cfg)
         campaign = partial(simulate_urns, cfg)
@@ -381,7 +382,15 @@ def cmd_compare(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by every later one.
+
+    Building it takes 1.0-1.5 ms, which an in-process caller of ``main``
+    would pay on every call; parsing leaves it unchanged (an appended flag
+    such as --coord copies its list into each call's namespace).  It is not
+    built at import, so a process that never parses pays nothing.
+    """
     parser = argparse.ArgumentParser(
         prog="avalanches",
         description="Exact avalanche-size laws, their identities, and simulators",

@@ -96,15 +96,18 @@ class LimitParams:
             raise DomainError(f"a_max must be >= 0, got {self.a_max}")
 
 
-def _over_common_denominator(probs) -> tuple[list[int], int]:
-    """Numerators of exact probabilities over the lcm of their denominators.
+def _over_common_denominator(terms) -> tuple[int, int]:
+    """The sum of (numerator, denominator) pairs as one numerator over the
+    lcm of the denominators.
 
-    Exact laws repeat few distinct denominators, so lcm and scale use those.
+    Exact laws repeat few distinct denominators, so the numerators of each
+    denominator are added first and only those few sums are scaled to the lcm.
     """
-    dens = {p.denominator for p in probs}
-    den = math.lcm(*dens)
-    scale = {d: den // d for d in dens}
-    return [p.numerator * scale[p.denominator] for p in probs], den
+    sums: dict[int, int] = {}
+    for num, d in terms:
+        sums[d] = sums.get(d, 0) + num
+    den = math.lcm(*sums)
+    return sum(s * (den // d) for d, s in sums.items()), den
 
 
 @dataclass(frozen=True)
@@ -112,7 +115,7 @@ class Pmf:
     """A finite probability mass function over integer support.
 
     ``exact`` declares whether probs are Fractions (mass must be exactly 1,
-    checked as integer numerators over the lcm of the denominators) or
+    checked as one integer numerator over the lcm of the denominators) or
     floats (mass must be 1 up to the declared truncation ``deficit``).
     """
 
@@ -127,11 +130,13 @@ class Pmf:
             raise DomainError("support and probs must have equal length")
         if len(set(self.support)) != len(self.support):
             raise DomainError(f"repeated support value in {self.label}")
-        if any(p < 0 for p in self.probs):
+        # a Fraction's denominator is positive, so its numerator has its sign
+        signs = (p.numerator for p in self.probs) if self.exact else self.probs
+        if any(x < 0 for x in signs):
             raise DomainError(f"negative probability in {self.label}")
         if self.exact:
-            nums, den = _over_common_denominator(self.probs)
-            total = sum(nums)
+            pairs = ((p.numerator, p.denominator) for p in self.probs)
+            total, den = _over_common_denominator(pairs)
             if total != den:
                 raise DomainError(f"exact pmf {self.label} sums to {Fraction(total, den)}, not 1")
         else:
@@ -336,8 +341,8 @@ def conditional_pmf(params: AvalancheParams) -> Pmf:
 def pmf_mean(pmf: Pmf):
     """Sum of a * P(a); a Fraction when the pmf is exact, else a float."""
     if pmf.exact:
-        nums, den = _over_common_denominator(pmf.probs)
-        return Fraction(sum(a * t for a, t in zip(pmf.support, nums)), den)
+        pairs = ((a * p.numerator, p.denominator) for a, p in pmf.items())
+        return Fraction(*_over_common_denominator(pairs))
     return sum(a * p for a, p in pmf.items())
 
 

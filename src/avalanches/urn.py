@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .combinatorics import leading_run_counts
+from .combinatorics import check_leading_run, leading_run_counts
 from .distributions import AvalancheParams, Pmf, avalanche_pmf
 from .errors import DomainError, ResourceLimitError
 from .sampling import SimResult, SplitMix64, leading_run, run_campaign
@@ -70,6 +70,19 @@ def urn_statistic(assignment: Sequence[int], M: int) -> int:
     return cap
 
 
+def _check_formula(cfg: UrnConfig) -> None:
+    if cfg.M < cfg.N + 1:
+        raise DomainError(f"formula path needs M >= N+1, got N={cfg.N}, M={cfg.M}")
+
+
+def check_exact_oracle(cfg: UrnConfig) -> None:
+    """Refuse, before either law is computed, a config that urn_pmf_bruteforce
+    (the leading-run cap) or urn_pmf_formula (M >= N+1) would refuse; the
+    cap is checked first."""
+    check_leading_run([cfg.N], min(cfg.N, cfg.M))
+    _check_formula(cfg)
+
+
 def urn_pmf_formula(cfg: UrnConfig) -> Pmf:
     """Exact law of X from the closed formula:
 
@@ -79,8 +92,7 @@ def urn_pmf_formula(cfg: UrnConfig) -> Pmf:
     so every factor with a positive exponent stays nonnegative; the
     statistic itself is defined for any M.
     """
-    if cfg.M < cfg.N + 1:
-        raise DomainError(f"formula path needs M >= N+1, got N={cfg.N}, M={cfg.M}")
+    _check_formula(cfg)
     law = avalanche_pmf(AvalancheParams(cfg.N, Fraction(1, cfg.M)))
     return replace(law, label=f"urn-formula(N={cfg.N},M={cfg.M})")
 

@@ -10,6 +10,7 @@ import pytest
 
 from avalanches.cli import AMAX_CAP, DIGITS_CAP, IDENTITY_N_CAP, PMF_N_CAP, main
 from avalanches.combinatorics import DEFAULT_TREE_ENUM_VERTICES
+from avalanches.errors import DomainError, ResourceLimitError
 from avalanches.towers import COORDINATE_CAP
 from avalanches.urn import _BLOCK_DRAWS as URN_BLOCK_DRAWS
 
@@ -346,7 +347,7 @@ class TestSimulateInputChecks:
         [
             (["--trials", "0"], 2, "error: trials"),
             (["--trials", "10", "--shards", "0"], 2, "error: shards"),
-            (["--trials", "10", "--shards", str(2**16 + 1)], 3, "resource limit: "),
+            (["--trials", "10", "--shards", str(2**15 + 1)], 3, "resource limit: "),
         ],
     )
     def test_campaign_checked_before_oracles(
@@ -357,6 +358,32 @@ class TestSimulateInputChecks:
         )
         assert rc == code
         assert out == ""
+        assert err.startswith(message) and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "size,other,refusal,code,message",
+        [
+            # M <= N: the formula refuses; run first, the oracle would exit 3
+            (["--N", "1413", "--M", "5"], "urn_pmf_bruteforce", ResourceLimitError, 2,
+             "error: formula path needs M >= N+1"),
+            # over the leading-run cap; run first, the formula would exit 2
+            (["--N", "250", "--M", "251"], "urn_pmf_formula", DomainError, 3,
+             "resource limit: leading-run count"),
+        ],
+    )
+    def test_urn_oracle_refused_before_either_law(
+        self, capsys, monkeypatch, no_campaign, size, other, refusal, code, message
+    ):
+        import avalanches.cli as cli_mod
+
+        def refuse(*args):
+            raise refusal("the other law refused first")
+
+        monkeypatch.setattr(cli_mod, other, refuse)
+        rc, out, err = run_cli(
+            capsys, "simulate", "--model", "urn", *size, "--trials", "10", "--exact-oracle"
+        )
+        assert (rc, out) == (code, "")
         assert err.startswith(message) and err.count("\n") == 1
 
     @pytest.mark.parametrize(
@@ -372,7 +399,7 @@ class TestSimulateInputChecks:
         assert out == ""
         assert "apply only to the" in err
 
-    @pytest.mark.parametrize("shards", [str(2**16 + 1), str(2**62)])
+    @pytest.mark.parametrize("shards", [str(2**15 + 1), str(2**16 + 1), str(2**62)])
     def test_shard_cap_is_resource_error(self, capsys, shards):
         rc, out, err = run_cli(
             capsys,
@@ -485,9 +512,10 @@ class TestSimulateInputChecks:
     @pytest.mark.parametrize(
         "system, trials, shards",
         [
-            (["--uniform", "8,1,4,3"], 2**16, 2**16),
+            (["--uniform", "8,1,4,3"], 2**16, 2**15),
             (["--uniform", f"{2**16 + 2},1,{2**15},{2**15}"], 10, 3),
-            (["--coord", "8,1,4", "--coord", "9,1,4"], 10**6, 2**15 + 1),
+            # just over: 3 x 21846 streams, within MAX_SHARDS
+            (["--coord", "8,1,4", "--coord", "9,1,4", "--coord", "10,1,4"], 10**6, 2**16 // 3 + 1),
         ],
     )
     def test_stream_cap_exits_before_any_oracle_or_stream(
@@ -919,6 +947,61 @@ class TestReproducibility:
         raw = out.read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
+
+
+class TestParserReuse:
+    """main builds its parser once and reuses it; no call leaks into the next."""
+
+    def test_built_once(self, capsys):
+        import avalanches.cli as cli_mod
+
+        parser = cli_mod.build_parser()
+        run_cli(capsys, *PMF_SHORT)
+        assert cli_mod.build_parser() is parser
+
+    def test_repeated_coord_does_not_accumulate(self, capsys):
+        two = ["--coord", "6,1,2", "--coord", "8,2,2"]
+        args = ["simulate", "--model", "tower", "--trials", "100", "--seed", "1"]
+        first = stdout_of(capsys, [*args, *two])
+        assert json.loads(first)["coords"] == [[6, 1, 2], [8, 2, 2]]
+        assert stdout_of(capsys, [*args, *two]) == first
+        one = json.loads(stdout_of(capsys, [*args, "--coord", "6,1,2"]))
+        assert one["coords"] == [[6, 1, 2]]
+
+    def test_usage_exit_then_valid_call(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["pmf", "--model", "avalanche", "--N"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert json.loads(stdout_of(capsys, PMF_SHORT))["support"] == list(range(6))
+
+    def test_each_command_matches_a_fresh_parser(self, capsys, monkeypatch, tmp_path):
+        import avalanches.cli as cli_mod
+
+        sim, pmf = str(tmp_path / "sim.json"), str(tmp_path / "pmf.json")
+        commands = [
+            ["identity", "--n", "6", "--s", "3"],
+            ["trees", "--n", "4", "--format", "csv"],
+            ["pmf", "--model", "abelian", "--N", "7", "--p", "1/9", "--out", pmf],
+            ["simulate", "--model", "urn", "--N", "7", "--M", "9", "--trials", "500",
+             "--shards", "3", "--out", sim],
+            ["simulate", "--model", "tower", "--uniform", "8,1,3,3", "--trials", "200",
+             "--exact-oracle"],
+            ["tail", "--alpha", "1", "--amax", "60", "--fit-window", "10,50"],
+            ["compare", "--sim", sim, "--pmf", pmf, "--format", "csv"],
+        ]
+
+        def outputs():
+            got = []
+            for argv in commands:
+                got.append(stdout_of(capsys, argv))
+                if "--out" in argv:
+                    got.append(pathlib.Path(argv[argv.index("--out") + 1]).read_bytes())
+            return got
+
+        reused = outputs()
+        monkeypatch.setattr(cli_mod, "build_parser", cli_mod.build_parser.__wrapped__)
+        assert outputs() == reused
 
 
 class TestOutputDirEnv:

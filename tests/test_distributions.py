@@ -537,6 +537,41 @@ class TestPmfValidation:
         with pytest.raises(DomainError):
             Pmf(support=pmf.support, probs=tuple(off), exact=True, label="bad")
 
+    def test_exact_mass_over_several_denominators(self):
+        probs = (F(1, 4), F(4, 9), F(11, 36), F(0))
+        Pmf(support=(0, 1, 2, 3), probs=probs, exact=True, label="ok")
+        law = abelian_pmf(AvalancheParams(30, F(1, 60)))
+        assert len({p.denominator for p in law.probs}) == 19
+        Pmf(support=law.support, probs=law.probs, exact=True, label="ok")
+
+    def test_exact_mass_off_by_one_part_in_the_lcm(self):
+        # denominators 2, 3 and 7; the lcm is 42
+        with pytest.raises(DomainError, match=r"^exact pmf bad sums to 41/42, not 1$"):
+            Pmf(support=(0, 1, 2), probs=(F(1, 2), F(1, 3), F(1, 7)), exact=True, label="bad")
+
+    @pytest.mark.parametrize("probs", [(F(-1, 4), F(3, 4), F(1, 2)), (-1, 1, 1)])
+    def test_negative_numerator_refused(self, probs):
+        # the mass is 1, so only the sign check can refuse it
+        with pytest.raises(DomainError, match="negative probability in bad"):
+            Pmf(support=(0, 1, 2), probs=probs, exact=True, label="bad")
+
+    @given(
+        st.lists(st.fractions(min_value=0, max_value=1, max_denominator=40), max_size=12),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_exact_mass_check_is_the_fraction_sum(self, probs, complete):
+        if complete and sum(probs) <= 1:
+            probs.append(1 - sum(probs))
+        total = sum(probs, F(0))
+        pmf_args = dict(support=tuple(range(len(probs))), probs=tuple(probs), exact=True, label="h")
+        if total == 1:
+            pmf = Pmf(**pmf_args)
+            assert pmf_mean(pmf) == sum((a * p for a, p in enumerate(probs)), F(0))
+        else:
+            with pytest.raises(DomainError, match=f"sums to {total}, not 1"):
+                Pmf(**pmf_args)
+
     def test_floating_mass_must_match_deficit(self):
         with pytest.raises(DomainError):
             Pmf(support=(0,), probs=(0.5,), exact=False, label="bad")

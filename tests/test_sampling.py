@@ -306,6 +306,28 @@ class TestThreadedCampaign:
             sys.setswitchinterval(interval)
         assert got.histogram == {a: int(c) for a, c in enumerate(want) if c}
 
+    def test_each_worker_runs_every_workers_th_shard(self, monkeypatch):
+        import avalanches.sampling as sampling_mod
+
+        trials, shards, seed = 5000, 37, 11
+        monkeypatch.setattr(sampling_mod, "available_cpus", lambda: 1)
+        serial = run_campaign("urn", {}, trials, seed, shards, 64, 5, stream_sampler)
+        index = {derive_stream(seed, i): i for i in range(shards)}
+        built = []  # (shard, thread) in the order the shards start
+
+        def shard_sampler(base):
+            built.append((index[base], threading.get_ident()))
+            return stream_sampler(base)
+
+        monkeypatch.setattr(sampling_mod, "available_cpus", lambda: 3)
+        assert run_campaign("urn", {}, trials, seed, shards, 64, 5, shard_sampler) == serial
+        assert sorted(i for i, _ in built) == list(range(shards))
+        for w in range(3):
+            # shards w, w + 3, ... run in turn on one thread
+            mine = [(i, t) for i, t in built if i % 3 == w]
+            assert [i for i, _ in mine] == list(range(w, shards, 3))
+            assert len({t for _, t in mine}) == 1
+
     def test_threads_bounded_by_cpus(self, monkeypatch):
         import avalanches.sampling as sampling_mod
 
