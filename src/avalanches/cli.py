@@ -60,15 +60,16 @@ OUT_DIR_ENV = "AVALANCHES_OUT_DIR"
 
 # Caps on the size inputs, checked before any work (exit code 3).  Each keeps
 # a run in the seconds range on one core (2-vCPU Xeon): `identity --n 150`
-# takes 0.3-0.4 s (0.6-0.7 s with `--forest`), and the split binds the cap,
+# takes 0.3-0.4 s (0.6-0.7 s with `--forest`, 0.3-0.5 s with `--lemma`,
+# which builds the lemma table a second time), and the split binds the cap,
 # `--s S` taking 2.9-4.7 s at its slowest S, about 50..60, and 31 MiB
 # (Python start-up included);
-# `pmf --N 2000` at p = 1/2001 takes 2.3-2.7 s as JSON (0.55-0.83 s of it
-# for the law, 1.3-1.6 s for the JSON), and `tail --amax 100000` about 2 s
+# `pmf --N 2000` at p = 1/2001 takes 2.1-2.2 s as JSON (0.57-0.72 s of it
+# for the law, 1.3-1.4 s for the JSON), and `tail --amax 100000` about 2 s
 # and 160 MiB.  Each CSV row costs time and memory that grow with
 # `pmf --digits`: at N = 2000, p = 1/2001, `--digits 10000` computes the law
-# and writes 19 MiB of CSV in 8.3-8.9 s and 93 MiB, about 3.8 ms a row
-# (0.8-1.0 s and 41 MiB at the default 17 digits, 0.015 ms a row).
+# and writes 19 MiB of CSV in 8.2-8.4 s and 93 MiB, about 3.8 ms a row
+# (0.7-0.9 s and 41 MiB at the default 17 digits, 0.015 ms a row).
 IDENTITY_N_CAP = 150
 PMF_N_CAP = 2000
 AMAX_CAP = 10**5
@@ -193,6 +194,9 @@ def cmd_identity(args) -> int:
             doc["remainder"] = str(remainder)
             doc["induction_equal"] = partial + remainder == rhs
             ok = ok and doc["induction_equal"]
+    if args.lemma:
+        doc["lemma_entries"], doc["lemma_equal"] = comb.lemma_check(n)
+        ok = ok and doc["lemma_equal"]
     text = ser.dump_json(doc) if args.format == "json" else ser.kv_csv(doc)
     _write_output(text, args.out)
     return 0 if ok else 1
@@ -241,7 +245,7 @@ def cmd_pmf(args) -> int:
             "conditional": conditional_pmf,
         }[args.model](params)
     if args.format == "json":
-        text = ser.dump_json(ser.pmf_to_json_dict(pmf))
+        text = ser.pmf_to_json(pmf)
     else:
         text = ser.pmf_to_csv(pmf, sig_digits=args.digits)
     _write_output(text, args.out)
@@ -401,6 +405,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, help="also emit the s-layer induction split")
     p.add_argument("--forest", action="store_true", help="use the forest-style sum")
+    p.add_argument(
+        "--lemma",
+        action="store_true",
+        help="also check every lemma-table entry F(a, m) against a(a+m)^(m-1)",
+    )
     _add_output_flags(p)
     p.set_defaults(func=cmd_identity)
 

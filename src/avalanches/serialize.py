@@ -142,14 +142,19 @@ def kv_csv(doc: dict) -> str:
 
 # ---------------------------------------------------------------- pmf
 
+def _exact_prob_strs(pmf: Pmf) -> list[str]:
+    """An exact pmf's probabilities as "num/den", with each distinct
+    denominator converted to a string once (the exact laws repeat a few
+    denominators of thousands of digits)."""
+    dens = {d: str(d) for d in {p.denominator for p in pmf.probs}}
+    return [rational_str(p, dens[p.denominator]) for p in pmf.probs]
+
+
 @unlimited_int_digits()
 def pmf_to_json_dict(pmf: Pmf) -> dict:
-    """The pmf as a JSON document; exact probabilities as "num/den", with
-    each distinct denominator converted to a string once (the exact laws
-    repeat a few denominators of thousands of digits)."""
+    """The pmf as a JSON document; exact probabilities as "num/den"."""
     if pmf.exact:
-        dens = {d: str(d) for d in {p.denominator for p in pmf.probs}}
-        probs = [rational_str(p, dens[p.denominator]) for p in pmf.probs]
+        probs = _exact_prob_strs(pmf)
     else:
         probs = [float(p) for p in pmf.probs]
     out = {
@@ -161,6 +166,29 @@ def pmf_to_json_dict(pmf: Pmf) -> dict:
     if pmf.deficit is not None:
         out["deficit"] = pmf.deficit
     return out
+
+
+@unlimited_int_digits()
+def pmf_to_json(pmf: Pmf) -> str:
+    """dump_json(pmf_to_json_dict(pmf)), the text the CLI writes.
+
+    An exact pmf with no deficit is written with one join per list, not
+    through json's pure-Python indenting encoder: its "num/den" strings hold
+    only digits and a slash, so they need no escaping, and only the label
+    goes through json.dumps.  An exact Pmf is never empty (its mass is 1),
+    so neither list renders as [].  On the 270 KB document of the avalanche
+    law at N = 250, p = 1/600, the joins take about 0.3 ms where the encoder
+    took 1.7 ms; the "num/den" strings themselves take 2.3 ms either way
+    (2-vCPU Xeon, medians of 15).  Any other pmf takes the generic path.
+    """
+    if not pmf.exact or pmf.deficit is not None:
+        return dump_json(pmf_to_json_dict(pmf))
+    probs = '",\n    "'.join(_exact_prob_strs(pmf))
+    support = ",\n    ".join(map(str, pmf.support))
+    return (
+        f'{{\n  "exact": true,\n  "label": {json.dumps(pmf.label)},\n'
+        f'  "probs": [\n    "{probs}"\n  ],\n  "support": [\n    {support}\n  ]\n}}\n'
+    )
 
 
 @unlimited_int_digits()

@@ -69,6 +69,28 @@ class TestIdentityCommand:
         assert (rc, out) == (2, "")
         assert err.startswith("error: --s") and err.count("\n") == 1
 
+    def test_lemma_checks_the_whole_table(self, capsys):
+        rc, out, _ = run_cli(capsys, "identity", "--n", "6", "--lemma")
+        doc = json.loads(out)
+        assert rc == 0
+        assert (doc["lemma_entries"], doc["lemma_equal"]) == (21, True)
+
+    def test_lemma_mismatch_exits_1(self, capsys, monkeypatch):
+        import avalanches.cli as cli_mod
+
+        true_table = cli_mod.comb._lemma_table
+
+        def corrupted(n):
+            table = true_table(n)
+            table[2][3] += 1  # F(3, 2) = 15; a + m < n, so the identity never reads it
+            return table
+
+        monkeypatch.setattr(cli_mod.comb, "_lemma_table", corrupted)
+        rc, out, _ = run_cli(capsys, "identity", "--n", "6", "--lemma")
+        doc = json.loads(out)
+        assert rc == 1
+        assert (doc["equal"], doc["lemma_entries"], doc["lemma_equal"]) == (True, 21, False)
+
     def test_invalid_n_is_usage_error(self, capsys):
         rc, _, err = run_cli(capsys, "identity", "--n", "0")
         assert rc == 2
@@ -583,7 +605,8 @@ class TestSizeCaps:
 
         for name in ("avalanche_pmf", "abelian_pmf", "conditional_pmf", "limit_pmf"):
             monkeypatch.setattr(cli_mod, name, refuse)
-        for name in ("identity_lhs", "forest_identity_lhs", "induction_step_check", "tree_census"):
+        identity = ("identity_lhs", "forest_identity_lhs", "induction_step_check", "lemma_check")
+        for name in (*identity, "tree_census"):
             monkeypatch.setattr(cli_mod.comb, name, refuse)
 
     @pytest.mark.parametrize(
@@ -603,6 +626,7 @@ class TestSizeCaps:
             # a census one vertex over the cap
             ["trees", "--n", str(DEFAULT_TREE_ENUM_VERTICES)],
             ["trees", "--n", str(DEFAULT_TREE_ENUM_VERTICES), "--format", "csv"],
+            ["identity", "--n", str(IDENTITY_N_CAP + 1), "--lemma"],
         ],
     )
     def test_above_cap_is_resource_error(self, capsys, no_work, args):

@@ -187,6 +187,7 @@ class TestIdentity:
             assert len(row) == 31 - m
             for a in range(1, 31 - m):
                 assert row[a] == (a * (a + m) ** (m - 1) if m else 1), (a, m)
+        assert combinatorics.lemma_check(30) == (30 * 31 // 2, True)
 
     def test_lemma_table_matches_definitional_sums(self):
         # F(a, m) straight from its definition: a^{k_1} k_1^{k_2} ... over compositions of m

@@ -22,7 +22,7 @@ from avalanches.distributions import (
 )
 import avalanches.distributions as dist
 import avalanches.towers as towers
-from avalanches.distributions import _abel_term
+from avalanches.distributions import _abel_row, _abel_term
 from avalanches.errors import DomainError
 
 # (N, p) grid covering the interior, p = 0, and the closed right boundary,
@@ -81,6 +81,15 @@ class TestAbelKernel:
         single = [_abel_term(n, b, u, v) for b in range(n + 1)]
         assert towers._general_numerators([u] * n, v) == single
 
+    @pytest.mark.parametrize(
+        "n,u,v",
+        [(0, 0, 1), (4, 0, 1), (3, 1, 3), (3, 1, 4), (5, 1, 5), (6, 3, 19), (9, 7, 64), (8, 2, 9)],
+    )
+    def test_row_is_the_terms(self, n, u, v):
+        # u = 0 (0**0 in u^b), p = 1/N for the avalanche (base -1 at b = n) and
+        # the conditional (base 0), u > 1, and u/v not in lowest terms
+        assert _abel_row(n, u, v) == [_abel_term(n, b, u, v) for b in range(n + 1)]
+
     @given(
         st.integers(0, 40).flatmap(
             lambda n: st.tuples(
@@ -96,6 +105,7 @@ class TestAbelKernel:
         # Abel's identity on the integers: sum_b t_b == v**n for 0 <= n*u <= v
         n, (u, v) = case
         nums = [_abel_term(n, b, u, v) for b in range(n + 1)]
+        assert _abel_row(n, u, v) == nums
         assert len(nums) == n + 1
         assert all(t >= 0 for t in nums)
         assert sum(nums) == v**n

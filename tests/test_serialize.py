@@ -1,4 +1,5 @@
 import decimal
+import json
 import sys
 from fractions import Fraction as F
 
@@ -7,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avalanches.combinatorics import tree_census
-from avalanches.distributions import AvalancheParams, LimitParams, avalanche_pmf, limit_pmf
+from avalanches.distributions import (
+    AvalancheParams,
+    LimitParams,
+    Pmf,
+    abelian_pmf,
+    avalanche_pmf,
+    conditional_pmf,
+    limit_pmf,
+)
 from avalanches.errors import DomainError
 from avalanches.sampling import SimResult
 from avalanches.serialize import (
@@ -19,6 +28,7 @@ from avalanches.serialize import (
     parse_rational,
     pmf_from_json_dict,
     pmf_to_csv,
+    pmf_to_json,
     pmf_to_json_dict,
     rational_str,
     simresult_from_json_dict,
@@ -27,6 +37,8 @@ from avalanches.serialize import (
     unlimited_int_digits,
 )
 from avalanches.stats import GofReport
+from avalanches.towers import avalanche_pmf_general, make_tower_system, tower_pmf_bruteforce
+from avalanches.urn import UrnConfig, urn_pmf_bruteforce
 
 
 class TestRational:
@@ -204,6 +216,70 @@ class TestPmfSerialization:
         text = pmf_to_csv(avalanche_pmf(AvalancheParams(2, F(1, 4))), sig_digits=4)
         assert text == "a,prob\n0,0.5625\n1,0.25\n2,0.1875\n"
         assert "\r" not in text
+
+
+def _generic_text(pmf):
+    return dump_json(pmf_to_json_dict(pmf))
+
+
+class TestPmfToJson:
+    """pmf_to_json writes the same bytes as the generic writer for every pmf."""
+
+    @given(
+        st.sampled_from([avalanche_pmf, abelian_pmf, conditional_pmf]),
+        st.integers(1, 60).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.one_of(
+                    st.sampled_from([(0, 1), (1, n)]),
+                    st.integers(n + 1, 10**4).flatmap(
+                        lambda v: st.tuples(st.integers(1, v // n), st.just(v))
+                    ),
+                ),
+            )
+        ),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_exact_laws(self, law, case):
+        n, (u, v) = case
+        params = AvalancheParams(n, F(u, v))
+        if law is abelian_pmf and n * params.p == 1:
+            law = avalanche_pmf  # the abelian law needs p < 1/N
+        pmf = law(params)
+        assert pmf_to_json(pmf) == _generic_text(pmf)
+
+    @pytest.mark.parametrize(
+        "pmf",
+        [
+            urn_pmf_bruteforce(UrnConfig(N=5, M=7)),
+            urn_pmf_bruteforce(UrnConfig(N=6, M=3)),
+            tower_pmf_bruteforce(make_tower_system([(12, 1, 3), (9, 1, 3), (10, 2, 3)])),
+            avalanche_pmf_general([F(1, 5), F(1, 7), F(1, 7), F(2, 31)]),
+            limit_pmf(LimitParams(0.5, 40)),
+            limit_pmf(LimitParams(0.0, 3)),
+        ],
+        ids=["urn", "urn-M<N", "tower", "general", "limit", "limit-0"],
+    )
+    def test_oracles_and_limit_law(self, pmf):
+        assert pmf_to_json(pmf) == _generic_text(pmf)
+
+    @pytest.mark.parametrize(
+        "label",
+        ['quote " here', "back\\slash", "tab\tand\x01", "Pr\u00fcfer \u2192 \U0001f332", ""],
+    )
+    @pytest.mark.parametrize("deficit", [None, 0.0])
+    def test_hand_built_labels_and_deficit(self, label, deficit):
+        # the label goes through json's escaper; a deficit takes the generic path
+        pmf = Pmf(
+            support=(7, 0, 3),
+            probs=(F(1, 2), F(1, 3), F(1, 6)),
+            exact=True,
+            label=label,
+            deficit=deficit,
+        )
+        text = pmf_to_json(pmf)
+        assert text == _generic_text(pmf)
+        assert pmf_from_json_dict(json.loads(text)) == pmf
 
 
 class TestSimResultSerialization:
