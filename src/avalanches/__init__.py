@@ -16,7 +16,6 @@ from .combinatorics import (
     identity_lhs,
     identity_rhs,
     induction_step_check,
-    lemma_check,
     multinomial,
     tree_census,
 )

@@ -60,10 +60,9 @@ OUT_DIR_ENV = "AVALANCHES_OUT_DIR"
 
 # Caps on the size inputs, checked before any work (exit code 3).  Each keeps
 # a run in the seconds range on one core (2-vCPU Xeon): `identity --n 150`
-# takes 0.3-0.4 s (0.6-0.7 s with `--forest`, 0.3-0.5 s with `--lemma`,
-# which builds the lemma table a second time), and the split binds the cap,
-# `--s S` taking 2.9-4.7 s at its slowest S, about 50..60, and 31 MiB
-# (Python start-up included);
+# takes 0.3-0.4 s (0.7-0.9 s with `--forest`, which builds the lemma table for
+# its check alone), and the split binds the cap, `--s S` taking 2.9-4.7 s at
+# its slowest S, about 50..60, and 31 MiB (Python start-up included);
 # `pmf --N 2000` at p = 1/2001 takes 2.1-2.2 s as JSON (0.57-0.72 s of it
 # for the law, 1.3-1.4 s for the JSON), and `tail --amax 100000` about 2 s
 # and 160 MiB.  Each CSV row costs time and memory that grow with
@@ -173,11 +172,13 @@ def cmd_identity(args) -> int:
     if args.forest and args.s is not None:
         raise DomainError("--s splits the standard identity; it does not apply with --forest")
     _check_cap("--n", n, IDENTITY_N_CAP)
+    table = comb.lemma_table(n)
     if args.forest:
         lhs = comb.forest_identity_lhs(n)
     else:
-        lhs = comb.identity_lhs(n)
+        lhs = comb.table_identity_lhs(table)
     rhs = comb.identity_rhs(n)
+    lemma_entries, lemma_equal = comb.lemma_check(table)
     with ser.unlimited_int_digits():
         doc = {
             "n": n,
@@ -185,8 +186,10 @@ def cmd_identity(args) -> int:
             "lhs": str(lhs),
             "rhs": str(rhs),
             "equal": lhs == rhs,
+            "lemma_entries": lemma_entries,
+            "lemma_equal": lemma_equal,
         }
-        ok = lhs == rhs
+        ok = lhs == rhs and lemma_equal
         if args.s is not None:
             partial, remainder = comb.induction_step_check(n, args.s)
             doc["s"] = args.s
@@ -194,9 +197,6 @@ def cmd_identity(args) -> int:
             doc["remainder"] = str(remainder)
             doc["induction_equal"] = partial + remainder == rhs
             ok = ok and doc["induction_equal"]
-    if args.lemma:
-        doc["lemma_entries"], doc["lemma_equal"] = comb.lemma_check(n)
-        ok = ok and doc["lemma_equal"]
     text = ser.dump_json(doc) if args.format == "json" else ser.kv_csv(doc)
     _write_output(text, args.out)
     return 0 if ok else 1
@@ -405,11 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, help="also emit the s-layer induction split")
     p.add_argument("--forest", action="store_true", help="use the forest-style sum")
-    p.add_argument(
-        "--lemma",
-        action="store_true",
-        help="also check every lemma-table entry F(a, m) against a(a+m)^(m-1)",
-    )
     _add_output_flags(p)
     p.set_defaults(func=cmd_identity)
 

@@ -129,7 +129,7 @@ def _lemma_row(m: int, below: list[list[int]], width: int) -> list[int]:
     return row
 
 
-def _lemma_table(n: int) -> list[list[int]]:
+def lemma_table(n: int) -> list[list[int]]:
     """The paper's auxiliary sums F(a, m) for a >= 1, a + m <= n, as table[m][a].
 
     F(a, m) sums multinomial(m; k_1..k_r) * a^{k_1} * k_1^{k_2} * ... *
@@ -149,18 +149,18 @@ def _lemma_table(n: int) -> list[list[int]]:
     return table
 
 
-def lemma_check(n: int) -> tuple[int, bool]:
-    """Hold every entry F(a, m) of _lemma_table(n) against the paper's closed
+def lemma_check(table: list[list[int]]) -> tuple[int, bool]:
+    """Hold every entry F(a, m) of a lemma_table against the paper's closed
     form a (a+m)^(m-1), the lemma's induction hypothesis on the whole table.
 
     Each entry is compared as F(a, m) (a+m) == a (a+m)^m, so m = 0 needs no
-    negative power.  Returns the number of entries checked, n(n+1)/2, and
-    whether all of them are equal.  At n = 150 the comparisons take 4-12 ms
-    after a 54-62 ms table (2-vCPU Xeon).
+    negative power.  Returns the number of entries checked, n(n+1)/2 for
+    lemma_table(n), and whether all of them are equal.  At n = 150 the
+    comparisons take 4-12 ms (2-vCPU Xeon).
     """
     checks = [
         row[a] * (a + m) == a * (a + m) ** m
-        for m, row in enumerate(_lemma_table(n))
+        for m, row in enumerate(table)
         for a in range(1, len(row))
     ]
     return len(checks), all(checks)
@@ -169,16 +169,22 @@ def lemma_check(n: int) -> tuple[int, bool]:
 def identity_lhs(n: int) -> int:
     """Sum of multinomial(n,c) * cascade_weight(c) over all compositions c of n.
 
-    That is F(1, n) of the paper's lemma: one more _lemma_row over the table
-    (see _lemma_table),
+    That is F(1, n) of the paper's lemma, read off lemma_table(n) by
+    table_identity_lhs.  The table takes O(n^3) products and no closed form,
+    so the result is a count to hold against identity_rhs(n), which it
+    equals for every n.
+    """
+    return table_identity_lhs(lemma_table(n))
 
-        identity_lhs(n) = sum_{k=1..n} C(n, k) * F(k, n - k),
+
+def table_identity_lhs(table: list[list[int]]) -> int:
+    """identity_lhs(n) from lemma_table(n): one more _lemma_row over it,
+
+        F(1, n) = sum_{k=1..n} C(n, k) * F(k, n - k),
 
     with F(a, 0) = 1 and F(a, m) = sum_{k=1..m} C(m, k) * a^k * F(k, m - k).
-    The table takes O(n^3) products and no closed form, so the result is a
-    count to hold against identity_rhs(n), which it equals for every n.
     """
-    return _lemma_row(n, _lemma_table(n), 1)[1]
+    return _lemma_row(len(table), table, 1)[1]
 
 
 def identity_rhs(n: int) -> int:

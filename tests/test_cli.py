@@ -42,6 +42,8 @@ class TestIdentityCommand:
             "lhs": "125",
             "rhs": "125",
             "equal": True,
+            "lemma_entries": 10,
+            "lemma_equal": True,
         }
 
     def test_induction_split(self, capsys):
@@ -56,6 +58,7 @@ class TestIdentityCommand:
         doc = json.loads(out)
         assert rc == 0
         assert (doc["lhs"], doc["rhs"], doc["variant"]) == ("3", "3", "forest")
+        assert (doc["lemma_entries"], doc["lemma_equal"]) == (3, True)
 
     def test_split_with_forest_is_usage_error(self, capsys, monkeypatch):
         import avalanches.cli as cli_mod
@@ -63,30 +66,25 @@ class TestIdentityCommand:
         def refuse(*args):
             raise AssertionError("the work started")
 
-        for name in ("identity_lhs", "forest_identity_lhs", "induction_step_check"):
+        for name in ("lemma_table", "identity_lhs", "forest_identity_lhs", "induction_step_check"):
             monkeypatch.setattr(cli_mod.comb, name, refuse)
         rc, out, err = run_cli(capsys, "identity", "--n", "3", "--s", "2", "--forest")
         assert (rc, out) == (2, "")
         assert err.startswith("error: --s") and err.count("\n") == 1
 
-    def test_lemma_checks_the_whole_table(self, capsys):
-        rc, out, _ = run_cli(capsys, "identity", "--n", "6", "--lemma")
-        doc = json.loads(out)
-        assert rc == 0
-        assert (doc["lemma_entries"], doc["lemma_equal"]) == (21, True)
-
-    def test_lemma_mismatch_exits_1(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("variant", [[], ["--forest"], ["--s", "3"]])
+    def test_lemma_mismatch_exits_1(self, capsys, monkeypatch, variant):
         import avalanches.cli as cli_mod
 
-        true_table = cli_mod.comb._lemma_table
+        true_table = cli_mod.comb.lemma_table
 
         def corrupted(n):
             table = true_table(n)
             table[2][3] += 1  # F(3, 2) = 15; a + m < n, so the identity never reads it
             return table
 
-        monkeypatch.setattr(cli_mod.comb, "_lemma_table", corrupted)
-        rc, out, _ = run_cli(capsys, "identity", "--n", "6", "--lemma")
+        monkeypatch.setattr(cli_mod.comb, "lemma_table", corrupted)
+        rc, out, _ = run_cli(capsys, "identity", "--n", "6", *variant)
         doc = json.loads(out)
         assert rc == 1
         assert (doc["equal"], doc["lemma_entries"], doc["lemma_equal"]) == (True, 21, False)
@@ -605,7 +603,7 @@ class TestSizeCaps:
 
         for name in ("avalanche_pmf", "abelian_pmf", "conditional_pmf", "limit_pmf"):
             monkeypatch.setattr(cli_mod, name, refuse)
-        identity = ("identity_lhs", "forest_identity_lhs", "induction_step_check", "lemma_check")
+        identity = ("lemma_table", "identity_lhs", "forest_identity_lhs", "induction_step_check")
         for name in (*identity, "tree_census"):
             monkeypatch.setattr(cli_mod.comb, name, refuse)
 
@@ -626,7 +624,6 @@ class TestSizeCaps:
             # a census one vertex over the cap
             ["trees", "--n", str(DEFAULT_TREE_ENUM_VERTICES)],
             ["trees", "--n", str(DEFAULT_TREE_ENUM_VERTICES), "--format", "csv"],
-            ["identity", "--n", str(IDENTITY_N_CAP + 1), "--lemma"],
         ],
     )
     def test_above_cap_is_resource_error(self, capsys, no_work, args):

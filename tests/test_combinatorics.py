@@ -182,16 +182,18 @@ class TestIdentity:
 
     def test_lemma_table_entries(self):
         # the paper's lemma F(a, m) = a (a+m)^(m-1), here only, never in the table
-        table = combinatorics._lemma_table(30)
+        table = combinatorics.lemma_table(30)
         for m, row in enumerate(table):
             assert len(row) == 31 - m
             for a in range(1, 31 - m):
                 assert row[a] == (a * (a + m) ** (m - 1) if m else 1), (a, m)
-        assert combinatorics.lemma_check(30) == (30 * 31 // 2, True)
+        assert combinatorics.lemma_check(table) == (30 * 31 // 2, True)
+        table[0][30] = 2  # F(30, 0) = 1
+        assert combinatorics.lemma_check(table) == (30 * 31 // 2, False)
 
     def test_lemma_table_matches_definitional_sums(self):
         # F(a, m) straight from its definition: a^{k_1} k_1^{k_2} ... over compositions of m
-        table = combinatorics._lemma_table(10)
+        table = combinatorics.lemma_table(10)
         for m in range(1, 10):
             for a in range(1, 11 - m):
                 want = sum(
@@ -420,8 +422,9 @@ class TestTreeCensus:
 
     def test_shares_no_arithmetic_with_the_closed_forms(self):
         closed_forms = {
-            "multinomial", "cascade_weight", "_lemma_row", "_lemma_table", "_forest_layers",
-            "identity_lhs", "identity_rhs", "comb", "factorial", "pow", "math",
+            "multinomial", "cascade_weight", "_lemma_row", "lemma_table", "_forest_layers",
+            "identity_lhs", "table_identity_lhs", "identity_rhs", "comb", "factorial", "pow",
+            "math",
         }
         codes = [
             tree_census.__code__,
