@@ -68,7 +68,8 @@ _SAMPLE = 1 << 12
 
 # Most shards one campaign may use; shard_sizes builds a list this long.
 # One-trial urn shards at (20, 100), start-up included (2-vCPU Xeon): 2^15
-# of them take 2.6-3.0 s, 2^16 of them 5.4-5.7 s.
+# of them take 1.6-1.9 s, 2^16 of them 2.7-3.0 s, half of what they took
+# when a draw call generated at least 1,024 raw outputs; the cap is kept.
 MAX_SHARDS = 1 << 15
 
 
@@ -86,7 +87,7 @@ def _raw_count(need: int, limit: int) -> int:
     the mean plus 4 of them makes one block the usual case.  Where q is next to 0
     (any power of two, 100) both terms floor to 0, leaving need + 16."""
     extra = need * ((1 << 64) - limit) / limit
-    return max(need + 16 + int(extra + 4 * math.sqrt(extra * (1 << 64) / limit)), 1024)
+    return need + 16 + int(extra + 4 * math.sqrt(extra * (1 << 64) / limit))
 
 
 def _mix64_inplace(z: np.ndarray) -> np.ndarray:

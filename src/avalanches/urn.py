@@ -2,11 +2,11 @@
 
 N distinguishable balls land uniformly in M urns.  The statistic X is the
 largest r in {1..M} such that urns 1..k hold at least k balls for every
-k <= r.  Its law matches the avalanche law with p = 1/M.  X is the leading
-run of the balls' hit times (urn id - 1), so the oracle counts the
-assignments by leading run, urn by urn, with
-combinatorics.leading_run_counts; it shares no arithmetic with the closed
-formula.
+k <= r.  For M >= N its law is the avalanche law with p = 1/M <= 1/N, the
+critical urn M = N included.  X is the leading run of the balls' hit times
+(urn id - 1), so the oracle counts the assignments by leading run, urn by
+urn, with combinatorics.leading_run_counts; it shares no arithmetic with
+the closed formula.
 """
 
 from __future__ import annotations
@@ -70,17 +70,12 @@ def urn_statistic(assignment: Sequence[int], M: int) -> int:
     return cap
 
 
-def _check_formula(cfg: UrnConfig) -> None:
-    if cfg.M < cfg.N + 1:
-        raise DomainError(f"formula path needs M >= N+1, got N={cfg.N}, M={cfg.M}")
-
-
 def check_exact_oracle(cfg: UrnConfig) -> None:
     """Refuse, before either law is computed, a config that urn_pmf_bruteforce
-    (the leading-run cap) or urn_pmf_formula (M >= N+1) would refuse; the
-    cap is checked first."""
+    (the leading-run cap) or urn_pmf_formula (M >= N, the domain of
+    AvalancheParams(N, 1/M)) would refuse; the cap is checked first."""
     check_leading_run([cfg.N], min(cfg.N, cfg.M))
-    _check_formula(cfg)
+    AvalancheParams(cfg.N, Fraction(1, cfg.M))
 
 
 def urn_pmf_formula(cfg: UrnConfig) -> Pmf:
@@ -88,11 +83,12 @@ def urn_pmf_formula(cfg: UrnConfig) -> Pmf:
 
         P(X=a) = C(N,a) (a+1)^(a-1) M^(-a) (1 - (a+1)/M)^(N-a),
 
-    which is the avalanche law at p = 1/M, relabelled.  Requires M >= N+1
-    so every factor with a positive exponent stays nonnegative; the
-    statistic itself is defined for any M.
+    which is the avalanche law at p = 1/M, relabelled.  Its domain is that
+    of AvalancheParams(N, 1/M), p <= 1/N, so M >= N: every factor with a
+    positive exponent stays nonnegative.  At the critical urn M = N,
+    P(X=N) = (N+1)^(N-1) / N^N, Cayley's count of trees on N+1 labelled
+    vertices.  The statistic itself is defined for any M.
     """
-    _check_formula(cfg)
     law = avalanche_pmf(AvalancheParams(cfg.N, Fraction(1, cfg.M)))
     return replace(law, label=f"urn-formula(N={cfg.N},M={cfg.M})")
 

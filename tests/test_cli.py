@@ -383,11 +383,14 @@ class TestSimulateInputChecks:
     @pytest.mark.parametrize(
         "size,other,refusal,code,message",
         [
-            # M <= N: the formula refuses; run first, the oracle would exit 3
+            # M < N: AvalancheParams(N, 1/M) refuses; run first, the oracle would exit 3
             (["--N", "1413", "--M", "5"], "urn_pmf_bruteforce", ResourceLimitError, 2,
-             "error: formula path needs M >= N+1"),
+             "error: p must satisfy 0 <= p <= 1/N"),
             # over the leading-run cap; run first, the formula would exit 2
             (["--N", "250", "--M", "251"], "urn_pmf_formula", DomainError, 3,
+             "resource limit: leading-run count"),
+            # over the cap and outside the domain: the cap is checked first
+            (["--N", "2236", "--M", "2"], "urn_pmf_formula", DomainError, 3,
              "resource limit: leading-run count"),
         ],
     )
@@ -478,7 +481,7 @@ class TestSimulateInputChecks:
         "model,code,message",
         [
             (["--model", "urn", "--N", str(2**18), "--M", "5"], 3, "resource limit: "),
-            (["--model", "urn", "--N", "5", "--M", "5"], 2, "error: "),
+            (["--model", "urn", "--N", "5", "--M", "4"], 2, "error: "),
             (["--model", "tower", "--uniform", "217,1,216,216"], 3, "resource limit: "),
         ],
     )

@@ -177,7 +177,8 @@ class TestIntegersBelow:
     def test_block_is_count_plus_16_where_nothing_is_rejected(self, raw_blocks, bound):
         SplitMix64(3).integers_below(bound, 2**18)
         SplitMix64(3).integers_below(bound, 10)
-        assert raw_blocks == [2**18 + 16, 1024]
+        SplitMix64(3).integers_below(bound, 1)
+        assert raw_blocks == [2**18 + 16, 26, 17]
 
     @pytest.mark.parametrize("bound", [2**63 + 1, 2**64 - 1, 2**64, 2**70])
     def test_bound_above_two_to_63_rejected(self, bound):

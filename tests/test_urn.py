@@ -149,7 +149,7 @@ class TestUrnFormula:
 
     def test_requires_more_urns_than_balls(self):
         with pytest.raises(DomainError):
-            urn_pmf_formula(UrnConfig(4, 4))
+            urn_pmf_formula(UrnConfig(4, 3))
 
     @pytest.mark.parametrize("n,m", [(2, 4), (3, 7), (5, 6), (20, 100)])
     def test_equals_avalanche_law(self, n, m):
@@ -201,6 +201,18 @@ class TestUrnBruteforce:
     def test_matches_formula_at_n100(self):
         cfg = UrnConfig(100, 101)
         assert urn_pmf_bruteforce(cfg).probs == urn_pmf_formula(cfg).probs
+
+    @pytest.mark.parametrize("n", [*range(1, 13), 50])
+    def test_matches_formula_at_the_critical_urn(self, n):
+        # M = N is p = 1/N, the closed end of the formula's domain
+        cfg = UrnConfig(n, n)
+        assert urn_pmf_bruteforce(cfg).probs == urn_pmf_formula(cfg).probs
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_critical_urn_full_run_is_cayleys_count(self, n):
+        # of the N^N assignments, (N+1)^(N-1) fill urns 1..k with at least k
+        # balls for every k: parking functions, as many as trees on N+1 vertices
+        assert urn_pmf_bruteforce(UrnConfig(n, n)).probs[n] == F((n + 1) ** (n - 1), n**n)
 
     def test_cap(self, monkeypatch):
         import avalanches.combinatorics as comb_mod
