@@ -19,8 +19,9 @@ there is no modulo bias: the k-th draw in [0, bound) is (the k-th raw
 output below floor(2^64/bound)*bound) mod bound.  The stream counter
 advances over every raw output examined, accepted or not.  Bounds run up to
 2^63, so every draw fits an int64.  The mod is taken without a division per
-draw, as x - (x // bound) * bound: NumPy divides a uint64 array by a scalar
-with a multiply and a shift.
+draw: a power-of-two bound rejects nothing and masks, x & (bound - 1), and
+any other bound goes as x - (x // bound) * bound, since NumPy divides a
+uint64 array by a scalar with a multiply and a shift.
 """
 
 from __future__ import annotations
@@ -104,14 +105,19 @@ def _mix64_inplace(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _remainder_inplace(x: np.ndarray, bound: np.uint64) -> np.ndarray:
-    """x mod bound over a uint64 array, in place, as x - (x // bound) * bound.
+def _remainder_inplace(x: np.ndarray, bound: int) -> np.ndarray:
+    """x mod bound over a uint64 array, in place.
 
-    NumPy divides a uint64 array by a scalar with a multiply and a shift,
-    where np.remainder divides element by element, so this takes about half
-    the time.  The quotients go through one slice-sized buffer, reused.
-    Up to 2^11 values one np.remainder call costs less than the extra calls.
+    A power-of-two bound is one pass of x & (bound - 1); a bound of 1 gives
+    0.  Any other bound goes as x - (x // bound) * bound: NumPy divides a
+    uint64 array by a scalar with a multiply and a shift, where np.remainder
+    divides element by element, so this takes about half the time.  The
+    quotients go through one slice-sized buffer, reused.  Up to 2^11 values
+    one np.remainder call costs less than the extra calls.
     """
+    if not bound & (bound - 1):
+        return np.bitwise_and(x, np.uint64(bound - 1), out=x)
+    bound = np.uint64(bound)
     if len(x) <= 1 << 11:
         return np.remainder(x, bound, out=x)
     q = np.empty(min(len(x), _SLICE), dtype=np.uint64)
@@ -156,13 +162,12 @@ class SplitMix64:
         if count < 0:
             raise DomainError(f"count must be >= 0, got {count}")
         limit = ((1 << 64) // bound) * bound
-        bound_np = np.uint64(bound)
         raws = self._raw_block(_raw_count(count, limit))
         head = raws[:count]
         if limit == 1 << 64 or count == 0 or int(head.max()) < limit:
             # every raw output up to the last needed one is accepted
             self.counter += count
-            return _remainder_inplace(head, bound_np).view(np.int64)
+            return _remainder_inplace(head, bound).view(np.int64)
         out, filled = np.empty(count, dtype=np.uint64), 0
         while True:
             hits = np.flatnonzero(raws < np.uint64(limit))[: count - filled]
@@ -171,7 +176,7 @@ class SplitMix64:
             if filled == count:
                 # stop right after the raw that produced the last needed draw
                 self.counter += int(hits[-1]) + 1
-                return _remainder_inplace(out, bound_np).view(np.int64)
+                return _remainder_inplace(out, bound).view(np.int64)
             self.counter += len(raws)
             raws = self._raw_block(_raw_count(count - filled, limit))
 
@@ -186,10 +191,11 @@ def leading_run(hits: np.ndarray, cap: int) -> np.ndarray:
     rows hold none (P(A = 0) = (1 - p)^N), so only the rows holding a 0 are
     gathered, sorted and scored, and the others score 0; one flat pass over
     the block finds them, where a per-row reduction costs 25-40 ns a row.
-    A block of at most _SAMPLE values, or one whose first _SAMPLE values hold
-    more than one 0 per two rows, is sorted whole in place instead: there
-    the gather costs more than it saves (README gives the timings).  So
-    ``hits`` may come back with its rows sorted.
+    This gather serves urn blocks: the tower sampler passes only rows that
+    hold a 0.  A block of at most _SAMPLE values, or one whose first _SAMPLE
+    values hold more than one 0 per two rows, is sorted whole in place
+    instead: there the gather costs more than it saves (README gives the
+    timings).  So ``hits`` may come back with its rows sorted.
     """
     rows, n = hits.shape
     flat = hits.ravel()

@@ -127,11 +127,16 @@ class TestIntegersBelow:
 
     @pytest.mark.parametrize(
         "bound",
-        [1, 2, 3, 64, 100, 2**32 + 1, 2**62 + 1, 2**64 // 3 + 1, 3 * 2**61, 2**63 - 1, 2**63],
+        [
+            1, 2, 3, 64, 100, 2**31, 2**32, 2**32 + 1, 2**62, 2**62 + 1,
+            2**64 // 3 + 1, 3 * 2**61, 2**63 - 1, 2**63,
+        ],
     )
     def test_matches_reference_across_split_calls(self, bound):
         # 2^62+1, floor(2^64/3)+1 and 3*2^61 reject about 1/4, 1/3 and 1/4 of
-        # raw outputs; the calls pin the stream and counter across split calls,
+        # raw outputs; the powers of two are reduced by a mask, where a 32-bit
+        # or sign slip would show at 2^31, 2^32, 2^62 and 2^63; the calls pin
+        # the stream and counter across split calls,
         # and test_matches_reference_when_blocks_fall_short covers the refill
         # loop; 33000 draws span two slices of the division-free reduce
         base = derive_stream(11, 2)

@@ -491,6 +491,55 @@ class TestGeneralPmf:
         assert chi_square_gof(res, exact).approx_p_value > 0.001
 
 
+def block_states(sys_, base, block):
+    """The states of a block's trials, redrawn from fresh coordinate streams,
+    and the streams' counters after the redraw."""
+    streams = [SplitMix64(derive_stream(base, j)) for j in range(sys_.N)]
+    cols = [s.integers_below(c.L, block).tolist() for s, c in zip(streams, sys_.coords)]
+    return list(zip(*cols)), [s.counter for s in streams]
+
+
+class TestSampleBlock:
+    @pytest.mark.parametrize(
+        "specs, block",
+        [
+            ([(64, 1, 8)] * 8, 5000),  # most sizes 0
+            ([(11, 1, 9)] * 9, 3000),  # dense: most trials start
+            ([(6, 1, 2), (8, 2, 2)], 2000),  # HET_TWO
+            ([(12, 2, 4), (15, 3, 3), (20, 2, 5)], 2000),
+            ([(2**63, 2**60, 6), (2**63 - 1, 3 * 2**59, 4)], 500),
+            ([(64, 1, 8)] * 8, 1),
+            ([(11, 1, 9)] * 9, 1),
+        ],
+    )
+    def test_matches_avalanche_size_of_each_state(self, specs, block):
+        sys_ = make_tower_system(specs)
+        base = derive_stream(5, 1)
+        streams = [SplitMix64(derive_stream(base, j)) for j in range(sys_.N)]
+        got = towers_mod._sample_block(sys_, streams, block)
+        states, counters = block_states(sys_, base, block)
+        assert got.tolist() == [avalanche_size(x, sys_) for x in states]
+        assert [s.counter for s in streams] == counters
+
+    def test_block_with_no_start_scores_nothing(self, monkeypatch):
+        # the first base whose 16 trials have no coordinate excited
+        sys_ = make_tower_system([(64, 1, 8)] * 8)
+        block = 16
+        base = next(
+            b
+            for b in (derive_stream(s, 0) for s in range(200))
+            if not any(avalanche_trace(x, sys_)[0] for x in block_states(sys_, b, block)[0])
+        )
+
+        def refuse(*args):
+            raise AssertionError("a block without a start was scored")
+
+        monkeypatch.setattr(towers_mod, "leading_run", refuse)
+        streams = [SplitMix64(derive_stream(base, j)) for j in range(sys_.N)]
+        got = towers_mod._sample_block(sys_, streams, block)
+        assert got.tolist() == [0] * block
+
+
 class TestVectorizedPath:
     def test_hit_times_match_scalar_search(self):
         for sys_ in (TWO_COORD, HET_TWO):
