@@ -2,7 +2,7 @@
 
 Every command is a pure function of its flags (plus the seed), writes UTF-8
 with LF line endings, and uses the exit codes 0 (success / all checks
-pass), 1 (a check failed), 2 (usage or domain error), 3 (enumeration cap
+pass), 1 (a check failed), 2 (usage or domain error), 3 (a size cap
 exceeded).  Relative --out paths resolve against $AVALANCHES_OUT_DIR when
 that variable is set; absolute paths and stdout ignore it.
 
@@ -38,6 +38,7 @@ from . import serialize as ser, towers, urn
 from .distributions import (
     AvalancheParams,
     LimitParams,
+    Pmf,
     abelian_pmf,
     avalanche_pmf,
     conditional_pmf,
@@ -147,6 +148,20 @@ def _load_json(path: str, from_dict):
 def _check_cap(flag: str, value: int, cap: int) -> None:
     if value > cap:
         raise ResourceLimitError(f"{flag} {value} exceeds the cap of {cap}")
+
+
+def _stored_pmf(d: dict) -> Pmf:
+    """pmf_from_json_dict, first refusing (exit 3) a document with more
+    probabilities than any law the CLI writes: PMF_N_CAP + 1 exact ones, or
+    AMAX_CAP + 1 floats.  This bounds the entries, not each entry's digits."""
+    exact, probs = d["exact"] is True, d["probs"]
+    cap = PMF_N_CAP + 1 if exact else AMAX_CAP + 1
+    if type(probs) is list and len(probs) > cap:
+        kind = "an exact" if exact else "a float"
+        raise ResourceLimitError(
+            f"{kind} pmf of {len(probs)} probabilities exceeds the cap of {cap}"
+        )
+    return ser.pmf_from_json_dict(d)
 
 
 def _parse_alpha(text: str) -> float:
@@ -284,7 +299,7 @@ def cmd_simulate(args) -> int:
         raise DomainError("--exact-oracle/--compare reports need --format json")
     check_campaign(args.trials, args.shards)
     check_seed(args.seed)
-    expected = _load_json(args.compare, ser.pmf_from_json_dict) if args.compare else None
+    expected = _load_json(args.compare, _stored_pmf) if args.compare else None
     # trial, shard, seed, bound and oracle checks come first, so a cap or domain error
     # stops the run before any oracle or draw
     if args.model == "urn":
@@ -374,7 +389,7 @@ def cmd_tail(args) -> int:
 
 def cmd_compare(args) -> int:
     res: SimResult = _load_json(args.sim, ser.simresult_from_json_dict)
-    expected = _load_json(args.pmf, ser.pmf_from_json_dict)
+    expected = _load_json(args.pmf, _stored_pmf)
     report = chi_square_gof(res, expected, min_expected=args.min_expected)
     if args.format == "json":
         text = ser.dump_json(ser.gof_to_json_dict(report))

@@ -64,9 +64,6 @@ _MUL2 = np.uint64(0x94D049BB133111EB)
 # each slice stays in cache across the mix's passes.
 _SLICE = 1 << 15
 
-# leading_run reads the density of zeros in a block from its first values.
-_SAMPLE = 1 << 12
-
 # Most shards one campaign may use; shard_sizes builds a list this long.
 # One-trial urn shards at (20, 100), start-up included (2-vCPU Xeon): 2^15
 # of them take 1.6-1.9 s, 2^16 of them 2.7-3.0 s, half of what they took
@@ -187,32 +184,11 @@ def leading_run(hits: np.ndarray, cap: int) -> np.ndarray:
     urn id - 1 and cap = min(N, M) this is the urn statistic; with the
     towers' hit times and cap = N, the cascade size.
 
-    A row with no hit time 0 scores 0 unsorted, and near criticality most
-    rows hold none (P(A = 0) = (1 - p)^N), so only the rows holding a 0 are
-    gathered, sorted and scored, and the others score 0; one flat pass over
-    the block finds them, where a per-row reduction costs 25-40 ns a row.
-    This gather serves urn blocks: the tower sampler passes only rows that
-    hold a 0.  A block of at most _SAMPLE values, or one whose first _SAMPLE
-    values hold more than one 0 per two rows, is sorted whole in place
-    instead: there the gather costs more than it saves (README gives the
-    timings).  So ``hits`` may come back with its rows sorted.
+    The rows are sorted in place, so ``hits`` comes back with each row
+    sorted.  Which rows are worth scoring is the samplers' choice: each
+    knows which of its trials start an avalanche.
     """
-    rows, n = hits.shape
-    flat = hits.ravel()
-    if len(flat) <= _SAMPLE or 2 * n * np.count_nonzero(flat[:_SAMPLE] == 0) > _SAMPLE:
-        hits.sort(axis=1)
-        return _score_sorted(hits, cap)
-    held = np.zeros(rows, dtype=bool)
-    held[np.flatnonzero(flat == 0) // n] = True
-    sub = hits[held]
-    sub.sort(axis=1)
-    out = np.zeros(rows, dtype=np.intp)
-    out[held] = _score_sorted(sub, cap)
-    return out
-
-
-def _score_sorted(hits: np.ndarray, cap: int) -> np.ndarray:
-    """leading_run on rows already sorted."""
+    hits.sort(axis=1)
     ok = np.zeros((hits.shape[0], cap + 1), dtype=bool)  # column cap stays False
     np.less_equal(hits[:, :cap], np.arange(cap), out=ok[:, :cap])
     return ok.argmin(axis=1)

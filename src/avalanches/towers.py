@@ -217,8 +217,8 @@ def _sample_block(sys: TowerSystem, streams: list[SplitMix64], block: int) -> np
     alive at a time.  A trial starts an avalanche only if some coordinate
     has hit time 0; every other trial has A(x,1) = 0 and size 0.  At
     (64,1,8)x8 that is 1 - (63/64)^8, about 12% of trials, so only the
-    starting trials are copied out, trial-major, and scored by leading_run;
-    each of their rows holds a 0, so leading_run sorts the copy whole.  A
+    starting trials are copied out, trial-major, and scored by leading_run,
+    which sorts the copy in place; every other trial keeps size 0.  A
     block with no starting trial calls nothing more.  The rows are int32:
     NumPy sorts a 65536 x 8 block about 3 times faster as int32 than as
     uint8, the narrowest type that holds them.

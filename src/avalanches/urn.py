@@ -132,6 +132,23 @@ def simulate_urns(cfg: UrnConfig, trials: int, seed: int, shards: int = 1) -> Si
 
 
 def _sample_block(cfg: UrnConfig, stream: SplitMix64, block: int) -> np.ndarray:
-    """X for the next ``block`` trials; a ball's hit time is urn id - 1, the raw draw."""
-    draws = stream.integers_below(cfg.M, block * cfg.N)
-    return leading_run(draws.reshape(block, cfg.N), min(cfg.N, cfg.M))
+    """X for the next ``block`` trials; a ball's hit time is urn id - 1, the raw draw.
+
+    A trial with urn 1 empty scores 0 unsorted, and P(X = 0) = (1 - 1/M)^N,
+    82% at (20, 100).  With 2N > M a trial holds more than half a ball in
+    urn 1 on average, and on a block of at most 2^12 draws a gather's extra
+    calls cost more than the sort it saves, so those blocks are scored
+    whole.  Otherwise one flat pass finds the trials with a ball in urn 1
+    (a per-row reduction costs 25-40 ns a row), and only they are copied
+    out and scored (README gives the timings).
+    """
+    N = cfg.N
+    draws = stream.integers_below(cfg.M, block * N)
+    hits, cap = draws.reshape(block, N), min(N, cfg.M)
+    if 2 * N > cfg.M or len(draws) <= 1 << 12:
+        return leading_run(hits, cap)
+    held = np.zeros(block, dtype=bool)
+    held[np.flatnonzero(draws == 0) // N] = True
+    scores = np.zeros(block, dtype=np.intp)
+    scores[held] = leading_run(hits[held], cap)
+    return scores

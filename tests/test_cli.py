@@ -21,6 +21,21 @@ def run_cli(capsys, *args):
     return rc, captured.out, captured.err
 
 
+def uniform_exact_pmf(n):
+    """A stored exact pmf of n probabilities 1/n on 0..n-1."""
+    return {"exact": True, "label": "u", "support": list(range(n)), "probs": [f"1/{n}"] * n}
+
+
+def refuse_parsing(monkeypatch):
+    """Make any exact probability parsed from here on fail the test."""
+    import avalanches.serialize as ser_mod
+
+    def refuse(*args):
+        raise AssertionError("a probability was parsed")
+
+    monkeypatch.setattr(ser_mod, "parse_rational", refuse)
+
+
 PMF_LONG = ["pmf", "--model", "avalanche", "--N", "40", "--p", "1/41"]
 PMF_SHORT = ["pmf", "--model", "avalanche", "--N", "5", "--p", "1/6"]
 
@@ -332,6 +347,21 @@ class TestSimulateInputChecks:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "2^63" in err
+
+    def test_oversized_compare_pmf_refused_before_any_campaign(
+        self, capsys, monkeypatch, tmp_path, no_campaign
+    ):
+        refuse_parsing(monkeypatch)
+        pmf_path = tmp_path / "big.json"
+        pmf_path.write_text(json.dumps(uniform_exact_pmf(PMF_N_CAP + 2)), encoding="utf-8")
+        rc, out, err = run_cli(
+            capsys,
+            "simulate", "--model", "urn", "--N", "2", "--M", "4",
+            "--trials", "100", "--compare", str(pmf_path),
+        )
+        assert (rc, out) == (3, "")
+        assert err.startswith("resource limit: ") and err.count("\n") == 1
+        assert f"{PMF_N_CAP + 2} probabilities" in err
 
     @pytest.fixture
     def no_oracles(self, monkeypatch):
@@ -816,6 +846,37 @@ class TestCompareCommand:
         assert out.startswith("field,value\ntv,")
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert digest == "ba5f16949c47efd5cbc50442d8375977921321e6bb0a76252a90ed4f2cdbf517"
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            uniform_exact_pmf(PMF_N_CAP + 2),
+            {"exact": False, "label": "f", "support": list(range(AMAX_CAP + 2)),
+             "probs": [1 / (AMAX_CAP + 2)] * (AMAX_CAP + 2)},
+        ],
+        ids=["exact", "float"],
+    )
+    def test_oversized_stored_pmf_exits_3_before_parsing(self, capsys, monkeypatch, tmp_path, doc):
+        sim_path, pmf_path = self.stored_run(capsys, tmp_path)
+        refuse_parsing(monkeypatch)
+        pmf_path.write_text(json.dumps(doc), encoding="utf-8")
+        rc, out, err = run_cli(capsys, "compare", "--sim", str(sim_path), "--pmf", str(pmf_path))
+        assert (rc, out) == (3, "")
+        assert err.startswith("resource limit: ") and err.count("\n") == 1
+        assert f"{len(doc['probs'])} probabilities" in err
+
+    def test_stored_pmf_at_the_cap_reads(self, capsys, tmp_path):
+        sim_path, pmf_path = self.stored_run(capsys, tmp_path)
+        pmf_path.write_text(json.dumps(uniform_exact_pmf(PMF_N_CAP + 1)), encoding="utf-8")
+        rc, out, _ = run_cli(capsys, "compare", "--sim", str(sim_path), "--pmf", str(pmf_path))
+        assert rc == 0
+        assert json.loads(out)["trials"] == 1000
+
+    def test_long_probs_that_are_not_a_list_exit_2(self, capsys, tmp_path):
+        sim_path, pmf_path = self.stored_run(capsys, tmp_path)
+        doc = {**uniform_exact_pmf(3), "probs": "1/3," * (PMF_N_CAP + 2)}
+        pmf_path.write_text(json.dumps(doc), encoding="utf-8")
+        self.assert_usage_error(capsys, "compare", "--sim", str(sim_path), "--pmf", str(pmf_path))
 
     def test_simulate_compare_malformed_pmf(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

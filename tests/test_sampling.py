@@ -401,8 +401,6 @@ class TestLeadingRun:
     )
     @settings(max_examples=150, deadline=None)
     def test_matches_definition_on_both_paths(self, rows, n, data, dtype, kind, seed):
-        # blocks above 2^12 values with few zeros take the gathered path, the
-        # others are sorted whole
         cap = data.draw(st.integers(1, n))
         rng = np.random.default_rng(seed)
         top = {"sparse": 20 * n, "dense": n, "no zero": 3 * n, "every row": n + 2}[kind]
@@ -415,16 +413,12 @@ class TestLeadingRun:
         assert leading_run(hits, cap).tolist() == want
 
     @pytest.mark.parametrize("dtype", [np.int32, np.int64])
-    def test_only_large_sparse_blocks_are_gathered(self, dtype):
-        # a gathered block is left as it was; a sorted-whole one comes back sorted
-        rng = np.random.default_rng(6)
-        for shape, top, gathered in (((5000, 4), 40, True), ((5000, 4), 4, False), ((1000, 4), 40, False)):
-            hits = rng.integers(0, top, size=shape).astype(dtype)
-            before = hits.copy()
-            want = [leading_run_by_definition(r, 4) for r in before.tolist()]
-            assert leading_run(hits, 4).tolist() == want
-            assert (hits == before).all() == gathered
-            assert (hits == np.sort(before, axis=1)).all() != gathered
+    def test_sorts_rows_in_place(self, dtype):
+        hits = np.random.default_rng(6).integers(0, 40, size=(5000, 4)).astype(dtype)
+        before = hits.copy()
+        want = [leading_run_by_definition(r, 4) for r in before.tolist()]
+        assert leading_run(hits, 4).tolist() == want
+        assert (hits == np.sort(before, axis=1)).all()
 
     def test_one_row_and_one_column(self):
         assert leading_run(np.array([[0], [1], [0]], dtype=np.int32), 1).tolist() == [1, 0, 1]

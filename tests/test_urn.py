@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import avalanches.urn as urn_mod
 from avalanches.distributions import AvalancheParams, avalanche_pmf
 from avalanches.errors import DomainError, ResourceLimitError
 from avalanches.sampling import SplitMix64, derive_stream, leading_run, shard_sizes
@@ -225,8 +226,6 @@ class TestUrnBruteforce:
         assert urn_pmf_bruteforce(UrnConfig(3, 5)).probs == urn_pmf_by_assignment_walk(3, 5)
 
     def test_cap_checked_before_scoring(self, monkeypatch):
-        import avalanches.urn as urn_mod
-
         def refuse(*args):
             raise AssertionError("a level was counted")
             yield
@@ -238,6 +237,62 @@ class TestUrnBruteforce:
         # at the sampler's cap on N the full count has about 157,000 digits
         with pytest.raises(ResourceLimitError, match="cap"):
             urn_pmf_bruteforce(UrnConfig(2**18, 2**18 + 1))
+
+
+def block_draws(cfg, base, block):
+    """A block's draws as (block, N) hit times, redrawn from a fresh stream,
+    and the stream's counter after the redraw."""
+    stream = SplitMix64(base)
+    draws = stream.integers_below(cfg.M, block * cfg.N).reshape(block, cfg.N)
+    return draws, stream.counter
+
+
+# (N, M, block, gathered): gathered blocks have 2N <= M and over 2^12 draws
+SAMPLE_BLOCK_CASES = [
+    (20, 100, 5000, True),
+    (20, 40, 5000, True),  # 2N = M
+    (20, 39, 5000, False),  # 2N = M + 1
+    (20, 21, 5000, False),
+    (20, 5, 5000, False),
+    (5, 3, 5000, False),
+    (1, 1, 5000, False),
+    (1, 2, 5000, True),
+    (3, 3 * 2**61, 5000, True),  # a rejecting bound
+    (20, 100, 204, False),  # 4,080 draws
+    (20, 100, 205, True),  # 4,100 draws
+    (20, 100, 1, False),
+    (20, 5, 1, False),
+]
+
+
+class TestSampleBlock:
+    @pytest.mark.parametrize("n, m, block, gathered", SAMPLE_BLOCK_CASES)
+    def test_matches_urn_statistic_of_each_trial(self, n, m, block, gathered):
+        cfg, base = UrnConfig(n, m), derive_stream(5, 1)
+        stream = SplitMix64(base)
+        got = urn_mod._sample_block(cfg, stream, block)
+        draws, counter = block_draws(cfg, base, block)
+        assert got.tolist() == [urn_statistic([h + 1 for h in row], m) for row in draws.tolist()]
+        assert stream.counter == counter
+
+    @pytest.mark.parametrize("n, m, block, gathered", SAMPLE_BLOCK_CASES)
+    def test_scores_the_trials_with_a_ball_in_urn_one_or_the_whole_block(
+        self, monkeypatch, n, m, block, gathered
+    ):
+        cfg, base = UrnConfig(n, m), derive_stream(5, 1)
+        seen = []
+        score = urn_mod.leading_run
+
+        def recording(hits, cap):
+            seen.append(hits.copy())
+            return score(hits, cap)
+
+        monkeypatch.setattr(urn_mod, "leading_run", recording)
+        urn_mod._sample_block(cfg, SplitMix64(base), block)
+        draws, _ = block_draws(cfg, base, block)
+        want = draws[(draws == 0).any(axis=1)] if gathered else draws
+        assert len(seen) == 1
+        assert seen[0].shape == want.shape and (seen[0] == want).all()
 
 
 class TestSimulateUrns:
@@ -264,8 +319,6 @@ class TestSimulateUrns:
     def test_population_cap(self, monkeypatch):
         # a block holds one whole trial, so N past _BLOCK_DRAWS is refused
         # before any draw; at the cap a block is one trial
-        import avalanches.urn as urn_mod
-
         n = urn_mod._BLOCK_DRAWS
         assert simulate_urns(UrnConfig(n, n + 1), 2, seed=1).trials == 2
 
@@ -277,8 +330,6 @@ class TestSimulateUrns:
             simulate_urns(UrnConfig(n + 1, n + 2), 1, seed=1)
 
     def test_block_boundary_invariance(self, monkeypatch):
-        import avalanches.urn as urn_mod
-
         a = simulate_urns(UrnConfig(2, 4), 5000, seed=3)
         monkeypatch.setattr(urn_mod, "_BLOCK_DRAWS", 155)  # blocks of 77 trials
         b = simulate_urns(UrnConfig(2, 4), 5000, seed=3)
@@ -286,8 +337,6 @@ class TestSimulateUrns:
 
     def test_threaded_shards_match_one_serial_block_per_shard(self, monkeypatch):
         # blocks of 77 trials split each of the three shards of about 1667
-        import avalanches.urn as urn_mod
-
         cfg, trials, seed = UrnConfig(3, 5), 5000, 3
         want = np.zeros(cfg.N + 1, dtype=np.int64)
         for i, n in enumerate(shard_sizes(trials, 3)):
@@ -298,8 +347,6 @@ class TestSimulateUrns:
         assert res.histogram == {a: int(c) for a, c in enumerate(want) if c}
 
     def test_draws_per_call_bounded_at_large_n(self, monkeypatch):
-        import avalanches.urn as urn_mod
-
         counts = []
         draw = SplitMix64.integers_below
 
@@ -314,7 +361,6 @@ class TestSimulateUrns:
         assert len(counts) > 2  # each shard took more than one block
 
     def test_shard_error_reaches_simulate_as_usage_error(self, monkeypatch, capsys):
-        import avalanches.urn as urn_mod
         from avalanches.cli import main
 
         sample = urn_mod._sample_block
