@@ -64,16 +64,27 @@ OUT_DIR_ENV = "AVALANCHES_OUT_DIR"
 # takes 0.3-0.4 s (0.7-0.9 s with `--forest`, which builds the lemma table for
 # its check alone), and the split binds the cap, `--s S` taking 2.9-4.7 s at
 # its slowest S, about 50..60, and 31 MiB (Python start-up included);
-# `pmf --N 2000` at p = 1/2001 takes 2.1-2.2 s as JSON (0.57-0.72 s of it
-# for the law, 1.3-1.4 s for the JSON), and `tail --amax 100000` about 2 s
-# and 160 MiB.  Each CSV row costs time and memory that grow with
-# `pmf --digits`: at N = 2000, p = 1/2001, `--digits 10000` computes the law
-# and writes 19 MiB of CSV in 8.2-8.4 s and 93 MiB, about 3.8 ms a row
-# (0.7-0.9 s and 41 MiB at the default 17 digits, 0.015 ms a row).
+# `pmf --N 2000` at p = 1/2001 takes 2.1-2.2 s as JSON (0.26 s of it for
+# the law, 1.2 s for the JSON, start-up included), and `tail --amax 100000`
+# about 2 s and 160 MiB.  `pmf` also bounds its terms: each numerator and
+# denominator of the three laws is at most v^N, v the denominator of p in
+# lowest terms, so PMF_BITS_CAP bounds N times the bit length of v.  It
+# admits p = 1/2048 at N = 2000; at the cap, p = 2/4093 takes 2.0-2.6 s at
+# N = 2000 (2.3-2.7 s for the abelian law at 1/2048 before the cap), 0.9 s
+# at N = 1000 and 0.3-0.5 s at N = 250, where v may have 96 bits; before
+# the cap, N = 2000 at p = 1/10^20 took 34.6 s.  Each CSV row costs time
+# and memory that grow with `pmf --digits`: at N = 2000, p = 1/2001,
+# `--digits 10000` computes the law and writes 19 MiB of CSV in 8.2-8.4 s
+# and 93 MiB, about 3.8 ms a row (0.7-0.9 s and 41 MiB at the default 17
+# digits, 0.015 ms a row).  A stored document over STORED_BYTES_CAP is
+# refused before it is read: the longest `pmf` writes within the caps,
+# 2,001 terms of at most 7,225 digits over as many, is under 29 MB.
 IDENTITY_N_CAP = 150
 PMF_N_CAP = 2000
+PMF_BITS_CAP = 24000
 AMAX_CAP = 10**5
 DIGITS_CAP = 10**4
+STORED_BYTES_CAP = 29 * 2**20
 
 
 def _unlink_plain_file(path: Path) -> int | None:
@@ -130,10 +141,16 @@ def _load_json(path: str, from_dict):
     """Read a stored JSON document and rebuild it with ``from_dict``.
 
     Unreadable or malformed input is a usage error (exit 2), not a failed
-    check, so each way it can go wrong becomes a one-line DomainError.
+    check, so each way it can go wrong becomes a one-line DomainError.  A
+    file over STORED_BYTES_CAP exits 3 before any of it is read.
     """
     try:
         with open(path, encoding="utf-8") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size > STORED_BYTES_CAP:
+                raise ResourceLimitError(
+                    f"{path} of {size} bytes exceeds the cap of {STORED_BYTES_CAP}"
+                )
             return from_dict(json.load(fh))
     except OSError as exc:  # a directory, no permission, no such file
         raise DomainError(f"cannot read {path}: {exc.strerror}")
@@ -253,7 +270,10 @@ def cmd_pmf(args) -> int:
         if args.N is None or args.p is None:
             raise DomainError(f"{args.model} model needs --N and --p")
         _check_cap("--N", args.N, PMF_N_CAP)
-        params = AvalancheParams(N=args.N, p=ser.parse_rational(args.p))
+        p = ser.parse_rational(args.p)
+        bits = args.N * p.denominator.bit_length()
+        _check_cap("--N times the bits of p's denominator,", bits, PMF_BITS_CAP)
+        params = AvalancheParams(N=args.N, p=p)
         pmf = {
             "avalanche": avalanche_pmf,
             "abelian": abelian_pmf,
@@ -331,7 +351,7 @@ def cmd_simulate(args) -> int:
     doc = ser.simresult_to_json_dict(res)
     ok = True
     if args.exact_oracle:
-        equal = brute.support == exact.support and brute.probs == exact.probs
+        equal = brute.same_probs(exact)
         doc["oracle"] = {
             "equal": equal,
             "bruteforce": ser.pmf_to_json_dict(brute),

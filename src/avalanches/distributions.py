@@ -1,26 +1,28 @@
 """Closed-form avalanche-size distributions, their limit law, and tail analysis.
 
-The avalanche and conditional laws and the mean identity share one integer
+An exact law is a Pmf of integer numerators over one denominator.  The
+avalanche and conditional laws and the mean identity share one integer
 kernel, _abel_term, built a row at a time by _abel_row: with p = u/v, the
 numerators
 
     t_b = (b+1)^(b-1) C(n,b) u^b (v-(b+1)u)^(n-b),   b = 0..n,
 
 put the avalanche law at n over the single denominator v^n, and Abel's
-identity says they sum to exactly v^n.  The avalanche and conditional laws
-assert that identity on their integers before they reduce any term.  The
-conditional law is the kernel at n = N-1 shifted up by one, and the abelian
-law is the conditional law reweighted,
+identity says they sum to exactly v^n.  That identity is the Pmf's one
+mass check, sum(nums) == den.  The conditional law is the kernel at
+n = N-1 shifted up by one, and the abelian law is the conditional law
+reweighted,
 
     p_k = (1-Np) / ((1-kp)(1-(N-1)p)) P_cond(k),   k = 1..N,
 
-its mass checked exactly by the Pmf once its terms are reweighted.  The
+which is again integers over one denominator (abelian_pmf).  The
 heterogeneous tower law, with one mass per coordinate, lives in towers.
 
-The kernel's terms at (n, u/v) are put in lowest terms without a gcd on
-the big integers, by this lemma.  A prime q dividing both t_b and v does
-not divide u (u/v is in lowest terms); if it divides v-(b+1)u it divides
-b+1; and the primes of C(n,b) are at most n.  So q <= n+1, and
+Terms are put in lowest terms only when a law is written (Pmf.lowest_terms).
+The kernel's terms at (n, u/v) are reduced without a gcd on the big
+integers, by this lemma.  A prime q dividing both t_b and v does not divide
+u (u/v is in lowest terms); if it divides v-(b+1)u it divides b+1; and the
+primes of C(n,b) are at most n.  So q <= n+1, and
 
     gcd(t_b, v^n) = prod_q q^min(val_q(t_b), n val_q(v))
 
@@ -30,8 +32,8 @@ over the primes q <= n+1 dividing v, with
 
 and the binomial's exponent by Legendre's formula: small-integer arithmetic
 only.  A cheap gcd against v then proves each reduced term is in lowest
-terms.  The abelian law multiplies those reduced terms by its small
-rational weights.  The large-population limit law is floating point,
+terms.  The abelian law extends the lemma to the primes of its extra
+factor s = v-(N-1)u.  The large-population limit law is floating point,
 computed in log space, with its truncation deficit reported rather than
 hidden.
 """
@@ -39,9 +41,10 @@ hidden.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from math import comb
 
 from .errors import DomainError
@@ -97,51 +100,78 @@ class LimitParams:
             raise DomainError(f"a_max must be >= 0, got {self.a_max}")
 
 
-def _over_common_denominator(terms) -> tuple[int, int]:
-    """The sum of (numerator, denominator) pairs as one numerator over the
-    lcm of the denominators.
+def common_denominator(pairs) -> tuple[list[int], int]:
+    """(numerator, denominator) pairs as numerators over the lcm of the
+    denominators, each distinct denominator's scale computed once.  Exact
+    laws repeat few distinct denominators, so this costs one multiplication
+    a term and no gcd."""
+    pairs = list(pairs)
+    scale = dict.fromkeys(d for _, d in pairs)
+    den = math.lcm(*scale)
+    for d in scale:
+        scale[d] = den // d
+    return [x * scale[d] for x, d in pairs], den
 
-    Exact laws repeat few distinct denominators, so the numerators of each
-    denominator are added first and only those few sums are scaled to the lcm.
-    """
-    sums: dict[int, int] = {}
-    for num, d in terms:
-        sums[d] = sums.get(d, 0) + num
-    den = math.lcm(*sums)
-    return sum(s * (den // d) for d, s in sums.items()), den
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Pmf:
     """A finite probability mass function over integer support.
 
-    ``exact`` declares whether probs are Fractions (mass must be exactly 1,
-    checked as one integer numerator over the lcm of the denominators) or
-    floats (mass must be 1 up to the declared truncation ``deficit``).
+    Probability i is nums[i] / den.  An exact pmf holds integer numerators
+    over one denominator, its mass checked as sum(nums) == den; for the
+    Abel-kernel laws that check is Abel's identity.  A floating pmf holds
+    float probabilities over den = 1, its mass 1 up to the declared
+    truncation ``deficit``.  An exact pmf may also be given as Fractions
+    (``probs``), which are put over the lcm of their denominators.
+
+    The terms are put in lowest terms only when they are written
+    (lowest_terms): by the producer's ``reducer`` when it passes one, which
+    maps nums to (num, den) pairs, else by a gcd per term.  ``probs``,
+    ``index``, ``prob`` and ``items`` give Fractions for an exact pmf, built
+    on first use.  Two pmfs are equal when their labels, kinds, deficits
+    and probabilities are (same_probs); the reducer is not compared.
     """
 
     support: tuple[int, ...]
-    probs: tuple
     exact: bool
     label: str
-    deficit: float | None = None
+    deficit: float | None
+    nums: tuple
+    den: int
+    reducer: Callable | None = field(repr=False)
 
-    def __post_init__(self) -> None:
-        if len(self.support) != len(self.probs):
+    def __init__(
+        self, support, probs=None, exact=False, label="", deficit=None, *,
+        nums=None, den=1, reducer=None,
+    ):
+        if nums is None:
+            self.__dict__["probs"] = probs = tuple(probs)  # the cached view, as given
+            if exact:
+                nums, den = common_denominator((p.numerator, p.denominator) for p in probs)
+            else:
+                nums = probs
+        self.__dict__.update(
+            support=tuple(support), exact=exact, label=label, deficit=deficit,
+            nums=tuple(nums), den=den, reducer=reducer,
+        )
+        self._check()
+
+    def _check(self) -> None:
+        if len(self.support) != len(self.nums):
             raise DomainError("support and probs must have equal length")
         if len(set(self.support)) != len(self.support):
             raise DomainError(f"repeated support value in {self.label}")
-        # a Fraction's denominator is positive, so its numerator has its sign
-        signs = (p.numerator for p in self.probs) if self.exact else self.probs
-        if any(x < 0 for x in signs):
+        if any(x < 0 for x in self.nums):
             raise DomainError(f"negative probability in {self.label}")
+        total = sum(self.nums)
         if self.exact:
-            pairs = ((p.numerator, p.denominator) for p in self.probs)
-            total, den = _over_common_denominator(pairs)
-            if total != den:
-                raise DomainError(f"exact pmf {self.label} sums to {Fraction(total, den)}, not 1")
+            if self.den < 1:
+                raise DomainError(f"exact pmf {self.label} has denominator {self.den}")
+            if total != self.den:
+                raise DomainError(
+                    f"exact pmf {self.label} sums to {Fraction(total, self.den)}, not 1"
+                )
         else:
-            total = sum(self.probs)
             declared = self.deficit if self.deficit is not None else 0.0
             # a NaN fails every comparison, so the tolerance alone would pass it
             mismatch = abs((1.0 - float(total)) - declared) > _FLOAT_MASS_TOL
@@ -149,6 +179,34 @@ class Pmf:
                 raise DomainError(
                     f"floating pmf {self.label} has mass {total} vs deficit {declared}"
                 )
+
+    def same_probs(self, other: Pmf) -> bool:
+        """Same support and probabilities, by nums[i] * other.den ==
+        other.nums[i] * den: no gcd and no Fraction."""
+        return self.support == other.support and all(
+            x * other.den == y * self.den for x, y in zip(self.nums, other.nums)
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Pmf):
+            return NotImplemented
+        kind = (self.exact, self.label, self.deficit)
+        return kind == (other.exact, other.label, other.deficit) and self.same_probs(other)
+
+    def __hash__(self) -> int:
+        return hash((self.support, self.exact, self.label, self.deficit))
+
+    @cached_property
+    def probs(self) -> tuple:
+        """The probabilities: Fractions when exact, else the floats."""
+        return tuple(Fraction(x, self.den) for x in self.nums) if self.exact else self.nums
+
+    def lowest_terms(self) -> list[tuple[int, int]]:
+        """An exact pmf's terms as (num, den) pairs in lowest terms."""
+        if self.reducer is not None:
+            return self.reducer(self.nums)
+        den = self.den
+        return [(x // g, den // g) for x in self.nums for g in (math.gcd(x, den),)]
 
     @cached_property
     def index(self) -> dict:
@@ -199,10 +257,10 @@ def _valuation(x: int, q: int) -> int:
     return e
 
 
-def _small_prime_factors(x: int, limit: int) -> tuple[dict[int, int], int]:
-    """The primes q <= limit dividing x >= 1, with their exponents, and the
-    cofactor of x left over.  Trial division by 2..min(limit, x), stripping
-    each factor as it is found, so no composite divisor ever divides."""
+def _small_prime_factors(x: int, limit: int) -> dict[int, int]:
+    """The primes q <= limit dividing x >= 1, with their exponents.  Trial
+    division by 2..min(limit, x), stripping each factor as it is found, so
+    no composite divisor ever divides."""
     found = {}
     q = 2
     while q <= min(limit, x):
@@ -211,7 +269,7 @@ def _small_prime_factors(x: int, limit: int) -> tuple[dict[int, int], int]:
             found[q] = e
             x //= q**e
         q += 1
-    return found, x
+    return found
 
 
 def _term_valuations(q: int, n: int, u: int, v: int, bs) -> list[int]:
@@ -239,66 +297,65 @@ def _term_valuations(q: int, n: int, u: int, v: int, bs) -> list[int]:
     return out
 
 
-def _coprime_fraction(num: int, den: int) -> Fraction:
-    """num/den as a Fraction without Fraction's own gcd; only for den > 0
-    and gcd(num, den) == 1 already proved by the caller."""
-    x = object.__new__(Fraction)
-    x._numerator = num
-    x._denominator = den
-    return x
+def _lowest_terms(terms, keys, primes: dict[int, int], den: int, valuations, base: int,
+                  label: str) -> list[tuple[int, int]]:
+    """Each terms[i] / den as a (num, den') pair in lowest terms, with no
+    gcd on the big integers.
 
-
-def _lowest_terms(terms, bs, label: str, n: int, u: int, v: int) -> list:
-    """Each terms[i] = t_b, b = bs[i], of the kernel at (n, u/v) over v^n as
-    a Fraction in lowest terms, with no gcd on the big integers.
-
-    Every prime q shared by a term and v^n is <= n+1 (module docstring), so
-    trial division of v up to n+1 finds them all, and their exponents
-    (_term_valuations) give each term's gcd with v^n; the reduced
-    denominator is computed once per exponent vector.  Every prime of a
-    reduced denominator divides v, so gcd(gcd(x', v), den') == 1 proves
-    x'/den' is in lowest terms; that check and the exact division by the
-    gcd guard the valuations.
+    The caller's lemma says every prime that a term shares with den is a
+    key of primes, whose value is its exponent in den.  So valuations(q, ks),
+    the exponents of q in the nonzero terms named by ks (keys[i] names term
+    i), give each term's gcd with den, and den' = den / gcd is computed
+    once per gcd.  Every prime of a reduced denominator divides base, so
+    gcd(gcd(x', base), den') == 1 proves x'/den' is in lowest terms; that
+    check and the exact division by the gcd guard the valuations.
     """
-    v_primes, rest = _small_prime_factors(v, n + 1)
-    primes = sorted(v_primes)
-    tops = [n * v_primes[q] for q in primes]
-    rest **= n
-    live = [b for b, t in zip(bs, terms) if t]
-    keys = dict.fromkeys(live, ())  # b -> exponents of the primes in den'
-    for q, top in zip(primes, tops):
-        for b, e in zip(live, _term_valuations(q, n, u, v, live)):
-            keys[b] += (top - min(e, top),)
-    reduced = {}  # exponents of the primes in den' -> (gcd, den')
+    qs = sorted(primes)
+    live = [k for k, t in zip(keys, terms) if t]
+    vecs = dict.fromkeys(live, ())  # key -> exponents of the primes in the gcd
+    for q in qs:
+        for k, e in zip(live, valuations(q, live)):
+            vecs[k] += (min(e, primes[q]),)
+    reduced = {}  # exponents of the primes in the gcd -> (gcd, den')
     out = []
-    for b, t in zip(bs, terms):
+    for k, t in zip(keys, terms):
         if not t:
-            out.append(Fraction(0))
+            out.append((0, 1))
             continue
-        key = keys[b]
-        if key not in reduced:
-            gcd = math.prod(q ** (top - d) for q, top, d in zip(primes, tops, key))
-            reduced[key] = gcd, rest * math.prod(q**d for q, d in zip(primes, key))
-        gcd, den = reduced[key]
+        vec = vecs[k]
+        if vec not in reduced:
+            gcd = math.prod(q**g for q, g in zip(qs, vec))
+            reduced[vec] = gcd, den // gcd
+        gcd, den_k = reduced[vec]
         x, r = divmod(t, gcd)
-        if r or math.gcd(math.gcd(x, v), den) != 1:
-            raise DomainError(f"exact pmf {label}: term at b={b} not reduced to lowest terms")
-        out.append(_coprime_fraction(x, den))
+        if r or math.gcd(math.gcd(x, base), den_k) != 1:
+            raise DomainError(f"exact pmf {label}: term at {k} not reduced to lowest terms")
+        out.append((x, den_k))
     return out
 
 
+def _kernel_lowest_terms(terms, bs, label: str, n: int, u: int, v: int) -> list[tuple[int, int]]:
+    """Each terms[i] = t_b, b = bs[i], of the kernel at (n, u/v) over v^n in
+    lowest terms.  Every prime q shared by a term and v^n is <= n+1 (module
+    docstring), so trial division of v up to n+1 finds them all."""
+    primes = {q: n * e for q, e in _small_prime_factors(v, n + 1).items()}
+
+    def valuations(q, ks):
+        return _term_valuations(q, n, u, v, ks)
+
+    return _lowest_terms(terms, bs, primes, v**n, valuations, v, label)
+
+
 def _kernel_pmf(first: int, n: int, u: int, v: int, label: str) -> Pmf:
-    """The kernel at (n, u/v), t_b / v^n, as a pmf on first..first+n; asserts
-    Abel's identity sum(t_b) == v^n on the integers before _lowest_terms
-    reduces the terms."""
-    nums = _abel_row(n, u, v)
-    if sum(nums) != v**n:
-        raise DomainError(f"exact pmf {label}: numerators do not sum to the denominator")
+    """The kernel at (n, u/v), t_b / v^n, as a pmf on first..first+n.  Its
+    mass check is Abel's identity, sum(t_b) == v^n, on the integers."""
     return Pmf(
-        support=tuple(range(first, first + n + 1)),
-        probs=tuple(_lowest_terms(nums, range(n + 1), label, n, u, v)),
+        support=range(first, first + n + 1),
         exact=True,
         label=label,
+        nums=_abel_row(n, u, v),
+        den=v**n,
+        reducer=partial(_kernel_lowest_terms, bs=range(n + 1), label=label, n=n, u=u, v=v),
     )
 
 
@@ -312,8 +369,8 @@ def avalanche_prob(params: AvalancheParams, a: int) -> Fraction:
     if not 0 <= a <= N:
         raise DomainError(f"a must lie in 0..{N}, got {a}")
     label = f"avalanche(N={N},p={params.p})"
-    (prob,) = _lowest_terms([_abel_term(N, a, u, v)], [a], label, N, u, v)
-    return prob
+    ((x, den),) = _kernel_lowest_terms([_abel_term(N, a, u, v)], [a], label, N, u, v)
+    return Fraction(x, den)
 
 
 def avalanche_pmf(params: AvalancheParams) -> Pmf:
@@ -327,21 +384,53 @@ def abelian_pmf(params: AvalancheParams) -> Pmf:
 
     p_k = pref * k^(k-2) C(N-1,k-1) p^(k-1) (1-kp)^(N-k-1).  Needs strict
     p < 1/N: the k = N term carries (1-Np)^(-1).  That is the conditional
-    law reweighted, p_k = (1-Np) / ((1-kp)(1-(N-1)p)) P_cond(k), so each
-    reduced conditional term is multiplied by (v-Nu) v / ((v-ku) s) with
-    s = v-(N-1)u; the Pmf's own check asserts the reweighted mass is 1.
+    law reweighted, p_k = (1-Np) / ((1-kp)(1-(N-1)p)) P_cond(k), so with t
+    the kernel at n = N-1 and s = v-(N-1)u its numerators are
+
+        m_k = (v-Nu) t_{k-1} / (v-ku),  k < N,     m_N = t_{N-1},
+
+    over s v^(N-2): each t_{k-1} with k < N carries v-ku to a positive
+    power, and at k = N the division cancels v-Nu.
+
+    The lemma reduces them over the primes of v and of s.  A prime of v
+    shared with m_k is <= N as in the kernel, or divides v-Nu and so N.  A
+    prime q of s not dividing v does not divide u either, and v ≡ (N-1)u
+    mod q, so it divides v-ku only if it divides N-1-k, never v-Nu ≡ -u,
+    and k^(k-2) and C(N-1,k-1) only if q <= N.  So every shared prime is
+    <= N.
     """
     params.require_subcritical()
     N, u, v = params.N, params.p.numerator, params.p.denominator
     label = f"abelian(N={N},p={params.p})"
-    n, head, s = N - 1, (v - N * u) * v, v - (N - 1) * u
-    terms = _lowest_terms(_abel_row(n, u, v), range(N), label, n, u, v)
+    head, s = v - N * u, v - (N - 1) * u
+    row = _abel_row(N - 1, u, v)
+    nums = [head * (t // (v - k * u)) for k, t in enumerate(row[:-1], 1)] + row[-1:]
     return Pmf(
-        support=tuple(range(1, N + 1)),
-        probs=tuple(x * Fraction(head, (v - k * u) * s) for k, x in enumerate(terms, 1)),
+        support=range(1, N + 1),
         exact=True,
         label=label,
+        nums=nums,
+        den=s * v ** (N - 1) // v,  # at N = 1, v/v
+        reducer=partial(_abelian_lowest_terms, label=label, N=N, u=u, v=v),
     )
+
+
+def _abelian_lowest_terms(terms, label: str, N: int, u: int, v: int) -> list[tuple[int, int]]:
+    """abelian_pmf's numerators m_1..m_N over s v^(N-2) in lowest terms, by
+    the prime exponents of the kernel terms t_{k-1} at n = N-1, adjusted by
+    val_q(v-Nu) - val_q(v-ku) for k < N."""
+    s, head = v - (N - 1) * u, v - N * u
+    primes = {q: (N - 2) * e for q, e in _small_prime_factors(v, N).items()}
+    for q, e in _small_prime_factors(s, N).items():  # v and s share the primes of N-1
+        primes[q] = primes.get(q, 0) + e
+
+    def valuations(q, ks):
+        es = _term_valuations(q, N - 1, u, v, [k - 1 for k in ks])
+        top = _valuation(head, q)
+        return [e + top - _valuation(v - k * u, q) if k < N else e for k, e in zip(ks, es)]
+
+    den = s * v ** (N - 1) // v
+    return _lowest_terms(terms, range(1, N + 1), primes, den, valuations, v * s, label)
 
 
 def conditional_pmf(params: AvalancheParams) -> Pmf:
@@ -357,10 +446,8 @@ def conditional_pmf(params: AvalancheParams) -> Pmf:
 
 def pmf_mean(pmf: Pmf):
     """Sum of a * P(a); a Fraction when the pmf is exact, else a float."""
-    if pmf.exact:
-        pairs = ((a * p.numerator, p.denominator) for a, p in pmf.items())
-        return Fraction(*_over_common_denominator(pairs))
-    return sum(a * p for a, p in pmf.items())
+    total = sum(a * x for a, x in zip(pmf.support, pmf.nums))
+    return Fraction(total, pmf.den) if pmf.exact else total
 
 
 def abelian_mean_closed_form(params: AvalancheParams) -> Fraction:
@@ -375,18 +462,14 @@ def expectation_identity_check(params: AvalancheParams) -> bool:
         (1-Np)/(1-(N-1)p) * sum_k k^(k-1) C(N-1,k-1) p^(k-1) (1-kp)^(N-k-1)
             == 1/(1-(N-1)p).
 
-    With t the kernel at n = N-1 and p = u/v, the abelian law's integer
-    numerators are (v-Nu) t_{k-1} / (v-ku) over (v-(N-1)u) v^(N-1) / v: each
-    t_{k-1} with k < N carries v-ku to a positive power, and at k = N the
-    division cancels v-Nu.  The left side, sum_k k times those numerators,
-    is compared as one integer equation against the independent closed-form
-    mean abelian_mean_closed_form.
+    The left side is the mean of abelian_pmf, sum_k k m_k over its
+    denominator, compared as one integer equation against the independent
+    closed-form mean abelian_mean_closed_form.
     """
     mean = abelian_mean_closed_form(params)
-    N, u, v = params.N, params.p.numerator, params.p.denominator
-    head, den = v - N * u, (v - (N - 1) * u) * v ** (N - 1) // v  # at N = 1, v/v
-    lhs = sum(k * (head * t // (v - k * u)) for k, t in enumerate(_abel_row(N - 1, u, v), 1))
-    return lhs * mean.denominator == mean.numerator * den
+    law = abelian_pmf(params)
+    lhs = sum(k * m for k, m in zip(law.support, law.nums))
+    return lhs * mean.denominator == mean.numerator * law.den
 
 
 def limit_pmf(params: LimitParams) -> Pmf:

@@ -35,10 +35,18 @@ def empirical_pmf(res: SimResult, support_upper: int | None = None) -> Pmf:
     )
 
 
+def _float_probs(pmf: Pmf) -> dict[int, float]:
+    """Support value -> probability as a float, nums[i] / den.  Python's int
+    true division is correctly rounded, as float(Fraction) is, so an exact
+    term gives the same float in or out of lowest terms."""
+    return dict(zip(pmf.support, (x / pmf.den for x in pmf.nums)))
+
+
 def tv_distance(p: Pmf, q: Pmf) -> float:
     """Total variation distance: half the L1 distance over the union support."""
-    support = sorted(set(p.support) | set(q.support))
-    return 0.5 * math.fsum(abs(float(p.prob(a)) - float(q.prob(a))) for a in support)
+    fp, fq = _float_probs(p), _float_probs(q)
+    support = sorted(fp.keys() | fq.keys())
+    return 0.5 * math.fsum(abs(fp.get(a, 0.0) - fq.get(a, 0.0)) for a in support)
 
 
 def _merge_bins(
@@ -84,9 +92,10 @@ def chi_square_gof(res: SimResult, expected: Pmf, min_expected: float = 5.0) -> 
     """
     if not (math.isfinite(min_expected) and min_expected > 0):
         raise DomainError(f"min_expected must be finite and > 0, got {min_expected}")
-    support = sorted(set(expected.support) | set(res.histogram))
+    fq = _float_probs(expected)
+    support = sorted(fq.keys() | res.histogram.keys())
     observed = [float(res.histogram.get(a, 0)) for a in support]
-    q = [float(expected.prob(a)) for a in support]
+    q = [fq.get(a, 0.0) for a in support]
     obs, exp = _merge_bins(observed, [qa * res.trials for qa in q], min_expected)
     if len(obs) < 2:
         raise DegenerateInputError("all mass ends up in one merged bin")

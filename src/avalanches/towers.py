@@ -260,7 +260,7 @@ def tower_pmf_bruteforce(sys: TowerSystem) -> Pmf:
     k < N with at most k coordinates in classes 0..k, or N.  Each coordinate
     type (L, w, h) is scanned once, literally, for its class sizes, and
     leading_run_counts counts the states, a type of m coordinates with those
-    sizes and L states each.  Probabilities are rationals with denominator
+    sizes and L states each.  The counts are the numerators over
     prod(L_i).
 
     Both caps, the sum of the L_i (the scan) and the leading-run count's
@@ -275,13 +275,12 @@ def tower_pmf_bruteforce(sys: TowerSystem) -> Pmf:
         raise ResourceLimitError(f"{scan} coordinate states to scan exceed the cap of {cap}")
     check_leading_run(list(types.values()), n)
     counts = leading_run_counts([(m, _hit_classes(c, n), c.L) for c, m in types.items()], n)
-    total = math.prod(c.L for c in sys.coords)
-    probs = tuple(Fraction(k, total) for k in counts)
     return Pmf(
-        support=tuple(range(n + 1)),
-        probs=probs,
+        support=range(n + 1),
         exact=True,
         label=f"tower-bruteforce(N={n})",
+        nums=counts,
+        den=math.prod(c.L for c in sys.coords),
     )
 
 
@@ -326,7 +325,7 @@ def avalanche_pmf_general(ps: Sequence[Fraction]) -> Pmf:
 
     One distinct mass is the single-mass law, avalanche_pmf, whose terms are
     reduced by prime exponents.  Several masses leave no factored form to
-    read those from, so each term is reduced with Fraction's gcd.
+    read those from, so a written term is reduced by a gcd (Pmf.lowest_terms).
     """
     ps = tuple(Fraction(p) for p in ps)
     n = len(ps)
@@ -338,14 +337,10 @@ def avalanche_pmf_general(ps: Sequence[Fraction]) -> Pmf:
     if len(set(ps)) == 1:
         return avalanche_pmf(AvalancheParams(n, ps[0]))
     v = math.lcm(*(p.denominator for p in ps))
-    nums = _general_numerators([p.numerator * (v // p.denominator) for p in ps], v)
-    den = v**n
-    label = f"avalanche-general(N={n})"
-    if sum(nums) != den:
-        raise DomainError(f"exact pmf {label}: numerators do not sum to the denominator")
     return Pmf(
-        support=tuple(range(n + 1)),
-        probs=tuple(Fraction(t, den) for t in nums),
+        support=range(n + 1),
         exact=True,
-        label=label,
+        label=f"avalanche-general(N={n})",
+        nums=_general_numerators([p.numerator * (v // p.denominator) for p in ps], v),
+        den=v**n,
     )

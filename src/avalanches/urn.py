@@ -100,18 +100,16 @@ def urn_pmf_bruteforce(cfg: UrnConfig) -> Pmf:
     min(N, M) with at most k balls in urns 1..k+1, or top if there is none:
     the leading run of the N hit times.  So leading_run_counts counts the
     assignments with one type of N balls, one way into each urn 1..top and
-    M ways in all.  Probabilities are rationals over M^N.  The cap
+    M ways in all.  The counts are the numerators over M^N.  The cap
     (combinatorics.LEADING_RUN_CAP) is checked before any work.
     """
     N, M = cfg.N, cfg.M
-    counts = leading_run_counts([(N, itertools.repeat(1), M)], min(N, M))
-    total = M**N
-    probs = tuple(Fraction(k, total) for k in counts)
     return Pmf(
-        support=tuple(range(N + 1)),
-        probs=probs,
+        support=range(N + 1),
         exact=True,
         label=f"urn-bruteforce(N={N},M={M})",
+        nums=leading_run_counts([(N, itertools.repeat(1), M)], min(N, M)),
+        den=M**N,
     )
 
 

@@ -8,7 +8,15 @@ import sys
 
 import pytest
 
-from avalanches.cli import AMAX_CAP, DIGITS_CAP, IDENTITY_N_CAP, PMF_N_CAP, main
+from avalanches.cli import (
+    AMAX_CAP,
+    DIGITS_CAP,
+    IDENTITY_N_CAP,
+    PMF_BITS_CAP,
+    PMF_N_CAP,
+    STORED_BYTES_CAP,
+    main,
+)
 from avalanches.combinatorics import DEFAULT_TREE_ENUM_VERTICES
 from avalanches.errors import DomainError, ResourceLimitError
 from avalanches.towers import COORDINATE_CAP
@@ -33,7 +41,7 @@ def refuse_parsing(monkeypatch):
     def refuse(*args):
         raise AssertionError("a probability was parsed")
 
-    monkeypatch.setattr(ser_mod, "parse_rational", refuse)
+    monkeypatch.setattr(ser_mod, "_split_rational", refuse)
 
 
 PMF_LONG = ["pmf", "--model", "avalanche", "--N", "40", "--p", "1/41"]
@@ -232,6 +240,22 @@ class TestSimulateCommand:
         assert rc == 0
         assert sum(doc["histogram"].values()) == 1000
         assert (doc["N"], doc["M"], doc["seed"], doc["shards"]) == (2, 4, 7, 1)
+
+    def test_exact_oracle_mismatch_exits_1(self, capsys, monkeypatch):
+        # the laws are compared term by term, cross-multiplied over their denominators
+        import avalanches.cli as cli_mod
+        from avalanches.urn import UrnConfig, urn_pmf_bruteforce
+
+        monkeypatch.setattr(
+            cli_mod, "urn_pmf_bruteforce", lambda cfg: urn_pmf_bruteforce(UrnConfig(cfg.N, cfg.M + 1))
+        )
+        rc, out, _ = run_cli(
+            capsys,
+            "simulate", "--model", "urn", "--N", "3", "--M", "5",
+            "--trials", "100", "--seed", "1", "--exact-oracle",
+        )
+        assert rc == 1
+        assert json.loads(out)["oracle"]["equal"] is False
 
     def test_tower_exact_oracle(self, capsys):
         rc, out, _ = run_cli(
@@ -650,6 +674,11 @@ class TestSizeCaps:
                 ["pmf", "--model", law, "--N", str(PMF_N_CAP + 1), "--p", f"1/{2 * PMF_N_CAP}"]
                 for law in ("avalanche", "abelian", "conditional")
             ),
+            # 2000 x 13 bits, where 1/2048 has 12
+            *(
+                ["pmf", "--model", law, "--N", str(PMF_N_CAP), "--p", "1/4096"]
+                for law in ("avalanche", "abelian", "conditional")
+            ),
             ["pmf", "--model", "limit", "--alpha", "1", "--amax", str(AMAX_CAP + 1)],
             ["tail", "--alpha", "1", "--amax", str(AMAX_CAP + 1)],
             ["pmf", "--model", "avalanche", "--N", "5", "--p", "1/6", "--digits", str(DIGITS_CAP + 1)],
@@ -672,6 +701,25 @@ class TestSizeCaps:
         )
         assert rc == 0
         assert len(json.loads(out)["probs"]) == AMAX_CAP + 1
+
+    @pytest.mark.parametrize("law", ["avalanche", "abelian", "conditional"])
+    def test_terms_at_the_bits_cap_run(self, capsys, law):
+        # N = 2 at a denominator of PMF_BITS_CAP / 2 bits
+        v = 2 ** (PMF_BITS_CAP // 2 - 1)
+        rc, out, _ = run_cli(capsys, "pmf", "--model", law, "--N", "2", "--p", f"1/{v}")
+        assert rc == 0
+        assert len(json.loads(out)["probs"]) == (3 if law == "avalanche" else 2)
+
+    @pytest.mark.parametrize("law", ["avalanche", "abelian", "conditional"])
+    def test_terms_past_the_bits_cap_exit_3(self, capsys, no_work, law):
+        # two bits over, the least N = 2 can be
+        p = f"1/{2 ** (PMF_BITS_CAP // 2)}"
+        rc, out, err = run_cli(capsys, "pmf", "--model", law, "--N", "2", "--p", p)
+        assert (rc, out) == (3, "")
+        assert err == (
+            f"resource limit: --N times the bits of p's denominator, {PMF_BITS_CAP + 2} "
+            f"exceeds the cap of {PMF_BITS_CAP}\n"
+        )
 
 
 class TestLongIntegers:
@@ -868,6 +916,71 @@ class TestCompareCommand:
     def test_stored_pmf_at_the_cap_reads(self, capsys, tmp_path):
         sim_path, pmf_path = self.stored_run(capsys, tmp_path)
         pmf_path.write_text(json.dumps(uniform_exact_pmf(PMF_N_CAP + 1)), encoding="utf-8")
+        rc, out, _ = run_cli(capsys, "compare", "--sim", str(sim_path), "--pmf", str(pmf_path))
+        assert rc == 0
+        assert json.loads(out)["trials"] == 1000
+
+    @pytest.mark.parametrize(
+        "probs, code",
+        [
+            (["18/32", "2/8", "3/16", "0"], 0),
+            (["9/16", "4/16", "6/32", "0/7"], 0),
+            (["9/0", "1/4", "3/16", "0/1"], 2),  # zero denominator
+            (["9/16", "-1/4", "11/16", "0/1"], 2),  # a negative term, though the mass is 1
+            (["9/16", "1/4", "1/16", "0/1"], 2),  # mass 7/8
+            ([0.5625, "1/4", "3/16", "0/1"], 2),  # not a string
+        ],
+        ids=["unreduced-and-bare", "unreduced", "zero-den", "negative", "mass", "not-a-string"],
+    )
+    def test_stored_exact_terms(self, capsys, tmp_path, probs, code):
+        # the law of the stored run, (9/16, 1/4, 3/16) on 0..2, with a zero at 3
+        sim_path, pmf_path = self.stored_run(capsys, tmp_path)
+        doc = {"exact": True, "label": "x", "support": [0, 1, 2, 3]}
+        pmf_path.write_text(json.dumps({**doc, "probs": ["9/16", "1/4", "3/16", "0/1"]}))
+        want = run_cli(capsys, "compare", "--sim", str(sim_path), "--pmf", str(pmf_path))
+        assert want[0] == 0
+        pmf_path.write_text(json.dumps({**doc, "probs": probs}))
+        rc, out, err = run_cli(capsys, "compare", "--sim", str(sim_path), "--pmf", str(pmf_path))
+        if code:
+            assert (rc, out) == (2, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert (rc, out, err) == want
+
+    @pytest.mark.parametrize("which", ["sim", "pmf", "simulate"])
+    def test_oversized_stored_file_exits_3_before_reading(
+        self, capsys, monkeypatch, tmp_path, which
+    ):
+        sim_path, pmf_path = self.stored_run(capsys, tmp_path)
+        big = tmp_path / "big.json"
+        with open(big, "wb") as fh:
+            fh.truncate(STORED_BYTES_CAP + 1)  # sparse: never read
+
+        load = json.load
+
+        def load_all_but_big(fh, **kwargs):
+            assert fh.name != str(big), "the file was read"
+            return load(fh, **kwargs)
+
+        monkeypatch.setattr(json, "load", load_all_but_big)
+        paths = {"sim": sim_path, "pmf": pmf_path, which: big}
+        if which == "simulate":
+            args = ["simulate", "--model", "urn", "--N", "2", "--M", "4", "--trials", "10",
+                    "--compare", str(big)]
+        else:
+            args = ["compare", "--sim", str(paths["sim"]), "--pmf", str(paths["pmf"])]
+        rc, out, err = run_cli(capsys, *args)
+        assert (rc, out) == (3, "")
+        assert err == (
+            f"resource limit: {big} of {STORED_BYTES_CAP + 1} bytes exceeds the cap of "
+            f"{STORED_BYTES_CAP}\n"
+        )
+
+    def test_stored_file_at_the_byte_cap_reads(self, capsys, tmp_path):
+        sim_path, pmf_path = self.stored_run(capsys, tmp_path)
+        text = pmf_path.read_bytes()
+        pmf_path.write_bytes(text + b" " * (STORED_BYTES_CAP - len(text)))
+        assert pmf_path.stat().st_size == STORED_BYTES_CAP
         rc, out, _ = run_cli(capsys, "compare", "--sim", str(sim_path), "--pmf", str(pmf_path))
         assert rc == 0
         assert json.loads(out)["trials"] == 1000

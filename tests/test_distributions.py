@@ -344,8 +344,9 @@ LAWS = {"avalanche": avalanche_pmf, "abelian": abelian_pmf, "conditional": condi
 
 
 class TestLowestTerms:
-    """The three laws reduce their terms by prime exponents at the small
-    primes of v, not by gcd; the results must be Fraction's, bit for bit."""
+    """The three laws reduce their terms, when written, by prime exponents
+    at the small primes of v (and of s for the abelian law), not by gcd;
+    the results must be Fraction's, bit for bit."""
 
     @pytest.mark.parametrize("law", sorted(LAWS))
     def test_matches_fraction_gcd(self, law):
@@ -353,9 +354,9 @@ class TestLowestTerms:
         for n, p in lowest_terms_cases():
             if law == "abelian" and n * p >= 1:
                 continue
-            got = LAWS[law](AvalancheParams(n, p)).probs
+            got = LAWS[law](AvalancheParams(n, p)).lowest_terms()
             want = reference_probs(law, n, p)
-            assert [(x.numerator, x.denominator) for x in got] == [
+            assert got == [
                 (x.numerator, x.denominator) for x in want
             ], (law, n, p)
             checked += 1
@@ -385,10 +386,10 @@ class TestLowestTerms:
     @settings(max_examples=150, deadline=None)
     def test_property_lowest_terms(self, case, law):
         n, (u, v) = case
-        for x in LAWS[law](AvalancheParams(n, F(u, v))).probs:
-            num, den = x.numerator, x.denominator
+        pmf = LAWS[law](AvalancheParams(n, F(u, v)))
+        for x, (num, den) in zip(pmf.probs, pmf.lowest_terms()):
             assert den > 0 and math.gcd(num, den) == 1
-            assert x == F(num, den) and hash(x) == hash(F(num, den))
+            assert x == F(num, den)
 
     @staticmethod
     def miscount(monkeypatch, fault):
@@ -404,8 +405,9 @@ class TestLowestTerms:
         self.miscount(monkeypatch, -1)
         params = AvalancheParams(30, F(1, 2**10))
         for law in LAWS.values():
+            pmf = law(params)  # reduced only when written
             with pytest.raises(DomainError, match="lowest terms"):
-                law(params)
+                pmf.lowest_terms()
         with pytest.raises(DomainError, match="lowest terms"):
             avalanche_prob(params, 1)  # 2^30 divides t_1
 
@@ -415,8 +417,9 @@ class TestLowestTerms:
         self.miscount(monkeypatch, 1)
         params = AvalancheParams(30, F(1, 2**10))
         for law in LAWS.values():
+            pmf = law(params)  # reduced only when written
             with pytest.raises(DomainError, match="lowest terms"):
-                law(params)
+                pmf.lowest_terms()
         for a in range(31):
             with pytest.raises(DomainError, match="lowest terms"):
                 avalanche_prob(params, a)
@@ -597,18 +600,35 @@ class TestPmfValidation:
             Pmf(support=(0, 1), probs=probs, exact=False, label="bad", deficit=deficit)
 
     def test_numerators_must_sum_to_the_denominator(self, monkeypatch):
-        # the identity is asserted on the integers before any term is reduced
+        # the identity is the Pmf's one mass check, sum(nums) == den
         true_term = dist._abel_term
         monkeypatch.setattr(dist, "_abel_term", lambda *args: true_term(*args) + 1)
         for law in (avalanche_pmf, conditional_pmf):
-            with pytest.raises(DomainError, match="do not sum"):
+            with pytest.raises(DomainError, match="not 1"):
                 law(AvalancheParams(3, F(1, 5)))
         true_nums = towers._general_numerators
         monkeypatch.setattr(
             towers, "_general_numerators", lambda *args: [t + 1 for t in true_nums(*args)]
         )
-        with pytest.raises(DomainError, match="do not sum"):
+        with pytest.raises(DomainError, match="not 1"):
             towers.avalanche_pmf_general([F(1, 5), F(1, 7), F(1, 7)])
+
+    def test_equal_laws_compare_equal(self):
+        # equal by their probabilities, whatever the common denominator
+        law = avalanche_pmf(AvalancheParams(6, F(2, 15)))
+        again = avalanche_pmf(AvalancheParams(6, F(2, 15)))
+        assert law == again and hash(law) == hash(again)
+        doubled = Pmf(
+            law.support, exact=True, label=law.label, nums=[2 * x for x in law.nums], den=2 * law.den
+        )
+        assert doubled == law and Pmf(law.support, law.probs, True, law.label) == law
+        assert law != Pmf(law.support, law.probs, True, "other")
+        assert not law.same_probs(avalanche_pmf(AvalancheParams(6, F(1, 15))))
+
+    def test_exact_denominator_must_be_positive(self):
+        # zero numerators over 0 would pass sum(nums) == den
+        with pytest.raises(DomainError, match="denominator 0"):
+            Pmf(support=(0,), exact=True, label="bad", nums=(0,), den=0)
 
     def test_prob_off_support(self):
         pmf = avalanche_pmf(AvalancheParams(2, F(1, 8)))

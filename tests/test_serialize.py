@@ -20,6 +20,7 @@ from avalanches.distributions import (
 from avalanches.errors import DomainError
 from avalanches.sampling import SimResult
 from avalanches.serialize import (
+    _decimal_strs,
     census_to_csv,
     census_to_json_dict,
     decimal_str,
@@ -30,7 +31,6 @@ from avalanches.serialize import (
     pmf_to_csv,
     pmf_to_json,
     pmf_to_json_dict,
-    rational_str,
     simresult_from_json_dict,
     simresult_to_csv,
     simresult_to_json_dict,
@@ -44,7 +44,7 @@ from avalanches.urn import UrnConfig, urn_pmf_bruteforce
 class TestRational:
     def test_roundtrip(self):
         for f in (F(9, 16), F(1), F(0), F(-3, 7)):
-            assert parse_rational(rational_str(f)) == f
+            assert parse_rational(f"{f.numerator}/{f.denominator}") == f
 
     def test_bare_integer(self):
         assert parse_rational("7") == F(7)
@@ -171,7 +171,7 @@ class TestPmfSerialization:
         pmf = avalanche_pmf(AvalancheParams(3, F(1, 5)))
         d = pmf_to_json_dict(pmf)
         assert d["exact"] is True
-        assert d["probs"][0] == rational_str(pmf.probs[0])
+        assert d["probs"][0] == f"{pmf.probs[0].numerator}/{pmf.probs[0].denominator}"
         assert pmf_from_json_dict(d) == pmf
 
     def test_floating_roundtrip_keeps_deficit(self):
@@ -216,6 +216,72 @@ class TestPmfSerialization:
         text = pmf_to_csv(avalanche_pmf(AvalancheParams(2, F(1, 4))), sig_digits=4)
         assert text == "a,prob\n0,0.5625\n1,0.25\n2,0.1875\n"
         assert "\r" not in text
+
+
+class TestExactReadBack:
+    """A written exact law reads back as the same probabilities."""
+
+    @given(
+        st.sampled_from([avalanche_pmf, abelian_pmf, conditional_pmf]),
+        st.integers(1, 60).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.integers(n + 1, 10**6).flatmap(
+                    lambda v: st.tuples(st.integers(0, (v - 1) // n), st.just(v))
+                ),
+            )
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_exact_laws(self, law, case):
+        n, (u, v) = case
+        pmf = law(AvalancheParams(n, F(u, v)))
+        assert pmf_from_json_dict(json.loads(pmf_to_json(pmf))).probs == pmf.probs
+
+    @given(st.integers(1, 6), st.integers(1, 9))
+    @settings(max_examples=40, deadline=None)
+    def test_urn_oracle(self, n, m):
+        pmf = urn_pmf_bruteforce(UrnConfig(N=n, M=m))
+        assert pmf_from_json_dict(json.loads(pmf_to_json(pmf))).probs == pmf.probs
+
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda n: st.lists(
+                st.tuples(st.integers(1, 2), st.integers(0, 5)).map(
+                    lambda wx: ((n + 1) * wx[0] + wx[1], wx[0], n)
+                ),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_tower_oracle(self, specs):
+        pmf = tower_pmf_bruteforce(make_tower_system(specs))
+        assert pmf_from_json_dict(json.loads(pmf_to_json(pmf))).probs == pmf.probs
+
+    @pytest.mark.parametrize(
+        "probs, want", [(["1"], (F(1),)), (["2/4", "1/2", "0"], (F(1, 2), F(1, 2), F(0)))]
+    )
+    def test_bare_and_unreduced_terms(self, probs, want):
+        d = {"exact": True, "label": "x", "support": list(range(len(probs))), "probs": probs}
+        assert pmf_from_json_dict(d).probs == want
+
+
+class TestDecimalStrs:
+    """The writer's split conversion gives str()'s digits."""
+
+    @unlimited_int_digits()
+    def test_edges(self):
+        xs = [0, 1, 2**3999, 2**4000 - 1, 10**1205, 10**1205 - 1, 10**7224, 10**7225 - 1]
+        assert _decimal_strs(xs) == [str(x) for x in xs]
+
+    @given(st.lists(st.integers(0, 2**30000), max_size=4), st.integers(0, 12))
+    @settings(max_examples=60, deadline=None)
+    @unlimited_int_digits()
+    def test_matches_str(self, xs, zeros):
+        xs = [x * 10**zeros for x in xs] + [10**zeros * 2**4000 + 1]
+        assert _decimal_strs(xs) == [str(x) for x in xs]
 
 
 def _generic_text(pmf):
