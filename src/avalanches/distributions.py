@@ -32,10 +32,12 @@ over the primes q <= n+1 dividing v, with
 
 and the binomial's exponent by Legendre's formula: small-integer arithmetic
 only.  A cheap gcd against v then proves each reduced term is in lowest
-terms.  The abelian law extends the lemma to the primes of its extra
-factor s = v-(N-1)u.  The large-population limit law is floating point,
-computed in log space, with its truncation deficit reported rather than
-hidden.
+terms.  That is the one lemma, and _lowest_terms the one reducer of a
+kernel row.  The abelian law reduces the conditional row it is built from
+with it, and then takes two gcds a term, each with one small operand,
+against its small reweighting ratio.  The large-population limit law is
+floating point, computed in log space, with its truncation deficit
+reported rather than hidden.
 """
 
 from __future__ import annotations
@@ -125,10 +127,10 @@ class Pmf:
     (``probs``), which are put over the lcm of their denominators.
 
     The terms are put in lowest terms only when they are written
-    (lowest_terms): by the producer's ``reducer`` when it passes one, which
-    maps nums to (num, den) pairs, else by a gcd per term.  ``probs``,
-    ``index``, ``prob`` and ``items`` give Fractions for an exact pmf, built
-    on first use.  Two pmfs are equal when their labels, kinds, deficits
+    (lowest_terms): by the producer's ``reducer`` when it passes one, a
+    callable of no arguments that returns the (num, den) pairs, else by a
+    gcd per term.  ``probs``, ``index``, ``prob`` and ``items`` give
+    Fractions for an exact pmf, built on first use.  Two pmfs are equal when their labels, kinds, deficits
     and probabilities are (same_probs); the reducer is not compared.
     """
 
@@ -204,7 +206,7 @@ class Pmf:
     def lowest_terms(self) -> list[tuple[int, int]]:
         """An exact pmf's terms as (num, den) pairs in lowest terms."""
         if self.reducer is not None:
-            return self.reducer(self.nums)
+            return self.reducer()
         den = self.den
         return [(x // g, den // g) for x in self.nums for g in (math.gcd(x, den),)]
 
@@ -272,90 +274,76 @@ def _small_prime_factors(x: int, limit: int) -> dict[int, int]:
     return found
 
 
-def _term_valuations(q: int, n: int, u: int, v: int, bs) -> list[int]:
-    """Exponent of a prime q not dividing u in each nonzero term t_b, b in
-    bs, of the kernel at (n, u/v):
+def _term_valuations(q: int, n: int, u: int, v: int) -> list[int]:
+    """Exponent of a prime q not dividing u in each term t_b of the kernel
+    at (n, u/v):
 
         val_q(C(n,b)) + (b-1) val_q(b+1) + (n-b) val_q(v-(b+1)u).
 
     The binomial's exponent is val_q(n!) - val_q(b!) - val_q((n-b)!), from
     Legendre's formula in its recursive form val_q(m!) = floor(m/q) +
-    val_q(floor(m/q)!).  A factor raised to the power 0 is never looked at
-    (it may be 0)."""
+    val_q(floor(m/q)!).  A factor raised to the power 0 is never looked at,
+    nor a zero factor, whose term is zero and has no exponent."""
     fact = [0] * (n + 1)
     for m in range(q, n + 1):
         fact[m] = m // q + fact[m // q]
     out = []
-    for b in bs:
+    for b in range(n + 1):
         e = fact[n] - fact[b] - fact[n - b]
         if b > 1 and (b + 1) % q == 0:
             e += (b - 1) * _valuation(b + 1, q)
         w = v - (b + 1) * u
-        if b != n and w % q == 0:
+        if b != n and w and w % q == 0:
             e += (n - b) * _valuation(w, q)
         out.append(e)
     return out
 
 
-def _lowest_terms(terms, keys, primes: dict[int, int], den: int, valuations, base: int,
-                  label: str) -> list[tuple[int, int]]:
-    """Each terms[i] / den as a (num, den') pair in lowest terms, with no
-    gcd on the big integers.
+def _lowest_terms(row, n: int, u: int, v: int, label: str) -> list[tuple[int, int]]:
+    """The kernel's row t_0..t_n at (n, u/v) over v^n as (num, den) pairs in
+    lowest terms, with no gcd on the big integers.
 
-    The caller's lemma says every prime that a term shares with den is a
-    key of primes, whose value is its exponent in den.  So valuations(q, ks),
-    the exponents of q in the nonzero terms named by ks (keys[i] names term
-    i), give each term's gcd with den, and den' = den / gcd is computed
-    once per gcd.  Every prime of a reduced denominator divides base, so
-    gcd(gcd(x', base), den') == 1 proves x'/den' is in lowest terms; that
-    check and the exact division by the gcd guard the valuations.
+    Every prime q shared by a term and v^n is <= n+1 (module docstring), so
+    trial division of v up to n+1 finds them all, and their exponents in a
+    term give its gcd with v^n; den' = v^n / gcd is computed once per gcd.
+    Every prime of den' divides v, so gcd(gcd(x', v), den') == 1 proves
+    x'/den' is in lowest terms; that check and the exact division by the
+    gcd guard the lemma.
     """
-    qs = sorted(primes)
-    live = [k for k, t in zip(keys, terms) if t]
-    vecs = dict.fromkeys(live, ())  # key -> exponents of the primes in the gcd
-    for q in qs:
-        for k, e in zip(live, valuations(q, live)):
-            vecs[k] += (min(e, primes[q]),)
+    primes = _small_prime_factors(v, n + 1)
+    den = v**n
+    vecs = [()] * (n + 1)  # exponents of the primes in each term's gcd
+    for q, e_v in primes.items():
+        es = _term_valuations(q, n, u, v)
+        vecs = [vec + (min(e, n * e_v),) for vec, e in zip(vecs, es)]
     reduced = {}  # exponents of the primes in the gcd -> (gcd, den')
     out = []
-    for k, t in zip(keys, terms):
+    for b, (t, vec) in enumerate(zip(row, vecs)):
         if not t:
             out.append((0, 1))
             continue
-        vec = vecs[k]
         if vec not in reduced:
-            gcd = math.prod(q**g for q, g in zip(qs, vec))
+            gcd = math.prod(q**g for q, g in zip(primes, vec))
             reduced[vec] = gcd, den // gcd
-        gcd, den_k = reduced[vec]
+        gcd, den_b = reduced[vec]
         x, r = divmod(t, gcd)
-        if r or math.gcd(math.gcd(x, base), den_k) != 1:
-            raise DomainError(f"exact pmf {label}: term at {k} not reduced to lowest terms")
-        out.append((x, den_k))
+        if r or math.gcd(math.gcd(x, v), den_b) != 1:
+            raise DomainError(f"exact pmf {label}: term at {b} not reduced to lowest terms")
+        out.append((x, den_b))
     return out
-
-
-def _kernel_lowest_terms(terms, bs, label: str, n: int, u: int, v: int) -> list[tuple[int, int]]:
-    """Each terms[i] = t_b, b = bs[i], of the kernel at (n, u/v) over v^n in
-    lowest terms.  Every prime q shared by a term and v^n is <= n+1 (module
-    docstring), so trial division of v up to n+1 finds them all."""
-    primes = {q: n * e for q, e in _small_prime_factors(v, n + 1).items()}
-
-    def valuations(q, ks):
-        return _term_valuations(q, n, u, v, ks)
-
-    return _lowest_terms(terms, bs, primes, v**n, valuations, v, label)
 
 
 def _kernel_pmf(first: int, n: int, u: int, v: int, label: str) -> Pmf:
     """The kernel at (n, u/v), t_b / v^n, as a pmf on first..first+n.  Its
     mass check is Abel's identity, sum(t_b) == v^n, on the integers."""
+    row = _abel_row(n, u, v)
     return Pmf(
         support=range(first, first + n + 1),
         exact=True,
         label=label,
-        nums=_abel_row(n, u, v),
+        nums=row,
         den=v**n,
-        reducer=partial(_kernel_lowest_terms, bs=range(n + 1), label=label, n=n, u=u, v=v),
+        reducer=partial(_lowest_terms, row, n, u, v, label),
     )
 
 
@@ -368,9 +356,7 @@ def avalanche_prob(params: AvalancheParams, a: int) -> Fraction:
     N, u, v = params.N, params.p.numerator, params.p.denominator
     if not 0 <= a <= N:
         raise DomainError(f"a must lie in 0..{N}, got {a}")
-    label = f"avalanche(N={N},p={params.p})"
-    ((x, den),) = _kernel_lowest_terms([_abel_term(N, a, u, v)], [a], label, N, u, v)
-    return Fraction(x, den)
+    return Fraction(_abel_term(N, a, u, v), v**N)
 
 
 def avalanche_pmf(params: AvalancheParams) -> Pmf:
@@ -392,12 +378,11 @@ def abelian_pmf(params: AvalancheParams) -> Pmf:
     over s v^(N-2): each t_{k-1} with k < N carries v-ku to a positive
     power, and at k = N the division cancels v-Nu.
 
-    The lemma reduces them over the primes of v and of s.  A prime of v
-    shared with m_k is <= N as in the kernel, or divides v-Nu and so N.  A
-    prime q of s not dividing v does not divide u either, and v ≡ (N-1)u
-    mod q, so it divides v-ku only if it divides N-1-k, never v-Nu ≡ -u,
-    and k^(k-2) and C(N-1,k-1) only if q <= N.  So every shared prime is
-    <= N.
+    The terms are reduced from the conditional law's: t_{k-1} / v^(N-1) in
+    lowest terms x/d, by the kernel's lemma, times the ratio a/b in lowest
+    terms, (v-Nu) v / ((v-ku) s) for k < N and v/s at k = N.  With g1 =
+    gcd(x, b) and g2 = gcd(a, d), (x/g1 * a/g2) / (d/g2 * b/g1) is in lowest
+    terms: x/g1 is prime to d and to b/g1, and a/g2 to b and to d/g2.
     """
     params.require_subcritical()
     N, u, v = params.N, params.p.numerator, params.p.denominator
@@ -411,26 +396,23 @@ def abelian_pmf(params: AvalancheParams) -> Pmf:
         label=label,
         nums=nums,
         den=s * v ** (N - 1) // v,  # at N = 1, v/v
-        reducer=partial(_abelian_lowest_terms, label=label, N=N, u=u, v=v),
+        reducer=partial(_abelian_lowest_terms, row, N, u, v, label),
     )
 
 
-def _abelian_lowest_terms(terms, label: str, N: int, u: int, v: int) -> list[tuple[int, int]]:
-    """abelian_pmf's numerators m_1..m_N over s v^(N-2) in lowest terms, by
-    the prime exponents of the kernel terms t_{k-1} at n = N-1, adjusted by
-    val_q(v-Nu) - val_q(v-ku) for k < N."""
-    s, head = v - (N - 1) * u, v - N * u
-    primes = {q: (N - 2) * e for q, e in _small_prime_factors(v, N).items()}
-    for q, e in _small_prime_factors(s, N).items():  # v and s share the primes of N-1
-        primes[q] = primes.get(q, 0) + e
-
-    def valuations(q, ks):
-        es = _term_valuations(q, N - 1, u, v, [k - 1 for k in ks])
-        top = _valuation(head, q)
-        return [e + top - _valuation(v - k * u, q) if k < N else e for k, e in zip(ks, es)]
-
-    den = s * v ** (N - 1) // v
-    return _lowest_terms(terms, range(1, N + 1), primes, den, valuations, v * s, label)
+def _abelian_lowest_terms(row, N: int, u: int, v: int, label: str) -> list[tuple[int, int]]:
+    """abelian_pmf's terms in lowest terms: the conditional row t_0..t_{N-1}
+    reduced by the kernel's lemma, each term times its small ratio a/b in
+    lowest terms, with two more gcds a term (abelian_pmf)."""
+    head, s = v - N * u, v - (N - 1) * u
+    out = []
+    for k, (x, d) in enumerate(_lowest_terms(row, N - 1, u, v, label), 1):
+        a, b = (head * v, (v - k * u) * s) if k < N else (v, s)
+        g = math.gcd(a, b)
+        a, b = a // g, b // g
+        g1, g2 = math.gcd(x, b), math.gcd(a, d)
+        out.append((x // g1 * (a // g2), d // g2 * (b // g1)))
+    return out
 
 
 def conditional_pmf(params: AvalancheParams) -> Pmf:

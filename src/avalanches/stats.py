@@ -42,11 +42,16 @@ def _float_probs(pmf: Pmf) -> dict[int, float]:
     return dict(zip(pmf.support, (x / pmf.den for x in pmf.nums)))
 
 
-def tv_distance(p: Pmf, q: Pmf) -> float:
-    """Total variation distance: half the L1 distance over the union support."""
-    fp, fq = _float_probs(p), _float_probs(q)
+def _tv(fp: dict, fq: dict) -> float:
+    """Half the L1 distance between two size -> float probability maps,
+    summed over the sorted union of their keys."""
     support = sorted(fp.keys() | fq.keys())
     return 0.5 * math.fsum(abs(fp.get(a, 0.0) - fq.get(a, 0.0)) for a in support)
+
+
+def tv_distance(p: Pmf, q: Pmf) -> float:
+    """Total variation distance: half the L1 distance over the union support."""
+    return _tv(_float_probs(p), _float_probs(q))
 
 
 def _merge_bins(
@@ -109,9 +114,7 @@ def chi_square_gof(res: SimResult, expected: Pmf, min_expected: float = 5.0) -> 
         )
     dof = len(obs) - 1
     return GofReport(
-        tv_distance=0.5 * math.fsum(
-            abs(res.histogram.get(a, 0) / res.trials - qa) for a, qa in zip(support, q)
-        ),
+        tv_distance=_tv({a: c / res.trials for a, c in res.histogram.items()}, fq),
         chi_square=chi2,
         dof=dof,
         approx_p_value=regularized_gamma_q(dof / 2.0, chi2 / 2.0),

@@ -176,7 +176,9 @@ def _hit_times(states: np.ndarray, tower: CoordinateTower, horizon: int) -> np.n
 def check_streams(n: int, trials: int, shards: int) -> None:
     """A campaign of n coordinates builds n streams on each shard that gets
     a trial, min(trials, shards) of them: at most COORDINATE_CAP in all, and
-    at most _BLOCK_DRAWS, so that a block holds a whole trial."""
+    at most _BLOCK_DRAWS, so that a block holds a whole trial.  The second
+    bound binds only when _BLOCK_DRAWS is below COORDINATE_CAP, which the
+    shipped values (2^20 and 2^16) are not."""
     check_campaign(trials, shards)
     busy = min(trials, shards)
     cap = min(COORDINATE_CAP, _BLOCK_DRAWS)
