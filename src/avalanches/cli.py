@@ -254,9 +254,12 @@ def cmd_trees(args) -> int:
 # ---------------------------------------------------------------- pmf
 
 def cmd_pmf(args) -> int:
-    if args.digits < 1:
-        raise DomainError(f"--digits must be >= 1, got {args.digits}")
-    _check_cap("--digits", args.digits, DIGITS_CAP)
+    if args.digits is not None:
+        if args.digits < 1:
+            raise DomainError(f"--digits must be >= 1, got {args.digits}")
+        _check_cap("--digits", args.digits, DIGITS_CAP)
+        if args.model == "limit" or args.format == "json":
+            raise DomainError("--digits applies only to CSV output of the exact laws")
     if args.model == "limit":
         if args.N is not None or args.p is not None:
             raise DomainError("--N/--p do not apply to the limit model; use --alpha/--amax")
@@ -282,7 +285,7 @@ def cmd_pmf(args) -> int:
     if args.format == "json":
         text = ser.pmf_to_json(pmf)
     else:
-        text = ser.pmf_to_csv(pmf, sig_digits=args.digits)
+        text = ser.pmf_to_csv(pmf, sig_digits=args.digits or ser.DEFAULT_SIG_DIGITS)
     _write_output(text, args.out)
     return 0
 
@@ -456,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", help="excitation probability as num/den")
     p.add_argument("--alpha", help="limit parameter N*p (limit model only)")
     p.add_argument("--amax", type=int, help="support cap (limit model only)")
-    p.add_argument("--digits", type=int, default=ser.DEFAULT_SIG_DIGITS)
+    p.add_argument("--digits", type=int, help="significant digits of exact CSV rows")
     _add_output_flags(p)
     p.set_defaults(func=cmd_pmf)
 

@@ -185,8 +185,8 @@ def leading_run(hits: np.ndarray, cap: int) -> np.ndarray:
     towers' hit times and cap = N, the cascade size.
 
     The rows are sorted in place, so ``hits`` comes back with each row
-    sorted.  Which rows are worth scoring is the samplers' choice: each
-    knows which of its trials start an avalanche.
+    sorted.  run_campaign is its one caller: it scores the rows a sampler
+    returns, the trials that can start an avalanche.
     """
     hits.sort(axis=1)
     ok = np.zeros((hits.shape[0], cap + 1), dtype=bool)  # column cap stays False
@@ -245,40 +245,49 @@ def available_cpus() -> int:
 
 def run_campaign(
     model: str, params: dict, trials: int, seed: int, shards: int,
-    block_trials: int, top: int, shard_sampler,
+    block_trials: int, cap: int, shard_sampler,
 ) -> SimResult:
-    """Sample a statistic in 0..top on every shard of a campaign; its SimResult.
+    """Score every trial of a campaign by its leading run in 0..cap; its SimResult.
 
     ``shard_sampler(base)`` returns the sampler of the shard whose stream
-    base is derive_stream(seed, i): given a trial count, it returns one
-    statistic per trial, drawn trial-major from streams rooted at that base,
-    so the block size (at most ``block_trials``) cannot change it.  The seed
-    is checked before any sampler is built.  Shards run on
-    min(shards, trials, available_cpus()) worker threads, one task each:
-    worker w runs shards w, w + workers, ...  A shard with no trial builds
-    no sampler.  Each shard counts its own histogram and the counts are
-    added, so the histogram does not depend on which thread ran which shard.
+    base is derive_stream(seed, i): given a trial count, it draws that many
+    trials trial-major from streams rooted at that base, so the block size
+    (at most ``block_trials``) cannot change them, and returns the hit-time
+    rows, at least ``cap`` wide, of the trials that can start an avalanche.
+    Each block's rows are scored once, by leading_run; every trial left out
+    scores 0.  The seed, and that a block holds a whole trial, are checked
+    before any sampler is built.  Shards run on min(shards, trials,
+    available_cpus()) worker threads, one task each: worker w runs shards
+    w, w + workers, ...  A shard with no trial builds no sampler.  Each
+    shard counts its own histogram and the counts are added, so the
+    histogram does not depend on which thread ran which shard.
     """
     # imported here: the executor costs about 0.6 MiB and 5 ms to import,
     # which the exact-law commands never need
     from concurrent.futures import ThreadPoolExecutor
 
     check_seed(seed)
+    if block_trials < 1:
+        raise ResourceLimitError("one trial's draws exceed the cap on draws per block")
 
     def shard_counts(i: int, n_trials: int) -> np.ndarray:
         sample = shard_sampler(derive_stream(seed, i))
-        counts = np.zeros(top + 1, dtype=np.int64)
+        counts = np.zeros(cap + 1, dtype=np.int64)
         for done in range(0, n_trials, block_trials):
-            counts += np.bincount(sample(min(block_trials, n_trials - done)), minlength=top + 1)
+            block = min(block_trials, n_trials - done)
+            # bind only the sizes, so a block's rows are freed before the next draws
+            sizes = leading_run(sample(block), cap)
+            counts += np.bincount(sizes, minlength=cap + 1)
+            counts[0] += block - len(sizes)
         return counts
 
     # the first min(trials, shards) shards are the ones that get a trial
     busy = min(trials, shards)
-    sizes = shard_sizes(trials, shards)
+    shard_trials = shard_sizes(trials, shards)
     workers = min(busy, available_cpus())
 
     def worker_counts(w: int) -> np.ndarray:
-        return sum(shard_counts(i, sizes[i]) for i in range(w, busy, workers))
+        return sum(shard_counts(i, shard_trials[i]) for i in range(w, busy, workers))
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         counts = sum(pool.map(worker_counts, range(workers)))

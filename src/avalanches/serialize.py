@@ -101,7 +101,8 @@ def _histogram_key(key: str) -> int:
 
 
 def decimal_str(x, sig_digits: int = DEFAULT_SIG_DIGITS) -> str:
-    """Decimal rendering of an exact rational or float at the given precision.
+    """Decimal rendering of an exact rational at the given precision; a float
+    always prints as its repr, whatever the precision.
 
     A Fraction num/den prints as Decimal(num) / Decimal(den) would in a
     context of sig_digits digits (half-even), without converting den, which

@@ -21,13 +21,14 @@ import numpy as np
 
 from .combinatorics import check_leading_run, leading_run_counts
 from .distributions import AvalancheParams, Pmf, avalanche_pmf
-from .errors import DomainError, ResourceLimitError
-from .sampling import SimResult, SplitMix64, leading_run, run_campaign
+from .errors import DomainError
+from .sampling import SimResult, SplitMix64, run_campaign
 
-# Draws per vectorized block of the sampler, and the sampler's cap on N: a
-# block holds _BLOCK_DRAWS // N trials, so its int64 draws take about 2 MiB
-# per shard whatever N is.  A memory bound, not a semantics knob: draws are
-# consumed in trial-major order regardless.
+# Draws per vectorized block of the sampler, and so the cap on N:
+# run_campaign refuses a block that holds no whole trial.  A block holds
+# _BLOCK_DRAWS // N trials, so its int64 draws take about 2 MiB per shard
+# whatever N is.  A memory bound, not a semantics knob: draws are consumed
+# in trial-major order regardless.
 _BLOCK_DRAWS = 1 << 18
 
 
@@ -119,34 +120,32 @@ def simulate_urns(cfg: UrnConfig, trials: int, seed: int, shards: int = 1) -> Si
     Shard i draws from the one stream at the base run_campaign gives it,
     derive_stream(seed, i); within a shard, draws are consumed trial-major
     (trial 0 balls 1..N, then trial 1, ...), so the result is a pure
-    function of (cfg, trials, seed, shards).
+    function of (cfg, trials, seed, shards).  run_campaign scores the rows
+    with cap min(N, M), and refuses N > _BLOCK_DRAWS before any stream.
     """
-    if cfg.N > _BLOCK_DRAWS:
-        raise ResourceLimitError(f"N = {cfg.N} balls exceed the cap of {_BLOCK_DRAWS}")
     return run_campaign(
-        "urn", {"N": cfg.N, "M": cfg.M}, trials, seed, shards, _BLOCK_DRAWS // cfg.N, cfg.N,
-        lambda base: partial(_sample_block, cfg, SplitMix64(base)),
+        "urn", {"N": cfg.N, "M": cfg.M}, trials, seed, shards, _BLOCK_DRAWS // cfg.N,
+        min(cfg.N, cfg.M), lambda base: partial(_sample_block, cfg, SplitMix64(base)),
     )
 
 
 def _sample_block(cfg: UrnConfig, stream: SplitMix64, block: int) -> np.ndarray:
-    """X for the next ``block`` trials; a ball's hit time is urn id - 1, the raw draw.
+    """Hit-time rows (urn id - 1, the raw draws) of the next ``block`` trials
+    that can start an avalanche.
 
-    A trial with urn 1 empty scores 0 unsorted, and P(X = 0) = (1 - 1/M)^N,
-    82% at (20, 100).  With 2N > M a trial holds more than half a ball in
-    urn 1 on average, and on a block of at most 2^12 draws a gather's extra
-    calls cost more than the sort it saves, so those blocks are scored
-    whole.  Otherwise one flat pass finds the trials with a ball in urn 1
-    (a per-row reduction costs 25-40 ns a row), and only they are copied
-    out and scored (README gives the timings).
+    A trial with urn 1 empty has no hit time 0 and scores 0, and
+    P(X = 0) = (1 - 1/M)^N, 82% at (20, 100).  With 2N > M a trial holds
+    more than half a ball in urn 1 on average, and on a block of at most
+    2^12 draws a gather's extra calls cost more than the sort it saves, so
+    those blocks are returned whole.  Otherwise one flat pass finds the
+    trials with a ball in urn 1 (a per-row reduction costs 25-40 ns a row),
+    and only they are copied out (README gives the timings).
     """
     N = cfg.N
     draws = stream.integers_below(cfg.M, block * N)
-    hits, cap = draws.reshape(block, N), min(N, cfg.M)
+    hits = draws.reshape(block, N)
     if 2 * N > cfg.M or len(draws) <= 1 << 12:
-        return leading_run(hits, cap)
+        return hits
     held = np.zeros(block, dtype=bool)
     held[np.flatnonzero(draws == 0) // N] = True
-    scores = np.zeros(block, dtype=np.intp)
-    scores[held] = leading_run(hits[held], cap)
-    return scores
+    return hits[held]

@@ -196,6 +196,49 @@ class TestPmfCommand:
     @pytest.mark.parametrize(
         "args",
         [
+            ["--model", "avalanche", "--N", "3", "--p", "1/4", "--digits", "5"],
+            ["--model", "abelian", "--N", "3", "--p", "1/4", "--format", "json", "--digits", "17"],
+            ["--model", "limit", "--alpha", "1", "--amax", "5", "--format", "csv", "--digits", "5"],
+            ["--model", "limit", "--alpha", "1", "--amax", "5", "--digits", "17"],
+        ],
+    )
+    def test_digits_where_they_do_not_apply_is_usage_error(self, capsys, monkeypatch, args):
+        # JSON holds exact terms and the limit law prints repr floats, so
+        # --digits would be ignored; it is refused before any law is computed
+        import avalanches.cli as cli_mod
+
+        def refuse(*a):
+            raise AssertionError("a law was computed")
+
+        for name in ("avalanche_pmf", "abelian_pmf", "conditional_pmf", "limit_pmf"):
+            monkeypatch.setattr(cli_mod, name, refuse)
+        rc, out, err = run_cli(capsys, "pmf", *args)
+        assert (rc, out) == (2, "")
+        assert err == "error: --digits applies only to CSV output of the exact laws\n"
+
+    @pytest.mark.parametrize(
+        "law, digits, digest",
+        [
+            ("avalanche", "5", "791c9b409ebf0eb1b158394b2db1ff9f26c934c5a09102f1a55c0e28de988ebe"),
+            ("avalanche", "40", "f0880406f15c15fa8661f4c1b00c3988ad3ff97c5e952374d635e75a477241ed"),
+            ("abelian", "1", "0a7845d9d728034beafe9724ae35e08af4379bf9e2e2067c2b262da8f4c5ffaa"),
+            ("abelian", "17", "7094e3b43576dd15faeaad6d27dacb445eb574eeee33421ff3631de3c1250870"),
+            ("conditional", "5", "78edb4536ca5fd3d9f9dc5621aaa18ba4cfe5e4c0dd58892f1ee3f6b2206e25e"),
+            ("conditional", "40", "c6423b33d9c1944df5bae0ef700e7da22c83bc4ae4ac0fa260a7a6bc49bb7e96"),
+        ],
+    )
+    def test_csv_digits_of_the_exact_laws_keep_their_bytes(self, capsys, law, digits, digest):
+        # digests of the CSV rows as written before --digits could be refused
+        args = ["pmf", "--model", law, "--N", "30", "--p", "2/61", "--format", "csv"]
+        rc, out, _ = run_cli(capsys, *args, "--digits", digits)
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        if digits == "17":
+            assert run_cli(capsys, *args) == (0, out, "")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
             ["pmf", "--model", "limit", "--alpha", "1e400", "--amax", "5"],
             ["tail", "--alpha", "1e400", "--amax", "10"],
         ],

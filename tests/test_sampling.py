@@ -242,7 +242,7 @@ class TestSimResultAndShards:
 
             def sample(block):
                 calls.append((i, block))
-                return np.full(block, i)
+                return rows_scoring([i] * block, 4)
 
             return sample
 
@@ -258,7 +258,7 @@ class TestSimResultAndShards:
 
         def shard_sampler(base):
             built.append(base)
-            return lambda block: np.zeros(block, dtype=np.int64)
+            return lambda block: rows_scoring([], 1)
 
         assert run_campaign("urn", {}, 3, 9, 8, 2, 1, shard_sampler).histogram == {0: 3}
         assert sorted(built) == sorted(derive_stream(9, i) for i in range(3))
@@ -268,7 +268,7 @@ class TestSimResultAndShards:
 
         def shard_sampler(base):
             bases.append(base)
-            return lambda block: np.ones(block, dtype=np.int64)
+            return lambda block: rows_scoring([1] * block, 2)
 
         params = {"N": 2, "M": 3}
         res = run_campaign("model-x", params, 7, MASK64, 5, 4, 2, shard_sampler)
@@ -285,13 +285,51 @@ class TestSimResultAndShards:
         with pytest.raises(DomainError, match="seed"):
             run_campaign("urn", {}, 10, seed, 2, 5, 1, shard_sampler)
 
+    @pytest.mark.parametrize("block_trials", [0, -1])
+    def test_run_campaign_refuses_a_block_without_a_whole_trial(self, block_trials):
+        def shard_sampler(base):
+            raise AssertionError("a sampler was built")
+
+        with pytest.raises(ResourceLimitError, match="cap"):
+            run_campaign("urn", {}, 10, 1, 2, block_trials, 1, shard_sampler)
+
+    def test_trials_not_returned_land_in_bin_zero(self):
+        # each block returns rows for trials 0, 3, 6, ... of its own, scoring
+        # 1, 2, 3; the others are never scored and count as 0
+        blocks = []
+
+        def shard_sampler(base):
+            def sample(block):
+                blocks.append(block)
+                return rows_scoring([1, 2, 3][: len(range(0, block, 3))], 3)
+
+            return sample
+
+        res = run_campaign("urn", {}, 20, 2, 1, 7, 3, shard_sampler)
+        assert blocks == [7, 7, 6]
+        # 3 + 3 + 2 trials returned, 12 not
+        assert res.histogram == {0: 12, 1: 3, 2: 3, 3: 2}
+
+    def test_rows_are_scored_up_to_cap_and_not_past_it(self):
+        # rows wider than the cap: a run longer than the cap stops at it
+        res = run_campaign(
+            "urn", {}, 4, 0, 1, 4, 2,
+            lambda base: lambda block: np.array([[0, 0, 0], [0, 1, 9], [1, 1, 2]][:block]),
+        )
+        assert res.histogram == {0: 2, 2: 2}
+
+
+def rows_scoring(sizes, width):
+    """One hit-time row per size a < width + 1, width wide, whose leading run
+    at cap = width is a: a zeros, then hit times past every k."""
+    rows = [[0] * a + [width + 1] * (width - a) for a in sizes]
+    return np.array(rows, dtype=np.int64).reshape(-1, width)
+
 
 def stream_sampler(base, bound=7, width=5):
-    """A shard sampler over a real stream: the leading run of width-wide rows."""
+    """A shard sampler over a real stream: every trial's width-wide row."""
     stream = SplitMix64(base)
-    return lambda block: leading_run(
-        stream.integers_below(bound, block * width).reshape(block, width), width
-    )
+    return lambda block: stream.integers_below(bound, block * width).reshape(block, width)
 
 
 class TestThreadedCampaign:
@@ -303,7 +341,7 @@ class TestThreadedCampaign:
         trials, shards, seed = 20000, 4 * available_cpus() + 1, 5
         want = np.zeros(6, dtype=np.int64)
         for i, n in enumerate(shard_sizes(trials, shards)):
-            want += np.bincount(stream_sampler(derive_stream(seed, i))(n), minlength=6)
+            want += np.bincount(leading_run(stream_sampler(derive_stream(seed, i))(n), 5), minlength=6)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -346,7 +384,7 @@ class TestThreadedCampaign:
                 idents.add(threading.get_ident())
                 alive.append(threading.active_count())
                 time.sleep(0.001)  # keep the worker busy, so a larger pool would grow
-                return np.zeros(block, dtype=np.int64)
+                return rows_scoring([], 3)
 
             return sample
 
@@ -363,7 +401,7 @@ class TestThreadedCampaign:
             def sample(block):
                 if base == bad_base:
                     raise DomainError("shard 2 failed")
-                return np.zeros(block, dtype=np.int64)
+                return rows_scoring([], 3)
 
             return sample
 

@@ -513,15 +513,21 @@ class TestSampleBlock:
         ],
     )
     def test_matches_avalanche_size_of_each_state(self, specs, block):
+        # the rows returned are those of exactly the trials with a coordinate
+        # already excited, in trial order; they score those trials' sizes,
+        # and every trial left out has size 0
         sys_ = make_tower_system(specs)
         base = derive_stream(5, 1)
         streams = [SplitMix64(derive_stream(base, j)) for j in range(sys_.N)]
-        got = towers_mod._sample_block(sys_, streams, block)
+        rows = towers_mod._sample_block(sys_, streams, block)
         states, counters = block_states(sys_, base, block)
-        assert got.tolist() == [avalanche_size(x, sys_) for x in states]
+        starts = [avalanche_trace(x, sys_)[0] > 0 for x in states]
+        sizes = [avalanche_size(x, sys_) for x in states]
+        assert leading_run(rows, sys_.N).tolist() == [a for a, s in zip(sizes, starts) if s]
+        assert all(a == 0 for a, s in zip(sizes, starts) if not s)
         assert [s.counter for s in streams] == counters
 
-    def test_block_with_no_start_scores_nothing(self, monkeypatch):
+    def test_block_with_no_start_scores_nothing(self):
         # the first base whose 16 trials have no coordinate excited
         sys_ = make_tower_system([(64, 1, 8)] * 8)
         block = 16
@@ -531,13 +537,9 @@ class TestSampleBlock:
             if not any(avalanche_trace(x, sys_)[0] for x in block_states(sys_, b, block)[0])
         )
 
-        def refuse(*args):
-            raise AssertionError("a block without a start was scored")
-
-        monkeypatch.setattr(towers_mod, "leading_run", refuse)
         streams = [SplitMix64(derive_stream(base, j)) for j in range(sys_.N)]
-        got = towers_mod._sample_block(sys_, streams, block)
-        assert got.tolist() == [0] * block
+        rows = towers_mod._sample_block(sys_, streams, block)
+        assert rows.shape == (0, sys_.N)
 
 
 class TestVectorizedPath:
@@ -612,12 +614,23 @@ class TestSimulateTower:
 
     def test_population_cap(self, monkeypatch):
         # a block holds one whole trial, so N past _BLOCK_DRAWS is refused
+        # before any stream is built
         import avalanches.towers as towers_mod
 
         monkeypatch.setattr(towers_mod, "_BLOCK_DRAWS", 2)
         assert simulate_tower(TWO_COORD, 10, seed=1).trials == 10
+
+        def refuse(*args):
+            raise AssertionError("a stream was built")
+
+        monkeypatch.setattr(towers_mod, "SplitMix64", refuse)
         with pytest.raises(ResourceLimitError, match="cap"):
             simulate_tower(make_tower_system([(8, 1, 4)] * 3), 10, seed=1)
+
+    def test_coordinate_cap_keeps_a_whole_trial_in_a_block(self):
+        # check_streams bounds N by COORDINATE_CAP alone; with the shipped
+        # constants that also leaves room for a whole trial in a block
+        assert towers_mod.COORDINATE_CAP <= towers_mod._BLOCK_DRAWS
 
     def test_coordinate_cap_refused_before_any_stream(self, monkeypatch):
         # each coordinate keeps its own stream, so the cap is checked first
@@ -663,7 +676,8 @@ class TestSimulateTower:
         want = Counter()
         for i in range(3):
             streams = [SplitMix64(derive_stream(4, i, j)) for j in range(HET_TWO.N)]
-            want.update(towers_mod._sample_block(HET_TWO, streams, 1).tolist())
+            rows = towers_mod._sample_block(HET_TWO, streams, 1)
+            want.update(leading_run(rows, HET_TWO.N).tolist() or [0])  # no row: size 0
         assert simulate_tower(HET_TWO, 3, seed=4, shards=7).histogram == dict(want)
 
     def test_block_boundary_invariance(self, monkeypatch):
@@ -682,8 +696,9 @@ class TestSimulateTower:
         want = np.zeros(HET_TWO.N + 1, dtype=np.int64)
         for i, n in enumerate(shard_sizes(trials, 3)):
             streams = [SplitMix64(derive_stream(seed, i, j)) for j in range(HET_TWO.N)]
-            sizes = towers_mod._sample_block(HET_TWO, streams, n)
-            want += np.bincount(sizes, minlength=HET_TWO.N + 1)
+            rows = towers_mod._sample_block(HET_TWO, streams, n)
+            want += np.bincount(leading_run(rows, HET_TWO.N), minlength=HET_TWO.N + 1)
+            want[0] += n - len(rows)
         monkeypatch.setattr(towers_mod, "_BLOCK_DRAWS", 2 * 77)
         res = simulate_tower(HET_TWO, trials, seed, shards=3)
         assert res.histogram == {a: int(c) for a, c in enumerate(want) if c}

@@ -265,34 +265,38 @@ SAMPLE_BLOCK_CASES = [
 ]
 
 
+def returned_trials(draws, gathered):
+    """Which trials of a block _sample_block should return: those with a
+    ball in urn 1 where it gathers, otherwise all of them."""
+    return (draws == 0).any(axis=1) if gathered else np.ones(len(draws), dtype=bool)
+
+
 class TestSampleBlock:
     @pytest.mark.parametrize("n, m, block, gathered", SAMPLE_BLOCK_CASES)
     def test_matches_urn_statistic_of_each_trial(self, n, m, block, gathered):
+        # the returned rows score X of exactly the returned trials, and every
+        # trial left out has X = 0
         cfg, base = UrnConfig(n, m), derive_stream(5, 1)
         stream = SplitMix64(base)
-        got = urn_mod._sample_block(cfg, stream, block)
+        rows = urn_mod._sample_block(cfg, stream, block)
         draws, counter = block_draws(cfg, base, block)
-        assert got.tolist() == [urn_statistic([h + 1 for h in row], m) for row in draws.tolist()]
+        want = [urn_statistic([h + 1 for h in row], m) for row in draws.tolist()]
+        kept = returned_trials(draws, gathered)
+        assert leading_run(rows, min(n, m)).tolist() == [x for x, k in zip(want, kept) if k]
+        assert all(x == 0 for x, k in zip(want, kept) if not k)
         assert stream.counter == counter
 
     @pytest.mark.parametrize("n, m, block, gathered", SAMPLE_BLOCK_CASES)
     def test_scores_the_trials_with_a_ball_in_urn_one_or_the_whole_block(
-        self, monkeypatch, n, m, block, gathered
+        self, n, m, block, gathered
     ):
+        # the rows returned, so the rows run_campaign scores, are the trials'
+        # hit times in trial order
         cfg, base = UrnConfig(n, m), derive_stream(5, 1)
-        seen = []
-        score = urn_mod.leading_run
-
-        def recording(hits, cap):
-            seen.append(hits.copy())
-            return score(hits, cap)
-
-        monkeypatch.setattr(urn_mod, "leading_run", recording)
-        urn_mod._sample_block(cfg, SplitMix64(base), block)
+        rows = urn_mod._sample_block(cfg, SplitMix64(base), block)
         draws, _ = block_draws(cfg, base, block)
-        want = draws[(draws == 0).any(axis=1)] if gathered else draws
-        assert len(seen) == 1
-        assert seen[0].shape == want.shape and (seen[0] == want).all()
+        want = draws[returned_trials(draws, gathered)]
+        assert rows.shape == want.shape and (rows == want).all()
 
 
 class TestSimulateUrns:
@@ -318,14 +322,14 @@ class TestSimulateUrns:
 
     def test_population_cap(self, monkeypatch):
         # a block holds one whole trial, so N past _BLOCK_DRAWS is refused
-        # before any draw; at the cap a block is one trial
+        # before any stream is built; at the cap a block is one trial
         n = urn_mod._BLOCK_DRAWS
         assert simulate_urns(UrnConfig(n, n + 1), 2, seed=1).trials == 2
 
         def refuse(*args):
-            raise AssertionError("the campaign started")
+            raise AssertionError("a stream was built")
 
-        monkeypatch.setattr(urn_mod, "run_campaign", refuse)
+        monkeypatch.setattr(urn_mod, "SplitMix64", refuse)
         with pytest.raises(ResourceLimitError, match="cap"):
             simulate_urns(UrnConfig(n + 1, n + 2), 1, seed=1)
 
@@ -341,7 +345,9 @@ class TestSimulateUrns:
         want = np.zeros(cfg.N + 1, dtype=np.int64)
         for i, n in enumerate(shard_sizes(trials, 3)):
             stream = SplitMix64(derive_stream(seed, i))
-            want += np.bincount(urn_mod._sample_block(cfg, stream, n), minlength=cfg.N + 1)
+            rows = urn_mod._sample_block(cfg, stream, n)
+            want += np.bincount(leading_run(rows, min(cfg.N, cfg.M)), minlength=cfg.N + 1)
+            want[0] += n - len(rows)
         monkeypatch.setattr(urn_mod, "_BLOCK_DRAWS", 3 * 77)
         res = simulate_urns(cfg, trials, seed, shards=3)
         assert res.histogram == {a: int(c) for a, c in enumerate(want) if c}
