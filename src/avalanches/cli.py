@@ -322,9 +322,8 @@ def cmd_simulate(args) -> int:
         raise DomainError("--exact-oracle/--compare reports need --format json")
     check_campaign(args.trials, args.shards)
     check_seed(args.seed)
-    expected = _load_json(args.compare, _stored_pmf) if args.compare else None
-    # trial, shard, seed, bound and oracle checks come first, so a cap or domain error
-    # stops the run before any oracle or draw
+    # every flag, cap, bound and oracle-cap check comes first, so a refusal stops
+    # the run before the --compare document is read and before any oracle or draw
     if args.model == "urn":
         if args.coord or args.uniform:
             raise DomainError("--coord/--uniform apply only to the tower model")
@@ -335,8 +334,7 @@ def cmd_simulate(args) -> int:
         check_bound(cfg.M)
         if args.exact_oracle:
             urn.check_exact_oracle(cfg)
-            brute = urn_pmf_bruteforce(cfg)
-            exact = urn_pmf_formula(cfg)
+            oracles = partial(urn_pmf_bruteforce, cfg), partial(urn_pmf_formula, cfg)
         campaign = partial(simulate_urns, cfg)
     else:
         if args.N is not None or args.M is not None:
@@ -346,9 +344,12 @@ def cmd_simulate(args) -> int:
             check_bound(c.L)
         if args.exact_oracle:
             # the oracle's caps (at most 214 coordinates) also bound the law
-            brute = tower_pmf_bruteforce(sys_)
-            exact = avalanche_pmf_general(sys_.ps())
+            towers.check_exact_oracle(sys_)
+            oracles = partial(tower_pmf_bruteforce, sys_), partial(avalanche_pmf_general, sys_.ps())
         campaign = partial(simulate_tower, sys_)
+    expected = _load_json(args.compare, _stored_pmf) if args.compare else None
+    if args.exact_oracle:
+        brute, exact = (law() for law in oracles)
     res = campaign(args.trials, args.seed, args.shards)
 
     doc = ser.simresult_to_json_dict(res)
@@ -382,7 +383,7 @@ def cmd_tail(args) -> int:
     pmf = limit_pmf(LimitParams(alpha=alpha, a_max=args.amax))
     rows = []
     for a in range(args.amax):
-        if float(pmf.prob(a)) <= 0.0 or float(pmf.prob(a + 1)) <= 0.0:
+        if pmf.floats[a] <= 0.0 or pmf.floats[a + 1] <= 0.0:
             break  # floating underflow: the table ends where the mass does
         lr = tail_log_ratio(pmf, a)
         rows.append((a, lr, a * lr))

@@ -37,7 +37,9 @@ kernel row.  The abelian law reduces the conditional row it is built from
 with it, and then takes two gcds a term, each with one small operand,
 against its small reweighting ratio.  The large-population limit law is
 floating point, computed in log space, with its truncation deficit
-reported rather than hidden.
+reported rather than hidden.  Every law, exact or floating, is read as
+floats through one view, Pmf.floats, nums[i] / den correctly rounded; the
+tail analysis (tail_log_ratio, powerlaw_slope) reads nothing else.
 """
 
 from __future__ import annotations
@@ -115,7 +117,7 @@ def common_denominator(pairs) -> tuple[list[int], int]:
     return [x * scale[d] for x, d in pairs], den
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class Pmf:
     """A finite probability mass function over integer support.
 
@@ -123,39 +125,29 @@ class Pmf:
     over one denominator, its mass checked as sum(nums) == den; for the
     Abel-kernel laws that check is Abel's identity.  A floating pmf holds
     float probabilities over den = 1, its mass 1 up to the declared
-    truncation ``deficit``.  An exact pmf may also be given as Fractions
-    (``probs``), which are put over the lcm of their denominators.
+    truncation ``deficit``.
 
     The terms are put in lowest terms only when they are written
     (lowest_terms): by the producer's ``reducer`` when it passes one, a
     callable of no arguments that returns the (num, den) pairs, else by a
-    gcd per term.  ``probs``, ``index``, ``prob`` and ``items`` give
-    Fractions for an exact pmf, built on first use.  Two pmfs are equal when their labels, kinds, deficits
-    and probabilities are (same_probs); the reducer is not compared.
+    gcd per term.  ``floats`` maps each support value to its probability as
+    a float and ``probs`` gives the probabilities as Fractions when exact;
+    both are built on first use.  Two pmfs are equal when their labels,
+    kinds, deficits and probabilities are (same_probs); the reducer is not
+    compared.
     """
 
     support: tuple[int, ...]
-    exact: bool
-    label: str
-    deficit: float | None
     nums: tuple
-    den: int
-    reducer: Callable | None = field(repr=False)
+    den: int = 1
+    exact: bool = False
+    label: str = ""
+    deficit: float | None = None
+    reducer: Callable | None = field(default=None, repr=False)
 
-    def __init__(
-        self, support, probs=None, exact=False, label="", deficit=None, *,
-        nums=None, den=1, reducer=None,
-    ):
-        if nums is None:
-            self.__dict__["probs"] = probs = tuple(probs)  # the cached view, as given
-            if exact:
-                nums, den = common_denominator((p.numerator, p.denominator) for p in probs)
-            else:
-                nums = probs
-        self.__dict__.update(
-            support=tuple(support), exact=exact, label=label, deficit=deficit,
-            nums=tuple(nums), den=den, reducer=reducer,
-        )
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "support", tuple(self.support))
+        object.__setattr__(self, "nums", tuple(self.nums))
         self._check()
 
     def _check(self) -> None:
@@ -199,6 +191,13 @@ class Pmf:
         return hash((self.support, self.exact, self.label, self.deficit))
 
     @cached_property
+    def floats(self) -> dict[int, float]:
+        """Support value -> probability as a float, nums[i] / den.  Python's
+        int true division is correctly rounded, as float(Fraction) is, so an
+        exact term gives the same float in or out of lowest terms."""
+        return dict(zip(self.support, (x / self.den for x in self.nums)))
+
+    @cached_property
     def probs(self) -> tuple:
         """The probabilities: Fractions when exact, else the floats."""
         return tuple(Fraction(x, self.den) for x in self.nums) if self.exact else self.nums
@@ -209,18 +208,6 @@ class Pmf:
             return self.reducer()
         den = self.den
         return [(x // g, den // g) for x in self.nums for g in (math.gcd(x, den),)]
-
-    @cached_property
-    def index(self) -> dict:
-        """Support value -> probability, built on first use."""
-        return dict(zip(self.support, self.probs))
-
-    def prob(self, a: int):
-        """P(a); zero off the support."""
-        return self.index.get(a, Fraction(0) if self.exact else 0.0)
-
-    def items(self):
-        return zip(self.support, self.probs)
 
 
 def _abel_term(n: int, b: int, u: int, v: int, binom: int | None = None) -> int:
@@ -350,9 +337,10 @@ def _kernel_pmf(first: int, n: int, u: int, v: int, label: str) -> Pmf:
 def avalanche_prob(params: AvalancheParams, a: int) -> Fraction:
     """Exact P(A = a) = (a+1)^(a-1) C(N,a) p^a (1-(a+1)p)^(N-a), one entry.
 
-    One entry at N = 10^4 (the growth checks use this) takes 23-42 ms, 3-8
-    ms of it for the term and v^N and the rest for the Fraction's gcd (p =
-    1/10^4, 1/(2*10^4), 3/10^5; 2-vCPU Xeon, Python 3.11.7).
+    One entry at N = 10^4 takes 23-42 ms, 3-8 ms of it for the term and
+    v^N and the rest for the Fraction's gcd (p = 1/10^4, 1/(2*10^4),
+    3/10^5; 2-vCPU Xeon, Python 3.11.7).  Its float is _abel_term(...) /
+    v^N, correctly rounded, with no gcd.
     """
     N, u, v = params.N, params.p.numerator, params.p.denominator
     if not 0 <= a <= N:
@@ -479,9 +467,8 @@ def limit_pmf(params: LimitParams) -> Pmf:
         probs.append(math.exp(logp))
     deficit = 1.0 - math.fsum(probs)
     return Pmf(
-        support=tuple(range(a_max + 1)),
-        probs=tuple(probs),
-        exact=False,
+        support=range(a_max + 1),
+        nums=probs,
         label=f"limit(alpha={alpha})",
         deficit=deficit,
     )
@@ -489,9 +476,9 @@ def limit_pmf(params: LimitParams) -> Pmf:
 
 def tail_log_ratio(pmf: Pmf, a: int) -> float:
     """log(P(a) / P(a+1)); the step-down rate of the tail."""
-    if a not in pmf.index or a + 1 not in pmf.index:
+    if a not in pmf.floats or a + 1 not in pmf.floats:
         raise DomainError(f"both {a} and {a + 1} must be in the support")
-    pa, pb = float(pmf.prob(a)), float(pmf.prob(a + 1))
+    pa, pb = pmf.floats[a], pmf.floats[a + 1]
     if pb <= 0.0 or pa <= 0.0:
         raise DomainError(f"log ratio needs positive mass at {a} and {a + 1}")
     return math.log(pa) - math.log(pb)
@@ -508,12 +495,12 @@ def powerlaw_slope(pmf: Pmf, a_min: int, a_max: int) -> float:
     if a_min < 1:
         raise DomainError("window must start at a >= 1 (log a undefined at 0)")
     xs, ys = [], []
-    for a, p in pmf.items():
+    for a, p in pmf.floats.items():
         if a_min <= a <= a_max:
-            if p <= 0:
-                raise DomainError(f"nonpositive probability at a={a} in fit window")
+            if p <= 0.0:  # also a positive exact term that underflows
+                raise DomainError(f"nonpositive float probability at a={a} in fit window")
             xs.append(math.log(a))
-            ys.append(math.log(float(p)))
+            ys.append(math.log(p))
     if len(xs) < 2:
         raise DomainError(f"window [{a_min}, {a_max}] covers {len(xs)} support points")
     n = len(xs)

@@ -7,10 +7,12 @@ carries a header row.
 
 An exact Pmf holds integer numerators over one denominator.  The JSON
 writer is where its terms are put in lowest terms (Pmf.lowest_terms); the
-CSV writer renders each numerator over the one denominator as it is, since
-the digits depend only on the value.  The reader accepts terms in or out
-of lowest terms, converts each distinct denominator string once, and puts
-the terms over their lcm with no gcd, leaving the mass to the Pmf's check.
+CSV writer renders each numerator over the one denominator as it is
+(decimal_str), since the digits depend only on the value.  A floating Pmf
+is written from its float view (Pmf.floats), each float as its repr.  The
+reader accepts terms in or out of lowest terms, converts each distinct
+denominator string once, and puts the terms over their lcm with no gcd,
+leaving the mass to the Pmf's check.
 """
 
 from __future__ import annotations
@@ -100,31 +102,23 @@ def _histogram_key(key: str) -> int:
     return a
 
 
-def decimal_str(x, sig_digits: int = DEFAULT_SIG_DIGITS) -> str:
-    """Decimal rendering of an exact rational at the given precision; a float
-    always prints as its repr, whatever the precision.
+def decimal_str(num: int, den: int, sig_digits: int = DEFAULT_SIG_DIGITS) -> str:
+    """Decimal rendering of the rational num/den, den > 0, at the given
+    precision, in or out of lowest terms: the digits depend only on the value.
 
-    A Fraction num/den prints as Decimal(num) / Decimal(den) would in a
-    context of sig_digits digits (half-even), without converting den, which
-    for the exact laws has thousands of digits: q, r = divmod(|num| 10^k,
-    den) with q of at least sig_digits+1 digits, and the exact decimal
-    (10q + (r != 0)) 10^-(k+1) is rounded to sig_digits digits.  The sticky
-    last digit stands for the discarded r/den, which matters only at an
-    exact tie, so the rounding is the same.  An exact quotient takes the
-    exponent nearest 0, as Decimal division would ("0.25", "2", "1E+1").
-    At N = 2000 (2-vCPU Xeon) a row takes 0.02 ms at 17 digits, against
-    1.8 ms for the division, and 4.5 ms at 10^4 digits, against 3.7 ms.
+    It prints as Decimal(num) / Decimal(den) would in a context of
+    sig_digits digits (half-even), without converting den, which for the
+    exact laws has thousands of digits: q, r = divmod(|num| 10^k, den) with
+    q of at least sig_digits+1 digits, and the exact decimal (10q + (r !=
+    0)) 10^-(k+1) is rounded to sig_digits digits.  The sticky last digit
+    stands for the discarded r/den, which matters only at an exact tie, so
+    the rounding is the same.  An exact quotient takes the exponent nearest
+    0, as Decimal division would ("0.25", "2", "1E+1").  At N = 2000 (2-vCPU
+    Xeon) a row takes 0.02 ms at 17 digits, against 1.8 ms for the
+    division, and 4.5 ms at 10^4 digits, against 3.7 ms.
     """
     if sig_digits < 1:
         raise DomainError(f"precision must be >= 1, got {sig_digits}")
-    if not isinstance(x, Fraction):
-        return repr(float(x))
-    return _ratio_str(x.numerator, x.denominator, sig_digits)
-
-
-def _ratio_str(num: int, den: int, sig_digits: int) -> str:
-    """decimal_str of num/den, den > 0, in or out of lowest terms: the digits
-    depend only on the value."""
     # |num|/den > 2^-bits, so q gets sig_digits digits plus one spare for the
     # float estimate of bits * log10(2)
     bits = den.bit_length() - abs(num).bit_length() + 1
@@ -197,10 +191,7 @@ def _exact_prob_strs(pmf: Pmf) -> list[str]:
 @unlimited_int_digits()
 def pmf_to_json_dict(pmf: Pmf) -> dict:
     """The pmf as a JSON document; exact probabilities as "num/den"."""
-    if pmf.exact:
-        probs = _exact_prob_strs(pmf)
-    else:
-        probs = [float(p) for p in pmf.probs]
+    probs = _exact_prob_strs(pmf) if pmf.exact else list(pmf.floats.values())
     out = {
         "label": pmf.label,
         "exact": pmf.exact,
@@ -270,11 +261,12 @@ def pmf_from_json_dict(d: dict) -> Pmf:
 
 def pmf_to_csv(pmf: Pmf, sig_digits: int = DEFAULT_SIG_DIGITS) -> str:
     """The pmf as "a,prob" rows; an exact term is rendered from its
-    numerator over the pmf's one denominator, never reduced."""
+    numerator over the pmf's one denominator, never reduced, and a float
+    one as its repr, whatever the precision."""
     if pmf.exact:
-        probs = (_ratio_str(x, pmf.den, sig_digits) for x in pmf.nums)
+        probs = (decimal_str(x, pmf.den, sig_digits) for x in pmf.nums)
     else:
-        probs = (decimal_str(p, sig_digits) for p in pmf.nums)
+        probs = map(repr, pmf.floats.values())
     return csv_lines("a,prob", [f"{a},{p}" for a, p in zip(pmf.support, probs)])
 
 

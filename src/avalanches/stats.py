@@ -26,20 +26,11 @@ def empirical_pmf(res: SimResult, support_upper: int | None = None) -> Pmf:
     hi = max(res.histogram) if res.histogram else 0
     if support_upper is not None:
         hi = max(hi, support_upper)
-    probs = tuple(res.histogram.get(a, 0) / res.trials for a in range(hi + 1))
     return Pmf(
-        support=tuple(range(hi + 1)),
-        probs=probs,
-        exact=False,
+        support=range(hi + 1),
+        nums=[res.histogram.get(a, 0) / res.trials for a in range(hi + 1)],
         label=f"empirical({res.model},trials={res.trials})",
     )
-
-
-def _float_probs(pmf: Pmf) -> dict[int, float]:
-    """Support value -> probability as a float, nums[i] / den.  Python's int
-    true division is correctly rounded, as float(Fraction) is, so an exact
-    term gives the same float in or out of lowest terms."""
-    return dict(zip(pmf.support, (x / pmf.den for x in pmf.nums)))
 
 
 def _tv(fp: dict, fq: dict) -> float:
@@ -51,7 +42,7 @@ def _tv(fp: dict, fq: dict) -> float:
 
 def tv_distance(p: Pmf, q: Pmf) -> float:
     """Total variation distance: half the L1 distance over the union support."""
-    return _tv(_float_probs(p), _float_probs(q))
+    return _tv(p.floats, q.floats)
 
 
 def _merge_bins(
@@ -97,7 +88,7 @@ def chi_square_gof(res: SimResult, expected: Pmf, min_expected: float = 5.0) -> 
     """
     if not (math.isfinite(min_expected) and min_expected > 0):
         raise DomainError(f"min_expected must be finite and > 0, got {min_expected}")
-    fq = _float_probs(expected)
+    fq = expected.floats
     support = sorted(fq.keys() | res.histogram.keys())
     observed = [float(res.histogram.get(a, 0)) for a in support]
     q = [fq.get(a, 0.0) for a in support]

@@ -234,6 +234,18 @@ def _hit_classes(tower: CoordinateTower, n: int) -> list[int]:
     return sizes
 
 
+def check_exact_oracle(sys: TowerSystem) -> None:
+    """Refuse a system over either cap of tower_pmf_bruteforce: the sum of
+    the L_i (the scan) and the leading-run count's
+    (combinatorics.LEADING_RUN_CAP, from N and the type multiplicities)."""
+    scan = sum(c.L for c in sys.coords)
+    if scan > DEFAULT_STATE_CAP:
+        raise ResourceLimitError(
+            f"{scan} coordinate states to scan exceed the cap of {DEFAULT_STATE_CAP}"
+        )
+    check_leading_run(list(Counter(sys.coords).values()), sys.N)
+
+
 def tower_pmf_bruteforce(sys: TowerSystem) -> Pmf:
     """Exact avalanche law by counting the product states by leading run.
 
@@ -247,17 +259,11 @@ def tower_pmf_bruteforce(sys: TowerSystem) -> Pmf:
     sizes and L states each.  The counts are the numerators over
     prod(L_i).
 
-    Both caps, the sum of the L_i (the scan) and the leading-run count's
-    (combinatorics.LEADING_RUN_CAP, from N and the type multiplicities),
-    are checked before the scan.
+    Both caps are checked before the scan (check_exact_oracle).
     """
+    check_exact_oracle(sys)
     n = sys.N
     types = Counter(sys.coords)
-    cap = DEFAULT_STATE_CAP
-    scan = sum(c.L for c in sys.coords)
-    if scan > cap:
-        raise ResourceLimitError(f"{scan} coordinate states to scan exceed the cap of {cap}")
-    check_leading_run(list(types.values()), n)
     counts = leading_run_counts([(m, _hit_classes(c, n), c.L) for c, m in types.items()], n)
     return Pmf(
         support=range(n + 1),

@@ -26,7 +26,6 @@ from avalanches.distributions import (
     abelian_mean_closed_form,
     abelian_pmf,
     avalanche_pmf,
-    avalanche_prob,
     conditional_pmf,
     expectation_identity_check,
     limit_pmf,
@@ -34,6 +33,7 @@ from avalanches.distributions import (
     powerlaw_slope,
     tail_log_ratio,
 )
+from avalanches.distributions import _abel_term
 from avalanches.stats import chi_square_gof, empirical_pmf, tv_distance
 from avalanches.towers import (
     avalanche_pmf_general,
@@ -186,10 +186,13 @@ def test_criterion_09_limit_consistency():
     ok = True
     worst = 0.0
     for alpha in (F(1, 2), F(9, 10), F(1)):
-        params = AvalancheParams(n, alpha / n)
+        p = alpha / n
+        u, v, den = p.numerator, p.denominator, p.denominator**n
         lim = limit_pmf(LimitParams(float(alpha), 10))
         for a in range(11):
-            diff = abs(float(avalanche_prob(params, a)) - lim.probs[a])
+            # P(a) = t_a / v^n; int true division rounds it as float(Fraction)
+            # would, without the Fraction's gcd on the big integers
+            diff = abs(_abel_term(n, a, u, v) / den - lim.floats[a])
             worst = max(worst, diff)
             ok = ok and diff <= 1e-3
     report(9, "exact law at N=1e4 matches the limit law", ok, f"max|diff|={worst:.2e}")

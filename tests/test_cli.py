@@ -540,6 +540,36 @@ class TestSimulateInputChecks:
         assert rc == 2
         assert "need --format json" in err
 
+    @pytest.mark.parametrize(
+        "model,code,message",
+        [
+            (["--model", "urn", "--N", "2", "--M", "4", "--coord", "8,1,3"], 2, "apply only"),
+            (["--model", "tower", "--uniform", "8,1,3,3", "--N", "3"], 2, "apply only"),
+            (["--model", "urn", "--N", "3"], 2, "needs --N and --M"),
+            (["--model", "urn", "--N", "3", "--M", str(2**64)], 2, "2^63"),
+            (["--model", "urn", "--N", str(2**18), "--M", "5", "--exact-oracle"], 3, "transitions"),
+            (
+                ["--model", "tower", *(f"--coord={L},1,16" for L in range(17, 33)),
+                 "--exact-oracle"],
+                3, "transitions",
+            ),
+        ],
+    )
+    def test_refusals_come_before_the_compare_document_is_read(
+        self, capsys, monkeypatch, no_campaign, no_oracles, model, code, message
+    ):
+        import avalanches.cli as cli_mod
+
+        def refuse(*args):
+            raise AssertionError("the --compare document was read")
+
+        monkeypatch.setattr(cli_mod, "_load_json", refuse)
+        rc, out, err = run_cli(
+            capsys, "simulate", *model, "--trials", "10", "--compare", "unread.json"
+        )
+        assert (rc, out) == (code, "")
+        assert err.count("\n") == 1 and message in err
+
     def test_compare_document_read_before_campaign(self, capsys, no_campaign, tmp_path):
         rc, _, err = run_cli(
             capsys,

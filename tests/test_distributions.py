@@ -13,6 +13,7 @@ from avalanches.distributions import (
     abelian_pmf,
     avalanche_pmf,
     avalanche_prob,
+    common_denominator,
     conditional_pmf,
     expectation_identity_check,
     limit_pmf,
@@ -35,6 +36,12 @@ def grid_ps(n):
     if n >= 2:
         ps.append(F(2 * n + 1, 2 * n * (n + 1)))  # midpoint of (1/(N+1), 1/N)
     return sorted(set(ps))
+
+
+def fraction_pmf(support, probs, label):
+    """An exact Pmf from Fractions, put over the lcm of their denominators."""
+    nums, den = common_denominator((p.numerator, p.denominator) for p in probs)
+    return Pmf(support=support, nums=nums, den=den, exact=True, label=label)
 
 
 def params_strategy():
@@ -267,7 +274,7 @@ class TestConditionalPmf:
 
 class TestMeansAndExpectationIdentity:
     def test_point_mass_mean(self):
-        pm = Pmf(support=(3,), probs=(F(1),), exact=True, label="point")
+        pm = Pmf(support=(3,), nums=(1,), exact=True, label="point")
         assert pmf_mean(pm) == 3
 
     @pytest.mark.parametrize("q", [F(0), F(1, 3), F(1)])
@@ -463,7 +470,7 @@ class TestLimitPmf:
 
 class TestTailLogRatio:
     def test_uniform_two_points(self):
-        pmf = Pmf(support=(0, 1), probs=(0.5, 0.5), exact=False, label="uniform")
+        pmf = Pmf(support=(0, 1), nums=(0.5, 0.5), label="uniform")
         assert tail_log_ratio(pmf, 0) == 0.0
 
     @pytest.mark.parametrize("a", [100, 500])
@@ -486,7 +493,7 @@ class TestTailLogRatio:
             tail_log_ratio(pmf, 10)
 
     def test_zero_mass(self):
-        pmf = Pmf(support=(0, 1), probs=(1.0, 0.0), exact=False, label="degenerate")
+        pmf = Pmf(support=(0, 1), nums=(1.0, 0.0), label="degenerate")
         with pytest.raises(DomainError):
             tail_log_ratio(pmf, 0)
 
@@ -497,8 +504,7 @@ class TestPowerlawSlope:
         z = math.fsum(weights)
         pmf = Pmf(
             support=tuple(range(1, 101)),
-            probs=tuple(w / z for w in weights),
-            exact=False,
+            nums=[w / z for w in weights],
             label="a^-2",
         )
         assert powerlaw_slope(pmf, 1, 100) == pytest.approx(-2.0, abs=1e-6)
@@ -519,19 +525,26 @@ class TestPowerlawSlope:
             powerlaw_slope(pmf, 0, 10)
         with pytest.raises(DomainError):
             powerlaw_slope(pmf, 30, 40)
-        degenerate = Pmf(support=(1, 2), probs=(1.0, 0.0), exact=False, label="d")
+        degenerate = Pmf(support=(1, 2), nums=(1.0, 0.0), label="d")
         with pytest.raises(DomainError):
             powerlaw_slope(degenerate, 1, 2)
+
+    def test_exact_term_that_underflows_is_refused(self):
+        # P(247) is a positive Fraction whose float is 0.0, so log would fail
+        law = avalanche_pmf(AvalancheParams(2000, F(1, 10**5)))
+        assert law.nums[247] > 0 and law.floats[247] == 0.0 < law.floats[246]
+        with pytest.raises(DomainError, match=r"^nonpositive float probability at a=247 "):
+            powerlaw_slope(law, 1, 2000)
 
 
 class TestPmfValidation:
     def test_negative_prob(self):
         with pytest.raises(DomainError):
-            Pmf(support=(0, 1), probs=(F(3, 2), F(-1, 2)), exact=True, label="bad")
+            fraction_pmf((0, 1), (F(3, 2), F(-1, 2)), "bad")
 
     def test_exact_mass_must_be_one(self):
         with pytest.raises(DomainError):
-            Pmf(support=(0, 1), probs=(F(1, 2), F(1, 3)), exact=True, label="bad")
+            fraction_pmf((0, 1), (F(1, 2), F(1, 3)), "bad")
 
     @pytest.mark.parametrize("shift", [F(1, 16), F(-1, 16)])
     def test_exact_mass_off_by_one_part_in_den(self, shift):
@@ -539,30 +552,30 @@ class TestPmfValidation:
         probs = list(avalanche_pmf(AvalancheParams(2, F(1, 4))).probs)  # over 16
         probs[1] += shift
         with pytest.raises(DomainError):
-            Pmf(support=(0, 1, 2), probs=tuple(probs), exact=True, label="bad")
+            fraction_pmf((0, 1, 2), probs, "bad")
         pmf = avalanche_pmf(AvalancheParams(40, F(3, 127)))
         off = list(pmf.probs)
         off[-1] += F(1, 127**40)
         with pytest.raises(DomainError):
-            Pmf(support=pmf.support, probs=tuple(off), exact=True, label="bad")
+            fraction_pmf(pmf.support, off, "bad")
 
     def test_exact_mass_over_several_denominators(self):
         probs = (F(1, 4), F(4, 9), F(11, 36), F(0))
-        Pmf(support=(0, 1, 2, 3), probs=probs, exact=True, label="ok")
+        fraction_pmf((0, 1, 2, 3), probs, "ok")
         law = abelian_pmf(AvalancheParams(30, F(1, 60)))
         assert len({p.denominator for p in law.probs}) == 19
-        Pmf(support=law.support, probs=law.probs, exact=True, label="ok")
+        fraction_pmf(law.support, law.probs, "ok")
 
     def test_exact_mass_off_by_one_part_in_the_lcm(self):
         # denominators 2, 3 and 7; the lcm is 42
         with pytest.raises(DomainError, match=r"^exact pmf bad sums to 41/42, not 1$"):
-            Pmf(support=(0, 1, 2), probs=(F(1, 2), F(1, 3), F(1, 7)), exact=True, label="bad")
+            fraction_pmf((0, 1, 2), (F(1, 2), F(1, 3), F(1, 7)), "bad")
 
     @pytest.mark.parametrize("probs", [(F(-1, 4), F(3, 4), F(1, 2)), (-1, 1, 1)])
     def test_negative_numerator_refused(self, probs):
         # the mass is 1, so only the sign check can refuse it
         with pytest.raises(DomainError, match="negative probability in bad"):
-            Pmf(support=(0, 1, 2), probs=probs, exact=True, label="bad")
+            fraction_pmf((0, 1, 2), probs, "bad")
 
     @given(
         st.lists(st.fractions(min_value=0, max_value=1, max_denominator=40), max_size=12),
@@ -573,27 +586,27 @@ class TestPmfValidation:
         if complete and sum(probs) <= 1:
             probs.append(1 - sum(probs))
         total = sum(probs, F(0))
-        pmf_args = dict(support=tuple(range(len(probs))), probs=tuple(probs), exact=True, label="h")
+        support = range(len(probs))
         if total == 1:
-            pmf = Pmf(**pmf_args)
+            pmf = fraction_pmf(support, probs, "h")
             assert pmf_mean(pmf) == sum((a * p for a, p in enumerate(probs)), F(0))
         else:
             with pytest.raises(DomainError, match=f"sums to {total}, not 1"):
-                Pmf(**pmf_args)
+                fraction_pmf(support, probs, "h")
 
     def test_floating_mass_must_match_deficit(self):
         with pytest.raises(DomainError):
-            Pmf(support=(0,), probs=(0.5,), exact=False, label="bad")
+            Pmf(support=(0,), nums=(0.5,), label="bad")
 
     def test_length_mismatch(self):
         with pytest.raises(DomainError):
-            Pmf(support=(0, 1), probs=(1.0,), exact=False, label="bad")
+            Pmf(support=(0, 1), nums=(1.0,), label="bad")
 
     @pytest.mark.parametrize("probs,deficit", [((math.nan, 0.5), None), ((0.5, 0.5), math.nan)])
     def test_floating_mass_must_not_be_nan(self, probs, deficit):
         # a NaN fails every comparison, including the deficit tolerance
         with pytest.raises(DomainError, match="nan"):
-            Pmf(support=(0, 1), probs=probs, exact=False, label="bad", deficit=deficit)
+            Pmf(support=(0, 1), nums=probs, label="bad", deficit=deficit)
 
     def test_numerators_must_sum_to_the_denominator(self, monkeypatch):
         # the identity is the Pmf's one mass check, sum(nums) == den
@@ -615,10 +628,11 @@ class TestPmfValidation:
         again = avalanche_pmf(AvalancheParams(6, F(2, 15)))
         assert law == again and hash(law) == hash(again)
         doubled = Pmf(
-            law.support, exact=True, label=law.label, nums=[2 * x for x in law.nums], den=2 * law.den
+            support=law.support, exact=True, label=law.label,
+            nums=[2 * x for x in law.nums], den=2 * law.den,
         )
-        assert doubled == law and Pmf(law.support, law.probs, True, law.label) == law
-        assert law != Pmf(law.support, law.probs, True, "other")
+        assert doubled == law and fraction_pmf(law.support, law.probs, law.label) == law
+        assert law != fraction_pmf(law.support, law.probs, "other")
         assert not law.same_probs(avalanche_pmf(AvalancheParams(6, F(1, 15))))
 
     def test_exact_denominator_must_be_positive(self):
@@ -626,19 +640,24 @@ class TestPmfValidation:
         with pytest.raises(DomainError, match="denominator 0"):
             Pmf(support=(0,), exact=True, label="bad", nums=(0,), den=0)
 
-    def test_prob_off_support(self):
+    def test_float_view_covers_the_support_only(self):
         pmf = avalanche_pmf(AvalancheParams(2, F(1, 8)))
-        assert pmf.prob(5) == 0
+        assert list(pmf.floats) == [0, 1, 2]
+        with pytest.raises(DomainError, match="must be in the support"):
+            tail_log_ratio(pmf, 2)
 
-    def test_prob_off_support_keeps_type(self):
-        exact = avalanche_pmf(AvalancheParams(2, F(1, 8)))
-        assert type(exact.prob(-1)) is F and exact.prob(2) == exact.probs[2]
+    def test_float_view_is_each_term_correctly_rounded(self):
+        # nums[i] / den rounds as float(Fraction) does, in or out of lowest terms
+        for law in (avalanche_pmf, abelian_pmf, conditional_pmf):
+            exact = law(AvalancheParams(61, F(2, 127)))
+            assert list(exact.floats.values()) == [float(p) for p in exact.probs]
+            assert all(type(x) is float for x in exact.floats.values())
         floating = limit_pmf(LimitParams(0.5, 3))
-        assert type(floating.prob(9)) is float and floating.prob(9) == 0.0
+        assert tuple(floating.floats.values()) == floating.nums
 
     def test_repeated_support_value_refused(self):
-        # a second probability for one value would be lost from the index
+        # a second probability for one value would be lost from the float view
         with pytest.raises(DomainError, match="repeated support value"):
-            Pmf(support=(0, 0), probs=(0.25, 0.75), exact=False, label="dup")
+            Pmf(support=(0, 0), nums=(0.25, 0.75), label="dup")
         with pytest.raises(DomainError, match="repeated support value"):
-            Pmf(support=(0, 0, 1), probs=(F(1, 2), F(1, 4), F(1, 4)), exact=True, label="dup")
+            Pmf(support=(0, 0, 1), nums=(2, 1, 1), den=4, exact=True, label="dup")

@@ -87,18 +87,22 @@ class TestUnlimitedIntDigits:
 
 class TestDecimalStr:
     def test_precision(self):
-        assert decimal_str(F(1, 3), 5) == "0.33333"
-        assert decimal_str(F(2, 1), 3) == "2"
+        assert decimal_str(1, 3, 5) == "0.33333"
+        assert decimal_str(2, 1, 3) == "2"
+        assert decimal_str(4, 6, 3) == "0.667"  # out of lowest terms
 
     def test_default_precision_is_17_digits(self):
-        assert decimal_str(F(1, 7)).startswith("0.142857142857142")
+        assert decimal_str(1, 7).startswith("0.142857142857142")
 
     def test_float_roundtrips(self):
-        assert decimal_str(0.1) == repr(0.1)
+        # a float row is written as its repr, whatever the precision
+        pmf = Pmf(support=(0, 1), nums=(0.1, 0.9), label="f")
+        for sig_digits in (1, 17, 40):
+            assert pmf_to_csv(pmf, sig_digits) == f"a,prob\n0,{0.1!r}\n1,{0.9!r}\n"
 
     def test_precision_must_be_positive(self):
         with pytest.raises(DomainError):
-            decimal_str(F(1, 3), 0)
+            decimal_str(1, 3, 0)
 
     @staticmethod
     def decimal_division(x: F, sig_digits: int) -> str:
@@ -138,7 +142,9 @@ class TestDecimalStr:
         ],
     )
     def test_matches_decimal_division_at_ties(self, x, sig_digits):
-        assert decimal_str(x, sig_digits) == self.decimal_division(x, sig_digits)
+        assert decimal_str(x.numerator, x.denominator, sig_digits) == self.decimal_division(
+            x, sig_digits
+        )
 
     @given(
         st.fractions(max_denominator=10**60)
@@ -152,18 +158,20 @@ class TestDecimalStr:
     )
     @settings(max_examples=300, deadline=None)
     def test_matches_decimal_division(self, x, sig_digits):
-        assert decimal_str(x, sig_digits) == self.decimal_division(x, sig_digits)
+        assert decimal_str(x.numerator, x.denominator, sig_digits) == self.decimal_division(
+            x, sig_digits
+        )
 
     def test_ignores_the_callers_flags(self):
         # exactness is read from the flags of this one rounding only
         with decimal.localcontext() as ctx:
             ctx.flags[decimal.Inexact] = True
-            assert decimal_str(F(1, 4), 17) == "0.25"
+            assert decimal_str(1, 4, 17) == "0.25"
 
     def test_large_exact_law_rows(self):
         pmf = avalanche_pmf(AvalancheParams(300, F(1, 301)))
-        for p in pmf.probs[::37]:
-            assert decimal_str(p, 17) == self.decimal_division(p, 17)
+        for x, p in zip(pmf.nums[::37], pmf.probs[::37]):
+            assert decimal_str(x, pmf.den, 17) == self.decimal_division(p, 17)
 
 
 class TestPmfSerialization:
@@ -337,11 +345,7 @@ class TestPmfToJson:
     def test_hand_built_labels_and_deficit(self, label, deficit):
         # the label goes through json's escaper; a deficit takes the generic path
         pmf = Pmf(
-            support=(7, 0, 3),
-            probs=(F(1, 2), F(1, 3), F(1, 6)),
-            exact=True,
-            label=label,
-            deficit=deficit,
+            support=(7, 0, 3), nums=(3, 2, 1), den=6, exact=True, label=label, deficit=deficit
         )
         text = pmf_to_json(pmf)
         assert text == _generic_text(pmf)
