@@ -312,8 +312,8 @@ def _tower_system_from_args(args):
         n = len(specs)
     else:
         raise DomainError("tower model needs --uniform or at least one --coord")
-    # n streams on each non-empty shard, so this also caps n itself
-    towers.check_streams(n, args.trials, args.shards)
+    # n streams on each shard that gets a trial, so this also caps n itself
+    check_campaign(args.trials, args.shards, n)
     return make_tower_system(specs)
 
 

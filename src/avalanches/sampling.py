@@ -64,11 +64,12 @@ _MUL2 = np.uint64(0x94D049BB133111EB)
 # each slice stays in cache across the mix's passes.
 _SLICE = 1 << 15
 
-# Most shards one campaign may use; shard_sizes builds a list this long.
-# One-trial urn shards at (20, 100), start-up included (2-vCPU Xeon): 2^15
-# of them take 1.6-1.9 s, 2^16 of them 2.7-3.0 s, half of what they took
-# when a draw call generated at least 1,024 raw outputs; the cap is kept.
-MAX_SHARDS = 1 << 15
+# Most streams one campaign may build: a stream per shard for the urn, one
+# per coordinate and shard for a tower, on the shards that get a trial.
+# Each stream makes its own draw calls, so time follows the streams, not the
+# shard count: 2^16 one-trial urn shards at (20, 100) take 2.9-4.1 s and a
+# one-coordinate tower's 3.6-4.9 s, start-up included (2-vCPU Xeon).
+STREAM_CAP = 1 << 16
 
 
 def check_bound(bound: int) -> None:
@@ -212,14 +213,20 @@ class SimResult:
             raise DomainError("histogram counts do not add up to the trial count")
 
 
-def check_campaign(trials: int, shards: int) -> None:
-    """A campaign needs trials >= 1 and 1..MAX_SHARDS shards."""
+def check_campaign(trials: int, shards: int, streams: int = 1) -> None:
+    """A campaign needs trials >= 1 and shards >= 1, and builds ``streams``
+    streams on each of the min(trials, shards) shards that get a trial: at
+    most STREAM_CAP in all."""
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     if shards < 1:
         raise DomainError(f"shards must be >= 1, got {shards}")
-    if shards > MAX_SHARDS:
-        raise ResourceLimitError(f"{shards} shards exceed the cap of {MAX_SHARDS}")
+    busy = min(trials, shards)
+    if streams * busy > STREAM_CAP:
+        raise ResourceLimitError(
+            f"{busy} shards with a trial x {streams} per shard = {streams * busy} streams "
+            f"exceed the cap of {STREAM_CAP}"
+        )
 
 
 def check_seed(seed: int) -> None:
@@ -229,11 +236,11 @@ def check_seed(seed: int) -> None:
 
 
 def shard_sizes(trials: int, shards: int) -> list[int]:
-    """Split trials across shards: shard i gets trials//shards, the first
-    trials % shards shards one extra."""
+    """Trials of the shards that get one, the first min(trials, shards):
+    shard i gets trials//shards, the first trials % shards shards one extra."""
     check_campaign(trials, shards)
     base, extra = divmod(trials, shards)
-    return [base + (1 if i < extra else 0) for i in range(shards)]
+    return [base + (1 if i < extra else 0) for i in range(min(trials, shards))]
 
 
 def available_cpus() -> int:
@@ -255,12 +262,15 @@ def run_campaign(
     (at most ``block_trials``) cannot change them, and returns the hit-time
     rows, at least ``cap`` wide, of the trials that can start an avalanche.
     Each block's rows are scored once, by leading_run; every trial left out
-    scores 0.  The seed, and that a block holds a whole trial, are checked
-    before any sampler is built.  Shards run on min(shards, trials,
+    scores 0.  The seed, that a block holds a whole trial and the stream
+    cap (check_campaign, at one stream a shard; a sampler of more checks its
+    own count first) are checked before any sampler is built.  Only the
+    min(trials, shards) shards that get a trial build one, so the histogram
+    depends on ``shards`` only through them.  They run on min(that,
     available_cpus()) worker threads, one task each: worker w runs shards
-    w, w + workers, ...  A shard with no trial builds no sampler.  Each
-    shard counts its own histogram and the counts are added, so the
-    histogram does not depend on which thread ran which shard.
+    w, w + workers, ...  Each shard counts its own histogram and the counts
+    are added, so the histogram does not depend on which thread ran which
+    shard.
     """
     # imported here: the executor costs about 0.6 MiB and 5 ms to import,
     # which the exact-law commands never need
@@ -281,9 +291,8 @@ def run_campaign(
             counts[0] += block - len(sizes)
         return counts
 
-    # the first min(trials, shards) shards are the ones that get a trial
-    busy = min(trials, shards)
     shard_trials = shard_sizes(trials, shards)
+    busy = len(shard_trials)
     workers = min(busy, available_cpus())
 
     def worker_counts(w: int) -> np.ndarray:

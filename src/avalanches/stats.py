@@ -84,10 +84,16 @@ def chi_square_gof(res: SimResult, expected: Pmf, min_expected: float = 5.0) -> 
     support as the bins, since sizes off both supports add nothing to it.  A
     statistic past the float range, which tiny expected counts can give,
     raises DegenerateInputError, since the report could not be written as
-    JSON.
+    JSON; so does a trial count past it, which no count can be scored at.
     """
     if not (math.isfinite(min_expected) and min_expected > 0):
         raise DomainError(f"min_expected must be finite and > 0, got {min_expected}")
+    try:
+        float(res.trials)  # no count exceeds the trial count
+    except OverflowError:
+        raise DegenerateInputError(
+            f"a {res.trials.bit_length()}-bit trial count is past the float range"
+        ) from None
     fq = expected.floats
     support = sorted(fq.keys() | res.histogram.keys())
     observed = [float(res.histogram.get(a, 0)) for a in support]

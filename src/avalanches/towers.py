@@ -24,32 +24,23 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .combinatorics import check_leading_run, leading_run_counts
-from .distributions import AvalancheParams, Pmf, avalanche_pmf
+from .distributions import AvalancheParams, Pmf, _as_exact, avalanche_pmf
 from .errors import DomainError, ResourceLimitError
 from .sampling import SimResult, SplitMix64, check_campaign, derive_stream, run_campaign
 
-# Cap on the oracle's scan, the sum of the L_i: each state costs one
-# in_excited call per class, up to N + 1.
+# Cap on the oracle's scan, the sum of L over the distinct coordinate types
+# (each type is scanned once): each state costs one in_excited call per
+# class, up to N + 1.
 DEFAULT_STATE_CAP = 10**5
 
 # Draws per vectorized block of the sampler, one per coordinate and trial: a
 # block holds _BLOCK_DRAWS // N trials, so its int32 hit times take 4 MiB per
-# shard at any N, and N <= COORDINATE_CAP <= _BLOCK_DRAWS.  A block makes
+# shard at any N, and N <= sampling.STREAM_CAP <= _BLOCK_DRAWS.  A block makes
 # one draw call per coordinate, so smaller blocks pay more per-call overhead:
 # at N = 200, blocks of 2^18 draws take 2.7 times as long.  A memory bound,
 # not a semantics knob: each coordinate stream is consumed in trial order
 # regardless.
 _BLOCK_DRAWS = 1 << 20
-
-# Cap on the sampler's coordinate streams.  Each non-empty shard keeps one
-# stream per coordinate and makes one draw call per coordinate and block, so
-# time grows with N times the non-empty shards, and memory with N times the
-# shards live at once (one per worker thread):
-# `simulate --model tower --uniform 2N+2,1,N,N --trials 2` took 0.3 s and
-# 40 MiB at N = 2^14, 1.0-1.2 s and 70 MiB at 2^16, and 2.1-2.2 s and 108 MiB
-# at 2^17 (2-vCPU AMD EPYC), so the cap keeps such a run near 1 s there.
-# README's Caps section has the times split over shards.
-COORDINATE_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -167,30 +158,19 @@ def _hit_times(states: np.ndarray, tower: CoordinateTower, horizon: int) -> np.n
     return states
 
 
-def check_streams(n: int, trials: int, shards: int) -> None:
-    """A campaign of n coordinates builds n streams on each shard that gets a
-    trial, min(trials, shards) of them: at most COORDINATE_CAP in all.  That
-    caps n at COORDINATE_CAP <= _BLOCK_DRAWS, so a block holds a whole trial."""
-    check_campaign(trials, shards)
-    busy = min(trials, shards)
-    if n * busy > COORDINATE_CAP:
-        raise ResourceLimitError(
-            f"{n} coordinates x {busy} non-empty shards = {n * busy} streams "
-            f"exceed the cap of {COORDINATE_CAP}"
-        )
-
-
 def simulate_tower(sys: TowerSystem, trials: int, seed: int, shards: int = 1) -> SimResult:
     """Histogram of the avalanche size over i.i.d. product-uniform states.
 
     Coordinate j of shard i draws from derive_stream(base, j), forked from
     the base run_campaign gives the shard, derive_stream(seed, i); that is
     derive_stream(seed, i, j).  Trial t uses the t-th draw of each
-    coordinate stream.  Same determinism contract as simulate_urns.  N times
-    the non-empty shards is capped at COORDINATE_CAP (see check_streams)
-    before any stream is built.  run_campaign scores the rows with cap N.
+    coordinate stream.  Same determinism contract as simulate_urns.  N
+    streams on each shard that gets a trial are capped at STREAM_CAP
+    (check_campaign) before any stream is built; that caps N at STREAM_CAP
+    <= _BLOCK_DRAWS, so a block holds a whole trial.  run_campaign scores
+    the rows with cap N.
     """
-    check_streams(sys.N, trials, shards)
+    check_campaign(trials, shards, sys.N)
 
     def shard_sampler(base: int):
         streams = [SplitMix64(derive_stream(base, j)) for j in range(sys.N)]
@@ -235,15 +215,17 @@ def _hit_classes(tower: CoordinateTower, n: int) -> list[int]:
 
 
 def check_exact_oracle(sys: TowerSystem) -> None:
-    """Refuse a system over either cap of tower_pmf_bruteforce: the sum of
-    the L_i (the scan) and the leading-run count's
-    (combinatorics.LEADING_RUN_CAP, from N and the type multiplicities)."""
-    scan = sum(c.L for c in sys.coords)
+    """Refuse a system over either cap of tower_pmf_bruteforce: the sum of L
+    over the distinct coordinate types (the scan) and the leading-run
+    count's (combinatorics.LEADING_RUN_CAP, from N and the type
+    multiplicities)."""
+    types = Counter(sys.coords)
+    scan = sum(c.L for c in types)
     if scan > DEFAULT_STATE_CAP:
         raise ResourceLimitError(
             f"{scan} coordinate states to scan exceed the cap of {DEFAULT_STATE_CAP}"
         )
-    check_leading_run(list(Counter(sys.coords).values()), sys.N)
+    check_leading_run(list(types.values()), sys.N)
 
 
 def tower_pmf_bruteforce(sys: TowerSystem) -> Pmf:
@@ -317,7 +299,7 @@ def avalanche_pmf_general(ps: Sequence[Fraction]) -> Pmf:
     reduced by prime exponents.  Several masses leave no factored form to
     read those from, so a written term is reduced by a gcd (Pmf.lowest_terms).
     """
-    ps = tuple(Fraction(p) for p in ps)
+    ps = tuple(_as_exact(p) for p in ps)
     n = len(ps)
     if n < 1:
         raise DomainError("need at least one coordinate")

@@ -19,7 +19,7 @@ from avalanches.cli import (
 )
 from avalanches.combinatorics import DEFAULT_TREE_ENUM_VERTICES
 from avalanches.errors import DomainError, ResourceLimitError
-from avalanches.towers import COORDINATE_CAP
+from avalanches.sampling import STREAM_CAP
 from avalanches.urn import _BLOCK_DRAWS as URN_BLOCK_DRAWS
 
 
@@ -262,6 +262,22 @@ class TestPmfCommand:
         assert err.startswith("error: alpha") and "underflows to 0" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["pmf", "--model", "limit", "--alpha", "1"], "limit model needs --alpha and --amax"),
+            (["pmf", "--model", "avalanche", "--N", "3", "--p", "1/4", "--amax", "5"],
+             "--alpha/--amax apply only to the limit model"),
+            (["pmf", "--model", "avalanche", "--N", "0", "--p", "1/4"], "N must be >= 1"),
+            (["tail", "--alpha", "1", "--amax", "10", "--fit-window", "10"], "--fit-window expects"),
+            (["tail", "--alpha", "1", "--amax", "0"], "no representable tail rows"),
+        ],
+    )
+    def test_malformed_law_request_is_usage_error(self, capsys, args, message):
+        rc, out, err = run_cli(capsys, *args)
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
     @pytest.mark.skipif(
         not hasattr(sys, "set_int_max_str_digits"), reason="Python 3.10 parses any length"
     )
@@ -464,7 +480,7 @@ class TestSimulateInputChecks:
         [
             (["--trials", "0"], 2, "error: trials"),
             (["--trials", "10", "--shards", "0"], 2, "error: shards"),
-            (["--trials", "10", "--shards", str(2**15 + 1)], 3, "resource limit: "),
+            (["--trials", str(2**62), "--shards", str(STREAM_CAP + 1)], 3, "resource limit: "),
         ],
     )
     def test_campaign_checked_before_oracles(
@@ -519,12 +535,13 @@ class TestSimulateInputChecks:
         assert out == ""
         assert "apply only to the" in err
 
-    @pytest.mark.parametrize("shards", [str(2**15 + 1), str(2**16 + 1), str(2**62)])
+    @pytest.mark.parametrize("shards", [str(2**16 + 1), str(2**62)])
     def test_shard_cap_is_resource_error(self, capsys, shards):
+        # one stream on each shard that gets a trial, all of them here
         rc, out, err = run_cli(
             capsys,
             "simulate", "--model", "urn", "--N", "2", "--M", "4",
-            "--trials", "10", "--shards", shards,
+            "--trials", shards, "--shards", shards,
         )
         assert rc == 3
         assert out == ""
@@ -553,6 +570,12 @@ class TestSimulateInputChecks:
                  "--exact-oracle"],
                 3, "transitions",
             ),
+            (["--model", "urn", "--N", "0", "--M", "5"], 2, "error: N must be >= 1"),
+            (["--model", "urn", "--N", "3", "--M", "0"], 2, "error: M must be >= 1"),
+            (["--model", "tower", "--uniform", "8,1,3"], 2, "error: --uniform expects"),
+            (["--model", "tower", "--coord", "8,1"], 2, "error: --coord expects"),
+            (["--model", "tower", "--uniform", "5,1,-1,3"], 2, "error: height must be >= 0"),
+            (["--model", "tower", "--uniform", "9,1,4,0"], 2, "error: a system needs"),
         ],
     )
     def test_refusals_come_before_the_compare_document_is_read(
@@ -625,7 +648,7 @@ class TestSimulateInputChecks:
         [
             ["--model", "urn", "--N", str(10**12), "--M", str(2 * 10**12)],
             ["--model", "urn", "--N", str(URN_BLOCK_DRAWS + 1), "--M", str(URN_BLOCK_DRAWS + 2)],
-            ["--model", "tower", "--uniform", f"{2**18},1,{2**17},{COORDINATE_CAP + 1}"],
+            ["--model", "tower", "--uniform", f"{2**18},1,{2**17},{STREAM_CAP + 1}"],
         ],
     )
     def test_population_cap_checked_before_the_system(
@@ -647,12 +670,13 @@ class TestSimulateInputChecks:
         "system", [["--uniform", "8,1,4,3"], ["--coord", "8,1,4"] * 3]
     )
     def test_tower_coordinate_cap_exits_before_any_stream(self, capsys, monkeypatch, system):
+        import avalanches.sampling as sampling_mod
         import avalanches.towers as towers_mod
 
         def refuse(*args):
             raise AssertionError("a stream was built")
 
-        monkeypatch.setattr(towers_mod, "COORDINATE_CAP", 2)
+        monkeypatch.setattr(sampling_mod, "STREAM_CAP", 2)
         monkeypatch.setattr(towers_mod, "SplitMix64", refuse)
         rc, out, err = run_cli(capsys, "simulate", "--model", "tower", *system, "--trials", "10")
         assert (rc, out) == (3, "")
@@ -662,29 +686,38 @@ class TestSimulateInputChecks:
     @pytest.mark.parametrize(
         "system, trials, shards",
         [
-            (["--uniform", "8,1,4,3"], 2**16, 2**15),
-            (["--uniform", f"{2**16 + 2},1,{2**15},{2**15}"], 10, 3),
-            # just over: 3 x 21846 streams, within MAX_SHARDS
-            (["--coord", "8,1,4", "--coord", "9,1,4", "--coord", "10,1,4"], 10**6, 2**16 // 3 + 1),
+            (["--model", "tower", "--uniform", "8,1,4,3"], 2**16, 2**15),
+            (["--model", "tower", "--uniform", f"{2**16 + 2},1,{2**15},{2**15}"], 10, 3),
+            # just over: 3 x 21846 streams
+            (["--model", "tower", "--coord", "8,1,4", "--coord", "9,1,4", "--coord", "10,1,4"],
+             10**6, 2**16 // 3 + 1),
+            # one stream on each shard that gets a trial
+            (["--model", "urn", "--N", "20", "--M", "100"], STREAM_CAP + 1, 2**62),
+            (["--model", "urn", "--N", "20", "--M", "100"], 2**62, STREAM_CAP + 1),
+            (["--model", "tower", "--uniform", "5,1,2,1"], STREAM_CAP + 1, 2**62),
         ],
     )
     def test_stream_cap_exits_before_any_oracle_or_stream(
         self, capsys, no_oracles, monkeypatch, system, trials, shards
     ):
-        # coordinates x non-empty shards streams, checked before the oracles
+        # streams x shards with a trial, checked before the oracles and the
+        # --compare read
+        import avalanches.cli as cli_mod
         import avalanches.towers as towers_mod
+        import avalanches.urn as urn_mod
 
         def refuse(*args):
-            raise AssertionError("a stream was built")
+            raise AssertionError("a stream was built or the --compare document read")
 
-        monkeypatch.setattr(towers_mod, "SplitMix64", refuse)
+        for mod, name in ((cli_mod, "_load_json"), (urn_mod, "SplitMix64"), (towers_mod, "SplitMix64")):
+            monkeypatch.setattr(mod, name, refuse)
         rc, out, err = run_cli(
-            capsys, "simulate", "--model", "tower", *system,
-            "--trials", str(trials), "--shards", str(shards), "--exact-oracle",
+            capsys, "simulate", *system, "--trials", str(trials), "--shards", str(shards),
+            "--exact-oracle", "--compare", "unread.json",
         )
         assert (rc, out) == (3, "")
         assert err.startswith("resource limit: ") and err.count("\n") == 1
-        assert f"streams exceed the cap of {COORDINATE_CAP}" in err
+        assert f"streams exceed the cap of {STREAM_CAP}" in err
 
     def test_urn_oracle_cap_checked_before_the_law(self, capsys, no_campaign, monkeypatch):
         # (2^18, 5) needs 5 x (2^18 + 1)^2 leading-run transitions, past the
@@ -719,6 +752,33 @@ class TestSimulateInputChecks:
         assert (rc, out) == (3, "")
         assert err.startswith("resource limit: ") and err.count("\n") == 1
         assert "transitions" in err
+
+    def test_tower_oracle_scans_each_type_once(self, capsys):
+        # 100 coordinates of one type: 5000 states to scan, not 500,000
+        rc, out, _ = run_cli(
+            capsys, "simulate", "--model", "tower", "--uniform", "5000,1,100,100",
+            "--trials", "1000", "--seed", "1", "--exact-oracle",
+        )
+        assert rc == 0
+        assert json.loads(out)["oracle"]["equal"] is True
+
+    def test_tower_oracle_scan_cap_checked_before_the_scan(
+        self, capsys, no_campaign, monkeypatch
+    ):
+        # two distinct types of 60,000 and 50,000 states, past the cap of 10^5
+        import avalanches.towers as towers_mod
+
+        def refuse(*args):
+            raise AssertionError("a coordinate was scanned")
+
+        monkeypatch.setattr(towers_mod, "_hit_classes", refuse)
+        rc, out, err = run_cli(
+            capsys, "simulate", "--model", "tower", "--coord", "60000,1,3",
+            "--coord", "50000,1,3", "--trials", "10", "--exact-oracle",
+        )
+        assert (rc, out) == (3, "")
+        assert err.startswith("resource limit: 110000 coordinate states to scan")
+        assert err.count("\n") == 1
 
 
 class TestSizeCaps:
@@ -1173,6 +1233,16 @@ class TestCompareCommand:
         )
         assert (rc, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and "not a finite" in err
+
+    def test_trials_past_the_float_range_exit_2(self, capsys, tmp_path):
+        # no count of such a run converts to a float, so no statistic exists
+        sim_path, pmf_path = self.stored_run(capsys, tmp_path)
+        doc = json.loads(sim_path.read_text(encoding="utf-8"))
+        doc["trials"], doc["histogram"] = 10**400, {"0": 10**400}
+        sim_path.write_text(json.dumps(doc), encoding="utf-8")
+        rc, out, err = run_cli(capsys, "compare", "--sim", str(sim_path), "--pmf", str(pmf_path))
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "float range" in err
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_min_expected_must_be_finite(self, capsys, tmp_path, bad):

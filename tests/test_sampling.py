@@ -12,11 +12,12 @@ from avalanches.errors import DomainError, ResourceLimitError
 from avalanches.sampling import (
     GOLDEN,
     MASK64,
-    MAX_SHARDS,
+    STREAM_CAP,
     SimResult,
     SplitMix64,
     _mix64_inplace,
     available_cpus,
+    check_campaign,
     check_seed,
     derive_stream,
     leading_run,
@@ -214,17 +215,29 @@ class TestSimResultAndShards:
     def test_shard_sizes(self):
         assert shard_sizes(10, 3) == [4, 3, 3]
         assert shard_sizes(6, 6) == [1] * 6
-        assert shard_sizes(5, 8) == [1, 1, 1, 1, 1, 0, 0, 0]
+        # only the shards that get a trial are listed
+        assert shard_sizes(5, 8) == [1] * 5
         with pytest.raises(DomainError):
             shard_sizes(0, 3)
         with pytest.raises(DomainError):
             shard_sizes(5, 0)
 
     def test_shard_cap_checked_before_the_list_is_built(self):
-        assert len(shard_sizes(1, MAX_SHARDS)) == MAX_SHARDS
-        for shards in (MAX_SHARDS + 1, 2**62):
+        # the cap counts the shards that get a trial, and so does the list
+        assert shard_sizes(5, 2**62) == [1] * 5
+        assert len(shard_sizes(STREAM_CAP, 2**62)) == STREAM_CAP
+        for trials in (STREAM_CAP + 1, 2**62):
             with pytest.raises(ResourceLimitError):
-                shard_sizes(5, shards)
+                shard_sizes(trials, 2**62)
+
+    @pytest.mark.parametrize("streams", [1, 3, STREAM_CAP])
+    def test_stream_cap_counts_streams_on_shards_with_a_trial(self, streams):
+        busy = STREAM_CAP // streams
+        for trials, shards in ((busy, 2**62), (2**62, busy), (busy, busy)):
+            check_campaign(trials, shards, streams)
+        for trials, shards in ((busy + 1, 2**62), (2**62, busy + 1)):
+            with pytest.raises(ResourceLimitError, match=f"exceed the cap of {STREAM_CAP}"):
+                check_campaign(trials, shards, streams)
 
     def test_seed_is_64_bits(self):
         check_seed(0)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import avalanches.sampling as sampling_mod
 import avalanches.towers as towers_mod
 from avalanches.combinatorics import compositions
 from avalanches.distributions import AvalancheParams, avalanche_pmf
@@ -266,11 +267,11 @@ class TestBruteforce:
     def test_cap(self, monkeypatch):
         import avalanches.combinatorics as comb_mod
 
-        # 8 + 8 states to scan
-        monkeypatch.setattr(towers_mod, "DEFAULT_STATE_CAP", 15)
+        # one type of 8 states, scanned once for both coordinates
+        monkeypatch.setattr(towers_mod, "DEFAULT_STATE_CAP", 7)
         with pytest.raises(ResourceLimitError, match="scan"):
             tower_pmf_bruteforce(TWO_COORD)
-        monkeypatch.setattr(towers_mod, "DEFAULT_STATE_CAP", 16)
+        monkeypatch.setattr(towers_mod, "DEFAULT_STATE_CAP", 8)
         assert tower_pmf_bruteforce(TWO_COORD).probs == tower_pmf_by_state_walk(TWO_COORD)
         # one type of 2 coordinates: 2 levels x (2 + 1) x (2 + 1) transitions
         monkeypatch.setattr(comb_mod, "LEADING_RUN_CAP", 17)
@@ -456,6 +457,13 @@ class TestGeneralPmf:
         with pytest.raises(DomainError):
             avalanche_pmf_general([])
 
+    @pytest.mark.parametrize("ps", [[0.1, 0.2], [0.25, 0.25]])
+    def test_float_masses_refused(self, ps):
+        # a float is a binary double, not the rational it prints as; two
+        # distinct masses and one mass take different paths
+        with pytest.raises(DomainError, match="not a float"):
+            avalanche_pmf_general(ps)
+
     def test_closed_boundary_still_normalizes(self):
         pmf = avalanche_pmf_general([F(1, 2), F(1, 2)])
         assert pmf.probs == (F(1, 4), F(0), F(3, 4))
@@ -628,15 +636,15 @@ class TestSimulateTower:
             simulate_tower(make_tower_system([(8, 1, 4)] * 3), 10, seed=1)
 
     def test_coordinate_cap_keeps_a_whole_trial_in_a_block(self):
-        # check_streams bounds N by COORDINATE_CAP alone; with the shipped
+        # the stream cap bounds N by STREAM_CAP at one shard; with the shipped
         # constants that also leaves room for a whole trial in a block
-        assert towers_mod.COORDINATE_CAP <= towers_mod._BLOCK_DRAWS
+        assert sampling_mod.STREAM_CAP <= towers_mod._BLOCK_DRAWS
 
     def test_coordinate_cap_refused_before_any_stream(self, monkeypatch):
         # each coordinate keeps its own stream, so the cap is checked first
         import avalanches.towers as towers_mod
 
-        monkeypatch.setattr(towers_mod, "COORDINATE_CAP", 2)
+        monkeypatch.setattr(sampling_mod, "STREAM_CAP", 2)
         assert simulate_tower(TWO_COORD, 10, seed=1).trials == 10
 
         def refuse(*args):
@@ -655,7 +663,7 @@ class TestSimulateTower:
         sys_ = make_tower_system([(8, 1, 4)] * 3)
         streams = 3 * min(trials, shards)
         built = []
-        monkeypatch.setattr(towers_mod, "COORDINATE_CAP", streams)
+        monkeypatch.setattr(sampling_mod, "STREAM_CAP", streams)
         monkeypatch.setattr(towers_mod, "derive_stream", lambda *a: built.append(a) or 0)
         assert simulate_tower(sys_, trials, seed=1, shards=shards).trials == trials
         assert len(built) == streams
@@ -663,7 +671,7 @@ class TestSimulateTower:
         def refuse(*args):
             raise AssertionError("a stream was built")
 
-        monkeypatch.setattr(towers_mod, "COORDINATE_CAP", streams - 1)
+        monkeypatch.setattr(sampling_mod, "STREAM_CAP", streams - 1)
         monkeypatch.setattr(towers_mod, "SplitMix64", refuse)
         monkeypatch.setattr(towers_mod, "derive_stream", refuse)
         with pytest.raises(ResourceLimitError, match=f"= {streams} streams exceed the cap of {streams - 1}"):
@@ -679,6 +687,19 @@ class TestSimulateTower:
             rows = towers_mod._sample_block(HET_TWO, streams, 1)
             want.update(leading_run(rows, HET_TWO.N).tolist() or [0])  # no row: size 0
         assert simulate_tower(HET_TWO, 3, seed=4, shards=7).histogram == dict(want)
+
+    def test_shards_past_the_trials_build_no_stream(self, monkeypatch):
+        # only the shards that get a trial build their N streams, so 2^62
+        # shards draw what as many shards as trials do
+        want = simulate_tower(HET_TWO, 50, seed=4, shards=50)
+        built = []
+        monkeypatch.setattr(
+            towers_mod, "derive_stream", lambda *a: built.append(a) or derive_stream(*a)
+        )
+        got = simulate_tower(HET_TWO, 50, seed=4, shards=2**62)
+        assert got.histogram == want.histogram and got.shards == 2**62
+        streams = sorted(derive_stream(4, i, j) for i in range(50) for j in range(HET_TWO.N))
+        assert sorted(derive_stream(*a) for a in built) == streams
 
     def test_block_boundary_invariance(self, monkeypatch):
         import avalanches.towers as towers_mod

@@ -320,6 +320,16 @@ class TestSimulateUrns:
         b = simulate_urns(UrnConfig(3, 5), 20000, seed=1, shards=2)
         assert a.histogram != b.histogram  # different documented stream derivation
 
+    def test_shards_past_the_trials_build_no_stream(self, monkeypatch):
+        # only the shards that get a trial build a stream, so 2^62 shards
+        # draw what as many shards as trials do
+        want = simulate_urns(UrnConfig(3, 5), 50, seed=4, shards=50)
+        built = []
+        monkeypatch.setattr(urn_mod, "SplitMix64", lambda base: built.append(base) or SplitMix64(base))
+        got = simulate_urns(UrnConfig(3, 5), 50, seed=4, shards=2**62)
+        assert got.histogram == want.histogram and got.shards == 2**62
+        assert sorted(built) == sorted(derive_stream(4, i) for i in range(50))
+
     def test_population_cap(self, monkeypatch):
         # a block holds one whole trial, so N past _BLOCK_DRAWS is refused
         # before any stream is built; at the cap a block is one trial
