@@ -59,6 +59,8 @@ _FLOAT_MASS_TOL = 1e-9
 
 
 def _as_exact(p) -> Fraction:
+    if type(p) is Fraction:
+        return p
     if isinstance(p, float):
         raise DomainError("exact models need a rational p, not a float")
     return Fraction(p)
@@ -82,7 +84,9 @@ class AvalancheParams:
         if self.N < 1:
             raise DomainError(f"N must be >= 1, got {self.N}")
         object.__setattr__(self, "p", _as_exact(self.p))
-        if self.p < 0 or self.N * self.p > 1:
+        # p = u/v with v > 0, so p < 0 or N*p > 1 is this, in integers
+        u, v = self.p.numerator, self.p.denominator
+        if u < 0 or self.N * u > v:
             raise DomainError(f"p must satisfy 0 <= p <= 1/N, got p={self.p}, N={self.N}")
 
     def require_subcritical(self) -> None:

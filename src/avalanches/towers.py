@@ -29,8 +29,13 @@ from .errors import DomainError, ResourceLimitError
 from .sampling import SimResult, SplitMix64, check_campaign, derive_stream, run_campaign
 
 # Cap on the oracle's scan, the sum of L over the distinct coordinate types
-# (each type is scanned once): each state costs one in_excited call per
-# class, up to N + 1.
+# (each type is scanned once).  Each state costs up to N + 1 state-steps of
+# _hit_classes, each a range test and a shift with no call.  The cap on L
+# still bounds the scan: (N+1)*w < (h+1)*w <= L, so a type makes fewer than
+# L^2/w state-steps, and the leading-run cap keeps N <= 214, so at most
+# 10^5 * 215.  That slowest shape, one type (100000,1,214) at 214
+# coordinates, scans in 0.9-1.0 s and takes 1.7-2.2 s for the whole law
+# (in-process, 2-vCPU Xeon).
 DEFAULT_STATE_CAP = 10**5
 
 # Draws per vectorized block of the sampler, one per coordinate and trial: a
@@ -207,10 +212,31 @@ def _hit_classes(tower: CoordinateTower, n: int) -> list[int]:
     State x is in class l for the first l <= n with S^l(x) excited, and in
     class n+1 if there is none; avalanche_trace reads a coordinate only
     through that.  Returns the number of states in each class 0..n+1.
+
+    The walk is literal: y runs through x, S(x), S^2(x), ... by one shift a
+    level, y -> (y + w) mod L taken as y + w less L once it reaches L (w <= L),
+    each tested against the excited set h*w <= y < (h+1)*w
+    (CoordinateTower.step and in_excited, inlined; the test reads y < (h+1)*w
+    first, which fails at once for the states above the tower).  A state
+    costs at most n + 1 of these state-steps, each a few integer operations
+    and no call, so a scan makes at most L(n + 1).
     """
+    L, w = tower.L, tower.w
+    lo = tower.height * w
+    hi = lo + w
     sizes = [0] * (n + 2)
-    for x in range(tower.L):
-        sizes[next((l for l in range(n + 1) if tower.in_excited(tower.step(x, l))), n + 1)] += 1
+    levels = range(n + 1)
+    for x in range(L):
+        y = x
+        for l in levels:
+            if hi > y >= lo:
+                sizes[l] += 1
+                break
+            y += w
+            if y >= L:
+                y -= L
+        else:
+            sizes[n + 1] += 1
     return sizes
 
 
@@ -303,16 +329,19 @@ def avalanche_pmf_general(ps: Sequence[Fraction]) -> Pmf:
     n = len(ps)
     if n < 1:
         raise DomainError("need at least one coordinate")
-    for i, p in enumerate(ps):
-        if p < 0 or n * p > 1:
-            raise DomainError(f"coordinate {i}: p = {p} outside [0, 1/N]")
-    if len(set(ps)) == 1:
+    # p = u/d in lowest terms with d > 0: p < 0 or n*p > 1 in integers, and
+    # equal pairs are equal masses
+    pairs = [(p.numerator, p.denominator) for p in ps]
+    for i, (u, d) in enumerate(pairs):
+        if u < 0 or n * u > d:
+            raise DomainError(f"coordinate {i}: p = {ps[i]} outside [0, 1/N]")
+    if len(set(pairs)) == 1:
         return avalanche_pmf(AvalancheParams(n, ps[0]))
-    v = math.lcm(*(p.denominator for p in ps))
+    v = math.lcm(*(d for _, d in pairs))
     return Pmf(
         support=range(n + 1),
         exact=True,
         label=f"avalanche-general(N={n})",
-        nums=_general_numerators([p.numerator * (v // p.denominator) for p in ps], v),
+        nums=_general_numerators([u * (v // d) for u, d in pairs], v),
         den=v**n,
     )

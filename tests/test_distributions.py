@@ -177,8 +177,30 @@ class TestAvalanchePmf:
             AvalancheParams(3, F(-1, 10))
 
     def test_float_p_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^exact models need a rational p, not a float$"):
             AvalancheParams(3, 0.25)
+
+    def test_bounds_checked_at_their_edges(self):
+        # the check is on the integer pair of p; these sit on either side of
+        # 0 and 1/N
+        assert AvalancheParams(7, F(1, 7)).p == F(1, 7)
+        assert AvalancheParams(7, 0).p == 0
+        over = F(1, 7) + F(1, 10**30)
+        with pytest.raises(DomainError) as err:
+            AvalancheParams(7, over)
+        assert str(err.value) == f"p must satisfy 0 <= p <= 1/N, got p={over}, N=7"
+        with pytest.raises(DomainError) as err:
+            AvalancheParams(7, F(-1, 7))
+        assert str(err.value) == "p must satisfy 0 <= p <= 1/N, got p=-1/7, N=7"
+
+    def test_as_exact_keeps_a_fraction_and_converts_the_rest(self):
+        p = F(3, 11)
+        assert dist._as_exact(p) is p
+        assert AvalancheParams(3, p).p is p
+        for q in (3, "3/11", F(6, 22)):
+            assert type(dist._as_exact(q)) is F and dist._as_exact(q) == F(q)
+        with pytest.raises(DomainError, match="not a float"):
+            dist._as_exact(0.25)
 
     def test_single_entry_matches_pmf(self):
         params = AvalancheParams(6, F(1, 9))

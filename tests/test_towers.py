@@ -352,6 +352,33 @@ class TestBruteforce:
             tower_pmf_bruteforce(make_tower_system([(10**6, 1, 1)]))
 
 
+@st.composite
+def small_towers(draw):
+    """One tower with w = 1..4, h = 1..6 and L from (h+1)w to (h+1)w + 7, so
+    L is often not a multiple of w and some towers fill Z_L."""
+    w = draw(st.integers(1, 4))
+    h = draw(st.integers(1, 6))
+    return CoordinateTower((h + 1) * w + draw(st.integers(0, 7)), w, h)
+
+
+class TestHitClasses:
+    @given(small_towers())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_method_walk_class_by_class(self, tower):
+        # _hit_classes inlines step and in_excited; every n the oracle can
+        # pass (n <= h) against the reference built on the methods
+        for n in range(1, tower.height + 1):
+            want = [0] * (n + 2)
+            for x in range(tower.L):
+                want[hit_class(tower, x, n)] += 1
+            assert towers_mod._hit_classes(tower, n) == want
+
+    def test_hand_counts(self):
+        # (7,2,2): U = {4,5}; 4,5 in class 0, 2,3 in class 1, 0,1 in class 2,
+        # and 6 -> 1 -> 3 reaches U only at l = 3
+        assert towers_mod._hit_classes(CoordinateTower(7, 2, 2), 2) == [2, 2, 2, 1]
+
+
 class TestOracleSeparation:
     """The oracles reach their laws without the closed forms' kernels."""
 
@@ -457,12 +484,31 @@ class TestGeneralPmf:
         with pytest.raises(DomainError):
             avalanche_pmf_general([])
 
-    @pytest.mark.parametrize("ps", [[0.1, 0.2], [0.25, 0.25]])
+    @pytest.mark.parametrize("ps", [[0.1, 0.2], [0.25, 0.25], [F(1, 9), 0.25], [0.25, F(1, 9)]])
     def test_float_masses_refused(self, ps):
         # a float is a binary double, not the rational it prints as; two
         # distinct masses and one mass take different paths
         with pytest.raises(DomainError, match="not a float"):
             avalanche_pmf_general(ps)
+
+    @pytest.mark.parametrize("ps", [[0, F(0)], [F(1, 9)] * 3], ids=["int-and-fraction-zero", "one-ninth"])
+    def test_equal_masses_take_the_single_mass_path(self, ps):
+        # equal (numerator, denominator) pairs, whatever type each mass came in
+        want = avalanche_pmf(AvalancheParams(len(ps), F(ps[0])))
+        pmf = avalanche_pmf_general(ps)
+        assert pmf.label == want.label != f"avalanche-general(N={len(ps)})"
+        assert pmf == want
+
+    def test_mass_bounds_at_their_edges(self):
+        third = F(1, 3)
+        assert avalanche_pmf_general([third, F(1, 5), F(0)]).label == "avalanche-general(N=3)"
+        over = third + F(1, 10**30)
+        with pytest.raises(DomainError) as err:
+            avalanche_pmf_general([F(1, 5), over, F(0)])
+        assert str(err.value) == f"coordinate 1: p = {over} outside [0, 1/N]"
+        with pytest.raises(DomainError) as err:
+            avalanche_pmf_general([F(1, 5), F(1, 5), F(-1, 7)])
+        assert str(err.value) == "coordinate 2: p = -1/7 outside [0, 1/N]"
 
     def test_closed_boundary_still_normalizes(self):
         pmf = avalanche_pmf_general([F(1, 2), F(1, 2)])
