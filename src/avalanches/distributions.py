@@ -437,14 +437,11 @@ def expectation_identity_check(params: AvalancheParams) -> bool:
         (1-Np)/(1-(N-1)p) * sum_k k^(k-1) C(N-1,k-1) p^(k-1) (1-kp)^(N-k-1)
             == 1/(1-(N-1)p).
 
-    The left side is the mean of abelian_pmf, sum_k k m_k over its
-    denominator, compared as one integer equation against the independent
-    closed-form mean abelian_mean_closed_form.
+    The left side is the mean of abelian_pmf (pmf_mean), compared in exact
+    arithmetic against the independent closed-form mean
+    abelian_mean_closed_form.
     """
-    mean = abelian_mean_closed_form(params)
-    law = abelian_pmf(params)
-    lhs = sum(k * m for k, m in zip(law.support, law.nums))
-    return lhs * mean.denominator == mean.numerator * law.den
+    return pmf_mean(abelian_pmf(params)) == abelian_mean_closed_form(params)
 
 
 def limit_pmf(params: LimitParams) -> Pmf:

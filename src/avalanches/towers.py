@@ -7,9 +7,10 @@ uniform measure gives U exact mass w/L.  Heights must exceed the coordinate
 count (h + 1 > N) so no coordinate can pass through its excited set twice
 within one cascade.  The cascade reads a coordinate only through its hit
 class, and its size is the leading run of the hit classes, so the exact
-oracle scans each coordinate type once, literally, for its class sizes and
-counts the states by leading run with combinatorics.leading_run_counts; it
-shares no arithmetic with the closed forms.
+oracle walks each coordinate type's excited set backward once, literally, for
+its class sizes and counts the states by leading run with
+combinatorics.leading_run_counts; it shares no arithmetic with the closed
+forms.
 """
 
 from __future__ import annotations
@@ -28,14 +29,11 @@ from .distributions import AvalancheParams, Pmf, _as_exact, avalanche_pmf
 from .errors import DomainError, ResourceLimitError
 from .sampling import SimResult, SplitMix64, check_campaign, derive_stream, run_campaign
 
-# Cap on the oracle's scan, the sum of L over the distinct coordinate types
-# (each type is scanned once).  Each state costs up to N + 1 state-steps of
-# _hit_classes, each a range test and a shift with no call.  The cap on L
-# still bounds the scan: (N+1)*w < (h+1)*w <= L, so a type makes fewer than
-# L^2/w state-steps, and the leading-run cap keeps N <= 214, so at most
-# 10^5 * 215.  That slowest shape, one type (100000,1,214) at 214
-# coordinates, scans in 0.9-1.0 s and takes 1.7-2.2 s for the whole law
-# (in-process, 2-vCPU Xeon).
+# Cap on the oracle's scan, the sum of (N+1)*w over the distinct coordinate
+# types: _hit_classes walks a type's w excited states back N + 1 levels, at
+# (N+1)*w set operations, whatever L is.  (N+1)*w <= (h+1)*w <= L, so the cap
+# admits every system whose types' L sum to 10^5 or less.  At the cap, one
+# type (100000,465,214) walks in 17-24 ms (in-process, 2-vCPU Xeon).
 DEFAULT_STATE_CAP = 10**5
 
 # Draws per vectorized block of the sampler, one per coordinate and trial: a
@@ -207,46 +205,33 @@ def _sample_block(sys: TowerSystem, streams: list[SplitMix64], block: int) -> np
 
 
 def _hit_classes(tower: CoordinateTower, n: int) -> list[int]:
-    """Scan a coordinate's L states for their hit class in a system of n coordinates.
+    """Sizes of a coordinate's hit classes 0..n+1 in a system of n coordinates.
 
     State x is in class l for the first l <= n with S^l(x) excited, and in
     class n+1 if there is none; avalanche_trace reads a coordinate only
-    through that.  Returns the number of states in each class 0..n+1.
-
-    The walk is literal: y runs through x, S(x), S^2(x), ... by one shift a
-    level, y -> (y + w) mod L taken as y + w less L once it reaches L (w <= L),
-    each tested against the excited set h*w <= y < (h+1)*w
-    (CoordinateTower.step and in_excited, inlined; the test reads y < (h+1)*w
-    first, which fails at once for the states above the tower).  A state
-    costs at most n + 1 of these state-steps, each a few integer operations
-    and no call, so a scan makes at most L(n + 1).
+    through that.  S^l(x) is excited exactly when x is in S^-l(U), so the
+    walk runs backward from U: class l is S^-l(U) less the states already
+    classed, at (n+1)*w set operations.
     """
     L, w = tower.L, tower.w
-    lo = tower.height * w
-    hi = lo + w
-    sizes = [0] * (n + 2)
-    levels = range(n + 1)
-    for x in range(L):
-        y = x
-        for l in levels:
-            if hi > y >= lo:
-                sizes[l] += 1
-                break
-            y += w
-            if y >= L:
-                y -= L
-        else:
-            sizes[n + 1] += 1
-    return sizes
+    level = set(range(tower.height * w, (tower.height + 1) * w))
+    classed: set[int] = set()
+    sizes = []
+    for _ in range(n + 1):
+        new = level - classed
+        sizes.append(len(new))
+        classed |= new
+        level = {(y - w) % L for y in level}
+    return sizes + [L - len(classed)]
 
 
 def check_exact_oracle(sys: TowerSystem) -> None:
-    """Refuse a system over either cap of tower_pmf_bruteforce: the sum of L
-    over the distinct coordinate types (the scan) and the leading-run
-    count's (combinatorics.LEADING_RUN_CAP, from N and the type
-    multiplicities)."""
+    """Refuse a system over either cap of tower_pmf_bruteforce: the sum of
+    (N+1)*w over the distinct coordinate types (the states the scan visits)
+    and the leading-run count's (combinatorics.LEADING_RUN_CAP, from N and
+    the type multiplicities)."""
     types = Counter(sys.coords)
-    scan = sum(c.L for c in types)
+    scan = sum((sys.N + 1) * c.w for c in types)
     if scan > DEFAULT_STATE_CAP:
         raise ResourceLimitError(
             f"{scan} coordinate states to scan exceed the cap of {DEFAULT_STATE_CAP}"
@@ -262,12 +247,12 @@ def tower_pmf_bruteforce(sys: TowerSystem) -> Pmf:
     class 0, each later step the number in a class up to the last count.
     The stable count is the leading run of the N hit classes: the first
     k < N with at most k coordinates in classes 0..k, or N.  Each coordinate
-    type (L, w, h) is scanned once, literally, for its class sizes, and
-    leading_run_counts counts the states, a type of m coordinates with those
-    sizes and L states each.  The counts are the numerators over
-    prod(L_i).
+    type (L, w, h) is walked once, backward from its excited set, for its
+    class sizes, and leading_run_counts counts the states, a type of m
+    coordinates with those sizes and L states each.  The counts are the
+    numerators over prod(L_i).
 
-    Both caps are checked before the scan (check_exact_oracle).
+    Both caps are checked before the walk (check_exact_oracle).
     """
     check_exact_oracle(sys)
     n = sys.N

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import pathlib
+import random
 import stat
 import sys
 
@@ -754,7 +755,7 @@ class TestSimulateInputChecks:
         assert "transitions" in err
 
     def test_tower_oracle_scans_each_type_once(self, capsys):
-        # 100 coordinates of one type: 5000 states to scan, not 500,000
+        # 100 coordinates of one type: one walk of (100+1)*1 states, not 100 walks
         rc, out, _ = run_cli(
             capsys, "simulate", "--model", "tower", "--uniform", "5000,1,100,100",
             "--trials", "1000", "--seed", "1", "--exact-oracle",
@@ -765,7 +766,8 @@ class TestSimulateInputChecks:
     def test_tower_oracle_scan_cap_checked_before_the_scan(
         self, capsys, no_campaign, monkeypatch
     ):
-        # two distinct types of 60,000 and 50,000 states, past the cap of 10^5
+        # two distinct types walking (2+1)*40,000 and (2+1)*50,000 states,
+        # past the cap of 10^5
         import avalanches.towers as towers_mod
 
         def refuse(*args):
@@ -773,12 +775,13 @@ class TestSimulateInputChecks:
 
         monkeypatch.setattr(towers_mod, "_hit_classes", refuse)
         rc, out, err = run_cli(
-            capsys, "simulate", "--model", "tower", "--coord", "60000,1,3",
-            "--coord", "50000,1,3", "--trials", "10", "--exact-oracle",
+            capsys, "simulate", "--model", "tower", "--coord", "200000,40000,3",
+            "--coord", "200000,50000,3", "--trials", "10", "--exact-oracle",
         )
         assert (rc, out) == (3, "")
-        assert err.startswith("resource limit: 110000 coordinate states to scan")
-        assert err.count("\n") == 1
+        assert err == (
+            "resource limit: 270000 coordinate states to scan exceed the cap of 100000\n"
+        )
 
 
 class TestSizeCaps:
@@ -1470,3 +1473,105 @@ class TestOutputReplace:
         st = target.stat()
         assert (st.st_uid, st.st_gid) == (65534, 65534)
         assert target.read_bytes() == stdout_of(capsys, PMF_SHORT)
+
+
+# each fuzzed flag draws from plain values, and in 15% of draws from values
+# that most argvs refuse
+_EXACT_FLAGS = {
+    "--N": (["1", "5", "20"], ["-1", "0", "2001"]),
+    "--p": (["1/6", "1/21", "0"], ["1/2", "-1/5", "1/0", "0.1", "x"]),
+    "--digits": (["3", "12"], ["-1", "10001"]),
+}
+_CAMPAIGN_FLAGS = {
+    "--trials": (["1", "10", "100"], ["-1", "0"]),
+    "--seed": (["0", "7", str(2**64 - 1)], ["-1", str(2**64)]),
+    "--shards": (["1", "2", str(2**62)], ["0"]),
+    "--exact-oracle": None,
+    "--compare": (["{pmf}"], ["{sim}", "{bad}", "{missing}", "{dir}"]),
+}
+
+
+class TestArgvFuzz:
+    """Seeded argvs drawn from a fixed vocabulary of small values: each one
+    exits 0, 2 or 3, argparse's usage errors as SystemExit(2) and every
+    other 2 or 3 as one stderr line."""
+
+    RUNS = 300
+    # argv heads with the flags that belong to them; None marks a switch
+    HEADS = [
+        (["identity"], {"--n": (["1", "3", "8"], ["-1", "0", "151", "x"]),
+                        "--s": (["1", "2"], ["-1", "9"]), "--forest": None}),
+        (["trees"], {"--n": (["1", "5", "8"], ["-1", "0", "16", "x"])}),
+        (["pmf", "--model", "avalanche"], _EXACT_FLAGS),
+        (["pmf", "--model", "abelian"], _EXACT_FLAGS),
+        (["pmf", "--model", "conditional"], _EXACT_FLAGS),
+        (["pmf", "--model", "limit"], {"--alpha": (["0.5", "1", "1/3"], ["-1", "1e400", "x"]),
+                                       "--amax": (["0", "5", "50"], ["-1", "100001"])}),
+        (["simulate", "--model", "urn"], {"--N": (["1", "3", "8"], ["-1", "0"]),
+                                          "--M": (["1", "3", "10"], ["0"]), **_CAMPAIGN_FLAGS}),
+        (["simulate", "--model", "tower"], {
+            "--coord": (["12,1,3", "9,1,3", "10,2,3"], ["4,1,1", "3,2,1", "0,1,1", "1,2", "x"]),
+            "--uniform": (["64,1,8,8", "11,1,9,9", "5,1,1,1"], ["4,1,1,2", "1,1,1", "x"]),
+            **_CAMPAIGN_FLAGS,
+        }),
+        (["tail"], {"--alpha": (["0.5", "1"], ["-1", "0", "1e400", "x"]),
+                    "--amax": (["20", "60"], ["-1", "5", "100001"]),
+                    "--fit-window": (["2,10", "5,20"], ["10,2", "0,0", "x"])}),
+        (["compare"], {"--sim": (["{sim}"], ["{pmf}", "{bad}", "{missing}", "{dir}"]),
+                       "--pmf": (["{pmf}"], ["{sim}", "{bad}", "{missing}", "{dir}"]),
+                       "--min-expected": (["0", "5"], ["-1", "nan", "x"])}),
+    ]
+    # flags a head cannot do without are given in 9 draws of 10, the rest in 4
+    EXPECTED = {"--n", "--N", "--M", "--p", "--alpha", "--amax", "--trials", "--sim", "--pmf"}
+    OUTPUT = {"--format": (["json", "csv"], ["xml"]), "--out": (["{out}"], ["{dir}"])}
+    STRAYS = ["--bogus", "--N", "--coord", "--alpha", "--digits", "--s"]
+
+    def draw(self, rng, paths):
+        head, flags = rng.choice(self.HEADS)
+        argv = list(head)
+        for flag, values in [*flags.items(), *self.OUTPUT.items()]:
+            if flag == "--coord":
+                times = rng.choice((0, 1, 2, 3))
+            else:
+                times = rng.random() < (0.9 if flag in self.EXPECTED else 0.4)
+            for _ in range(times):
+                argv.append(flag)
+                if values is not None:
+                    good, bad = values
+                    argv.append(rng.choice(bad if rng.random() < 0.15 else good).format(**paths))
+        if rng.random() < 0.05:
+            argv += [rng.choice(self.STRAYS), "3"]
+        return argv
+
+    def test_every_exit_is_0_2_or_3(self, capsys, tmp_path):
+        paths = {
+            name: str(tmp_path / f"{name}.json")
+            for name in ("pmf", "sim", "bad", "missing", "out")
+        }
+        paths["dir"] = str(tmp_path)
+        assert run_cli(capsys, *PMF_SHORT, "--out", paths["pmf"])[0] == 0
+        assert run_cli(
+            capsys, "simulate", "--model", "urn", "--N", "5", "--M", "30",
+            "--trials", "100", "--out", paths["sim"],
+        )[0] == 0
+        pathlib.Path(paths["bad"]).write_text("{")
+        rng = random.Random(20261021)
+        codes = []
+        for _ in range(self.RUNS):
+            argv = self.draw(rng, paths)
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                assert exc.code == 2, argv
+                capsys.readouterr()
+                codes.append("usage")
+                continue
+            err = capsys.readouterr().err
+            assert rc in (0, 2, 3), argv
+            if rc:
+                prefix = "error: " if rc == 2 else "resource limit: "
+                assert err.startswith(prefix) and err.endswith("\n"), (argv, err)
+                assert err.count("\n") == 1, (argv, err)
+            codes.append(rc)
+        # the draw reaches every outcome
+        assert {"usage", 0, 2, 3} <= set(codes)

@@ -267,11 +267,11 @@ class TestBruteforce:
     def test_cap(self, monkeypatch):
         import avalanches.combinatorics as comb_mod
 
-        # one type of 8 states, scanned once for both coordinates
-        monkeypatch.setattr(towers_mod, "DEFAULT_STATE_CAP", 7)
-        with pytest.raises(ResourceLimitError, match="scan"):
+        # one type, walked once for both coordinates: (2+1)*1 states
+        monkeypatch.setattr(towers_mod, "DEFAULT_STATE_CAP", 2)
+        with pytest.raises(ResourceLimitError, match="3 coordinate states to scan"):
             tower_pmf_bruteforce(TWO_COORD)
-        monkeypatch.setattr(towers_mod, "DEFAULT_STATE_CAP", 8)
+        monkeypatch.setattr(towers_mod, "DEFAULT_STATE_CAP", 3)
         assert tower_pmf_bruteforce(TWO_COORD).probs == tower_pmf_by_state_walk(TWO_COORD)
         # one type of 2 coordinates: 2 levels x (2 + 1) x (2 + 1) transitions
         monkeypatch.setattr(comb_mod, "LEADING_RUN_CAP", 17)
@@ -348,8 +348,23 @@ class TestBruteforce:
         # only 392 states
         with pytest.raises(ResourceLimitError, match="transitions"):
             tower_pmf_bruteforce(make_tower_system([(L, 1, 16) for L in range(17, 33)]))
-        with pytest.raises(ResourceLimitError, match="states"):
-            tower_pmf_bruteforce(make_tower_system([(10**6, 1, 1)]))
+        # (1+1)*10^5 states to walk
+        with pytest.raises(ResourceLimitError, match="200000 coordinate states"):
+            tower_pmf_bruteforce(make_tower_system([(10**6, 10**5, 1)]))
+
+    def test_scan_cap_counts_a_type_once_before_the_walk(self, monkeypatch):
+        # two coordinates of one type walk (2+1)*40,000 states once, not twice
+        def refuse(*args):
+            raise AssertionError("the oracle started scanning")
+
+        monkeypatch.setattr(towers_mod, "_hit_classes", refuse)
+        with pytest.raises(ResourceLimitError, match="^120000 coordinate states to scan"):
+            tower_pmf_bruteforce(make_tower_system([(200000, 40000, 3)] * 2))
+
+    def test_state_space_near_two_to_63(self):
+        # the walk visits (3+1)*1 states whatever L is
+        sys_ = make_tower_system([(2**63 - 1, 1, 3)] * 3)
+        assert tower_pmf_bruteforce(sys_).same_probs(avalanche_pmf_general(sys_.ps()))
 
 
 @st.composite
@@ -377,6 +392,18 @@ class TestHitClasses:
         # (7,2,2): U = {4,5}; 4,5 in class 0, 2,3 in class 1, 0,1 in class 2,
         # and 6 -> 1 -> 3 reaches U only at l = 3
         assert towers_mod._hit_classes(CoordinateTower(7, 2, 2), 2) == [2, 2, 2, 1]
+
+
+@given(small_towers(), st.integers(1, 12))
+@settings(max_examples=80, deadline=None)
+def test_hit_classes_past_the_height(tower, extra):
+    # past n = h the levels S^-l(U) wrap onto states already classed; the
+    # oracle never asks for such n, but the walk must not count them twice
+    n = tower.height + extra
+    want = [0] * (n + 2)
+    for x in range(tower.L):
+        want[hit_class(tower, x, n)] += 1
+    assert towers_mod._hit_classes(tower, n) == want
 
 
 class TestOracleSeparation:
