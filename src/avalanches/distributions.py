@@ -18,6 +18,13 @@ reweighted,
 which is again integers over one denominator (abelian_pmf).  The
 heterogeneous tower law, with one mass per coordinate, lives in towers.
 
+Each kernel row K(n) at p = u/v is built once per (n, u, v) and kept by a
+memo, _kernel, with its lowest terms once they are made.  The avalanche
+law at (n, p) and the conditional and abelian laws at (n+1, p) share it:
+its row, and its lowest terms, from which the abelian law makes its own.
+The laws at one (N, p) read only K(N) and K(N-1), so the memo keeps the
+last two kernels used.
+
 Terms are put in lowest terms only when a law is written (Pmf.lowest_terms).
 The kernel's terms at (n, u/v) are reduced without a gcd on the big
 integers, by this lemma.  A prime q dividing both t_b and v does not divide
@@ -33,10 +40,10 @@ over the primes q <= n+1 dividing v, with
 and the binomial's exponent by Legendre's formula: small-integer arithmetic
 only.  A cheap gcd against v then proves each reduced term is in lowest
 terms.  That is the one lemma, and _lowest_terms the one reducer of a
-kernel row.  The abelian law reduces the conditional row it is built from
-with it, and then takes two gcds a term, each with one small operand,
-against its small reweighting ratio.  The large-population limit law is
-floating point, computed in log space, with its truncation deficit
+kernel row.  The abelian law takes the lowest terms of the conditional
+row it is built from, and then takes two gcds a term, each with one small
+operand, against its small reweighting ratio.  The large-population limit
+law is floating point, computed in log space, with its truncation deficit
 reported rather than hidden.  Every law, exact or floating, is read as
 floats through one view, Pmf.floats, nums[i] / den correctly rounded; the
 tail analysis (tail_log_ratio, powerlaw_slope) reads nothing else.
@@ -48,7 +55,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from math import comb
 
 from .errors import DomainError
@@ -290,7 +297,7 @@ def _term_valuations(q: int, n: int, u: int, v: int) -> list[int]:
     return out
 
 
-def _lowest_terms(row, n: int, u: int, v: int, label: str) -> list[tuple[int, int]]:
+def _lowest_terms(row, n: int, u: int, v: int) -> list[tuple[int, int]]:
     """The kernel's row t_0..t_n at (n, u/v) over v^n as (num, den) pairs in
     lowest terms, with no gcd on the big integers.
 
@@ -319,22 +326,49 @@ def _lowest_terms(row, n: int, u: int, v: int, label: str) -> list[tuple[int, in
         gcd, den_b = reduced[vec]
         x, r = divmod(t, gcd)
         if r or math.gcd(math.gcd(x, v), den_b) != 1:
-            raise DomainError(f"exact pmf {label}: term at {b} not reduced to lowest terms")
+            raise DomainError(
+                f"Abel kernel (n={n}, p={u}/{v}): term at {b} not reduced to lowest terms"
+            )
         out.append((x, den_b))
     return out
+
+
+class _Kernel:
+    """The kernel at (n, u/v): its row t_0..t_n as a tuple, and the row over
+    v^n in lowest terms (_lowest_terms, with its guards) as a tuple of
+    (num, den) pairs, built on first use."""
+
+    def __init__(self, n: int, u: int, v: int):
+        self.n, self.u, self.v = n, u, v
+        self.row = tuple(_abel_row(n, u, v))
+
+    @cached_property
+    def lowest(self) -> tuple[tuple[int, int], ...]:
+        return tuple(_lowest_terms(self.row, self.n, self.u, self.v))
+
+    def lowest_terms(self) -> list[tuple[int, int]]:
+        return list(self.lowest)
+
+
+@lru_cache(maxsize=2)
+def _kernel(n: int, u: int, v: int) -> _Kernel:
+    """The one _Kernel per (n, u, v), shared by the avalanche law at
+    (n, p) and the conditional and abelian laws at (n+1, p).  The laws at
+    one (N, p) need only K(N) and K(N-1), so the memo keeps two kernels."""
+    return _Kernel(n, u, v)
 
 
 def _kernel_pmf(first: int, n: int, u: int, v: int, label: str) -> Pmf:
     """The kernel at (n, u/v), t_b / v^n, as a pmf on first..first+n.  Its
     mass check is Abel's identity, sum(t_b) == v^n, on the integers."""
-    row = _abel_row(n, u, v)
+    kernel = _kernel(n, u, v)
     return Pmf(
         support=range(first, first + n + 1),
         exact=True,
         label=label,
-        nums=row,
+        nums=kernel.row,
         den=v**n,
-        reducer=partial(_lowest_terms, row, n, u, v, label),
+        reducer=kernel.lowest_terms,
     )
 
 
@@ -379,27 +413,29 @@ def abelian_pmf(params: AvalancheParams) -> Pmf:
     """
     params.require_subcritical()
     N, u, v = params.N, params.p.numerator, params.p.denominator
-    label = f"abelian(N={N},p={params.p})"
     head, s = v - N * u, v - (N - 1) * u
-    row = _abel_row(N - 1, u, v)
-    nums = [head * (t // (v - k * u)) for k, t in enumerate(row[:-1], 1)] + row[-1:]
+    kernel = _kernel(N - 1, u, v)
+    row = kernel.row
+    nums = [head * (t // (v - k * u)) for k, t in enumerate(row[:-1], 1)]
     return Pmf(
         support=range(1, N + 1),
         exact=True,
-        label=label,
-        nums=nums,
+        label=f"abelian(N={N},p={params.p})",
+        nums=nums + [row[-1]],
         den=s * v ** (N - 1) // v,  # at N = 1, v/v
-        reducer=partial(_abelian_lowest_terms, row, N, u, v, label),
+        reducer=partial(_abelian_lowest_terms, kernel, N),
     )
 
 
-def _abelian_lowest_terms(row, N: int, u: int, v: int, label: str) -> list[tuple[int, int]]:
+def _abelian_lowest_terms(kernel: _Kernel, N: int) -> list[tuple[int, int]]:
     """abelian_pmf's terms in lowest terms: the conditional row t_0..t_{N-1}
-    reduced by the kernel's lemma, each term times its small ratio a/b in
-    lowest terms, with two more gcds a term (abelian_pmf)."""
+    in lowest terms (the kernel's, reduced once by its lemma), each term
+    times its small ratio a/b in lowest terms, with two more gcds a term
+    (abelian_pmf)."""
+    u, v = kernel.u, kernel.v
     head, s = v - N * u, v - (N - 1) * u
     out = []
-    for k, (x, d) in enumerate(_lowest_terms(row, N - 1, u, v, label), 1):
+    for k, (x, d) in enumerate(kernel.lowest, 1):
         a, b = (head * v, (v - k * u) * s) if k < N else (v, s)
         g = math.gcd(a, b)
         a, b = a // g, b // g
@@ -439,7 +475,11 @@ def expectation_identity_check(params: AvalancheParams) -> bool:
 
     The left side is the mean of abelian_pmf (pmf_mean), compared in exact
     arithmetic against the independent closed-form mean
-    abelian_mean_closed_form.
+    abelian_mean_closed_form.  abelian_pmf reads the kernel row at N-1
+    from the memo (_kernel), so after the abelian or conditional law at
+    (N, p), or the avalanche law at (N-1, p), the check costs the
+    reweighting and the sum, not a new row; it never reduces to lowest
+    terms.
     """
     return pmf_mean(abelian_pmf(params)) == abelian_mean_closed_form(params)
 

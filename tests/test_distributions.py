@@ -22,6 +22,7 @@ from avalanches.distributions import (
     tail_log_ratio,
 )
 import avalanches.distributions as dist
+import avalanches.serialize as ser
 import avalanches.towers as towers
 from avalanches.distributions import _abel_row, _abel_term
 from avalanches.errors import DomainError
@@ -36,6 +37,16 @@ def grid_ps(n):
     if n >= 2:
         ps.append(F(2 * n + 1, 2 * n * (n + 1)))  # midpoint of (1/(N+1), 1/N)
     return sorted(set(ps))
+
+
+@pytest.fixture
+def fresh_kernels():
+    """An empty kernel memo before and after the test: a test that patches
+    what builds a kernel must see the patched code run, and must leave no
+    kernel it built behind."""
+    dist._kernel.cache_clear()
+    yield
+    dist._kernel.cache_clear()
 
 
 def fraction_pmf(support, probs, label):
@@ -317,7 +328,7 @@ class TestMeansAndExpectationIdentity:
         assert expectation_identity_check(AvalancheParams(n, p))
 
     def test_expectation_identity_is_literal(self, monkeypatch):
-        # the integer equation must see a closed form that is off by 1/10^40
+        # the Fraction comparison must see a closed form that is off by 1/10^40
         import avalanches.distributions as dist
 
         params = AvalancheParams(30, F(1, 60))
@@ -430,6 +441,7 @@ class TestLowestTerms:
             lambda *args: [max(e + fault, 0) for e in true(*args)],
         )
 
+    @pytest.mark.usefixtures("fresh_kernels")
     def test_undercounted_valuations_raise(self, monkeypatch):
         # one prime exponent too few leaves a common factor: the gcd check
         self.miscount(monkeypatch, -1)
@@ -439,6 +451,7 @@ class TestLowestTerms:
             with pytest.raises(DomainError, match="lowest terms"):
                 pmf.lowest_terms()
 
+    @pytest.mark.usefixtures("fresh_kernels")
     def test_overcounted_valuations_raise(self, monkeypatch):
         # one prime exponent too many no longer divides the term: the exact
         # division; every entry, since a truncated quotient may be coprime
@@ -448,6 +461,79 @@ class TestLowestTerms:
             pmf = law(params)  # reduced only when written
             with pytest.raises(DomainError, match="lowest terms"):
                 pmf.lowest_terms()
+
+
+def written(pmf):
+    """The bytes the CLI writes for a law, as JSON and as CSV."""
+    return ser.pmf_to_json(pmf), ser.pmf_to_csv(pmf)
+
+
+@pytest.mark.usefixtures("fresh_kernels")
+class TestKernelMemo:
+    """Each kernel row, and its lowest terms, is built once per (n, u, v)
+    (distributions._kernel): avalanche(N-1, p), conditional(N, p) and
+    abelian(N, p) share K(N-1).  What a law writes must not depend on what
+    was computed before it."""
+
+    # p with a composite denominator (600 = 2^3 3 5^2, 3600), a prime one,
+    # and u > 1
+    PS = [F(1, 600), F(7, 3600), F(2, 4093)]
+
+    @pytest.mark.parametrize("p", PS)
+    @pytest.mark.parametrize(
+        "before,after",
+        [
+            ((avalanche_pmf, -1), conditional_pmf),
+            ((abelian_pmf, 0), conditional_pmf),
+            ((conditional_pmf, 0), abelian_pmf),
+            ((avalanche_pmf, -1), abelian_pmf),
+        ],
+    )
+    @pytest.mark.parametrize("n", [2, 40, 250])
+    def test_bytes_alone_and_after_a_sharing_law(self, n, p, before, after):
+        params = AvalancheParams(n, p)
+        alone = written(after(params))
+        dist._kernel.cache_clear()
+        law, shift = before
+        written(law(AvalancheParams(n + shift, p)))
+        hits = dist._kernel.cache_info().hits
+        assert written(after(params)) == alone
+        assert dist._kernel.cache_info().hits == hits + 1
+
+    @pytest.mark.parametrize("p", PS)
+    def test_callers_cannot_change_a_later_law(self, p):
+        # the laws at (40, p) read K(39) and K(40), the memo's two kernels
+        cases = [(law, AvalancheParams(40, p)) for law in LAWS.values()]
+        cases.append((avalanche_pmf, AvalancheParams(39, p)))
+        want = [written(law(params)) for law, params in cases]
+        for law, params in cases:
+            pmf = law(params)
+            terms = pmf.lowest_terms()
+            terms[0] = (1, 1)
+            terms.reverse()
+            with pytest.raises(TypeError):
+                pmf.nums[0] = 0
+            with pytest.raises(TypeError):
+                pmf.lowest_terms()[0][0] = 0
+        assert [written(law(params)) for law, params in cases] == want
+
+    def test_memo_keeps_at_most_two_kernels(self):
+        assert dist._kernel.cache_info().maxsize == 2
+        for n in (1, 2, 5, 30, 31, 250):
+            for p in (F(1, 600), F(1, n + 1), F(2, 4093)):
+                for law in LAWS.values():
+                    law(AvalancheParams(n, p)).lowest_terms()
+                    assert dist._kernel.cache_info().currsize <= 2
+        assert dist._kernel.cache_info().currsize == 2
+
+    def test_shared_kernel_named_by_its_guard(self, monkeypatch):
+        # the reduction guard names the kernel the laws share, not a law
+        TestLowestTerms.miscount(monkeypatch, -1)
+        for law in (conditional_pmf, abelian_pmf):
+            with pytest.raises(DomainError, match=r"Abel kernel \(n=29, p=1/1024\)"):
+                law(AvalancheParams(30, F(1, 2**10))).lowest_terms()
+        with pytest.raises(DomainError, match=r"Abel kernel \(n=29, p=1/1024\)"):
+            avalanche_pmf(AvalancheParams(29, F(1, 2**10))).lowest_terms()
 
 
 def direct_limit_prob(alpha: float, a: int) -> float:
@@ -630,6 +716,7 @@ class TestPmfValidation:
         with pytest.raises(DomainError, match="nan"):
             Pmf(support=(0, 1), nums=probs, label="bad", deficit=deficit)
 
+    @pytest.mark.usefixtures("fresh_kernels")
     def test_numerators_must_sum_to_the_denominator(self, monkeypatch):
         # the identity is the Pmf's one mass check, sum(nums) == den
         true_term = dist._abel_term

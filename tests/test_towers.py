@@ -380,8 +380,9 @@ class TestHitClasses:
     @given(small_towers())
     @settings(max_examples=80, deadline=None)
     def test_matches_the_method_walk_class_by_class(self, tower):
-        # _hit_classes inlines step and in_excited; every n the oracle can
-        # pass (n <= h) against the reference built on the methods
+        # _hit_classes walks back from the excited set, calling neither step
+        # nor in_excited; every n the oracle can pass (n <= h) against the
+        # forward reference built on those methods
         for n in range(1, tower.height + 1):
             want = [0] * (n + 2)
             for x in range(tower.L):
