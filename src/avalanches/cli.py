@@ -48,6 +48,7 @@ from .distributions import (
 )
 from .errors import DegenerateInputError, DomainError, ResourceLimitError
 from .sampling import SimResult, check_bound, check_campaign, check_seed
+from .serialize import PMF_BITS_CAP
 from .stats import chi_square_gof
 from .towers import (
     avalanche_pmf_general,
@@ -68,20 +69,21 @@ OUT_DIR_ENV = "AVALANCHES_OUT_DIR"
 # the law, 1.2 s for the JSON, start-up included), and `tail --amax 100000`
 # about 2 s and 160 MiB.  `pmf` also bounds its terms: each numerator and
 # denominator of the three laws is at most v^N, v the denominator of p in
-# lowest terms, so PMF_BITS_CAP bounds N times the bit length of v.  It
-# admits p = 1/2048 at N = 2000; at the cap, p = 2/4093 takes 2.0-2.6 s at
-# N = 2000 (2.3-2.7 s for the abelian law at 1/2048 before the cap), 0.9 s
-# at N = 1000 and 0.3-0.5 s at N = 250, where v may have 96 bits; before
-# the cap, N = 2000 at p = 1/10^20 took 34.6 s.  Each CSV row costs time
-# and memory that grow with `pmf --digits`: at N = 2000, p = 1/2001,
-# `--digits 10000` computes the law and writes 19 MiB of CSV in 8.2-8.4 s
-# and 93 MiB, about 3.8 ms a row (0.7-0.9 s and 41 MiB at the default 17
-# digits, 0.015 ms a row).  A stored document over STORED_BYTES_CAP is
-# refused before it is read: the longest `pmf` writes within the caps,
-# 2,001 terms of at most 7,225 digits over as many, is under 29 MB.
+# lowest terms, so PMF_BITS_CAP (serialize, whose stored-document reader
+# bounds the lcm of the denominators by it too) bounds N times the bit
+# length of v.  It admits p = 1/2048 at N = 2000; at the cap, p = 2/4093
+# takes 2.0-2.6 s at N = 2000 (2.3-2.7 s for the abelian law at 1/2048
+# before the cap), 0.9 s at N = 1000 and 0.3-0.5 s at N = 250, where v may
+# have 96 bits; before the cap, N = 2000 at p = 1/10^20 took 34.6 s.  Each
+# CSV row costs time and memory that grow with `pmf --digits`: at N = 2000,
+# p = 1/2001, `--digits 10000` computes the law and writes 19 MiB of CSV in
+# 8.2-8.4 s and 93 MiB, about 3.8 ms a row (0.7-0.9 s and 41 MiB at the
+# default 17 digits, 0.015 ms a row).  A stored document over
+# STORED_BYTES_CAP is refused before it is read: the longest `pmf` writes
+# within the caps, 2,001 terms of at most 7,225 digits over as many, is
+# under 29 MB.
 IDENTITY_N_CAP = 150
 PMF_N_CAP = 2000
-PMF_BITS_CAP = 24000
 AMAX_CAP = 10**5
 DIGITS_CAP = 10**4
 STORED_BYTES_CAP = 29 * 2**20
@@ -156,6 +158,8 @@ def _load_json(path: str, from_dict):
         raise DomainError(f"cannot read {path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise DomainError(f"{path} is not valid JSON: {exc}")
+    except RecursionError:  # json.load recurses once per level of nesting
+        raise DomainError(f"{path} is nested too deeply to read")
     except KeyError as exc:
         raise DomainError(f"{path} is missing the field {exc}")
     except (AttributeError, OverflowError, TypeError, ValueError) as exc:

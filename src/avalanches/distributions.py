@@ -18,12 +18,12 @@ reweighted,
 which is again integers over one denominator (abelian_pmf).  The
 heterogeneous tower law, with one mass per coordinate, lives in towers.
 
-Each kernel row K(n) at p = u/v is built once per (n, u, v) and kept by a
-memo, _kernel, with its lowest terms once they are made.  The avalanche
-law at (n, p) and the conditional and abelian laws at (n+1, p) share it:
-its row, and its lowest terms, from which the abelian law makes its own.
-The laws at one (N, p) read only K(N) and K(N-1), so the memo keeps the
-last two kernels used.
+Each kernel row K(n) at p = u/v is built once per (n, u, v), and its
+lowest terms once they are made: _abel_row and _lowest_terms are each an
+lru_cache on (n, u, v) and return tuples.  The avalanche law at (n, p) and
+the conditional and abelian laws at (n+1, p) share them: the row, and its
+lowest terms, from which the abelian law makes its own.  The laws at one
+(N, p) read only K(N) and K(N-1), so each memo keeps the last two used.
 
 Terms are put in lowest terms only when a law is written (Pmf.lowest_terms).
 The kernel's terms at (n, u/v) are reduced without a gcd on the big
@@ -115,14 +115,16 @@ class LimitParams:
             raise DomainError(f"a_max must be >= 0, got {self.a_max}")
 
 
-def common_denominator(pairs) -> tuple[list[int], int]:
+def common_denominator(pairs, den: int | None = None) -> tuple[list[int], int]:
     """(numerator, denominator) pairs as numerators over the lcm of the
     denominators, each distinct denominator's scale computed once.  Exact
     laws repeat few distinct denominators, so this costs one multiplication
-    a term and no gcd."""
+    a term and no gcd.  A caller that already holds the lcm passes it as
+    den."""
     pairs = list(pairs)
     scale = dict.fromkeys(d for _, d in pairs)
-    den = math.lcm(*scale)
+    if den is None:
+        den = math.lcm(*scale)
     for d in scale:
         scale[d] = den // d
     return [x * scale[d] for x, d in pairs], den
@@ -141,7 +143,8 @@ class Pmf:
     The terms are put in lowest terms only when they are written
     (lowest_terms): by the producer's ``reducer`` when it passes one, a
     callable of no arguments that returns the (num, den) pairs, else by a
-    gcd per term.  ``floats`` maps each support value to its probability as
+    gcd per term; either way as a fresh list, so a caller cannot change a
+    memo.  ``floats`` maps each support value to its probability as
     a float and ``probs`` gives the probabilities as Fractions when exact;
     both are built on first use.  Two pmfs are equal when their labels,
     kinds, deficits and probabilities are (same_probs); the reducer is not
@@ -216,7 +219,7 @@ class Pmf:
     def lowest_terms(self) -> list[tuple[int, int]]:
         """An exact pmf's terms as (num, den) pairs in lowest terms."""
         if self.reducer is not None:
-            return self.reducer()
+            return list(self.reducer())
         den = self.den
         return [(x // g, den // g) for x in self.nums for g in (math.gcd(x, den),)]
 
@@ -235,17 +238,19 @@ def _abel_term(n: int, b: int, u: int, v: int, binom: int | None = None) -> int:
     return binom * u**b * weight * (v - (b + 1) * u) ** (n - b)
 
 
-def _abel_row(n: int, u: int, v: int) -> list[int]:
+@lru_cache(maxsize=2)
+def _abel_row(n: int, u: int, v: int) -> tuple[int, ...]:
     """The kernel's terms t_0..t_n at (n, u/v), carrying the binomial from
     term to term, C(n,b+1) = C(n,b) (n-b) / (b+1), instead of computing
     each C(n,b) afresh.  At n = 250 (2-vCPU Xeon) the row takes 1.4-1.6 ms,
-    against 2.0-2.3 ms with math.comb per term."""
+    against 2.0-2.3 ms with math.comb per term.  The laws at one (N, p)
+    read only K(N) and K(N-1), so the memo keeps two rows."""
     row = []
     binom = 1
     for b in range(n + 1):
         row.append(_abel_term(n, b, u, v, binom))
         binom = binom * (n - b) // (b + 1)
-    return row
+    return tuple(row)
 
 
 def _valuation(x: int, q: int) -> int:
@@ -297,9 +302,10 @@ def _term_valuations(q: int, n: int, u: int, v: int) -> list[int]:
     return out
 
 
-def _lowest_terms(row, n: int, u: int, v: int) -> list[tuple[int, int]]:
+@lru_cache(maxsize=2)
+def _lowest_terms(n: int, u: int, v: int) -> tuple[tuple[int, int], ...]:
     """The kernel's row t_0..t_n at (n, u/v) over v^n as (num, den) pairs in
-    lowest terms, with no gcd on the big integers.
+    lowest terms, with no gcd on the big integers; memoized, as the row is.
 
     Every prime q shared by a term and v^n is <= n+1 (module docstring), so
     trial division of v up to n+1 finds them all, and their exponents in a
@@ -316,7 +322,7 @@ def _lowest_terms(row, n: int, u: int, v: int) -> list[tuple[int, int]]:
         vecs = [vec + (min(e, n * e_v),) for vec, e in zip(vecs, es)]
     reduced = {}  # exponents of the primes in the gcd -> (gcd, den')
     out = []
-    for b, (t, vec) in enumerate(zip(row, vecs)):
+    for b, (t, vec) in enumerate(zip(_abel_row(n, u, v), vecs)):
         if not t:
             out.append((0, 1))
             continue
@@ -330,45 +336,19 @@ def _lowest_terms(row, n: int, u: int, v: int) -> list[tuple[int, int]]:
                 f"Abel kernel (n={n}, p={u}/{v}): term at {b} not reduced to lowest terms"
             )
         out.append((x, den_b))
-    return out
-
-
-class _Kernel:
-    """The kernel at (n, u/v): its row t_0..t_n as a tuple, and the row over
-    v^n in lowest terms (_lowest_terms, with its guards) as a tuple of
-    (num, den) pairs, built on first use."""
-
-    def __init__(self, n: int, u: int, v: int):
-        self.n, self.u, self.v = n, u, v
-        self.row = tuple(_abel_row(n, u, v))
-
-    @cached_property
-    def lowest(self) -> tuple[tuple[int, int], ...]:
-        return tuple(_lowest_terms(self.row, self.n, self.u, self.v))
-
-    def lowest_terms(self) -> list[tuple[int, int]]:
-        return list(self.lowest)
-
-
-@lru_cache(maxsize=2)
-def _kernel(n: int, u: int, v: int) -> _Kernel:
-    """The one _Kernel per (n, u, v), shared by the avalanche law at
-    (n, p) and the conditional and abelian laws at (n+1, p).  The laws at
-    one (N, p) need only K(N) and K(N-1), so the memo keeps two kernels."""
-    return _Kernel(n, u, v)
+    return tuple(out)
 
 
 def _kernel_pmf(first: int, n: int, u: int, v: int, label: str) -> Pmf:
     """The kernel at (n, u/v), t_b / v^n, as a pmf on first..first+n.  Its
     mass check is Abel's identity, sum(t_b) == v^n, on the integers."""
-    kernel = _kernel(n, u, v)
     return Pmf(
         support=range(first, first + n + 1),
         exact=True,
         label=label,
-        nums=kernel.row,
+        nums=_abel_row(n, u, v),
         den=v**n,
-        reducer=kernel.lowest_terms,
+        reducer=partial(_lowest_terms, n, u, v),
     )
 
 
@@ -414,8 +394,7 @@ def abelian_pmf(params: AvalancheParams) -> Pmf:
     params.require_subcritical()
     N, u, v = params.N, params.p.numerator, params.p.denominator
     head, s = v - N * u, v - (N - 1) * u
-    kernel = _kernel(N - 1, u, v)
-    row = kernel.row
+    row = _abel_row(N - 1, u, v)
     nums = [head * (t // (v - k * u)) for k, t in enumerate(row[:-1], 1)]
     return Pmf(
         support=range(1, N + 1),
@@ -423,19 +402,18 @@ def abelian_pmf(params: AvalancheParams) -> Pmf:
         label=f"abelian(N={N},p={params.p})",
         nums=nums + [row[-1]],
         den=s * v ** (N - 1) // v,  # at N = 1, v/v
-        reducer=partial(_abelian_lowest_terms, kernel, N),
+        reducer=partial(_abelian_lowest_terms, N, u, v),
     )
 
 
-def _abelian_lowest_terms(kernel: _Kernel, N: int) -> list[tuple[int, int]]:
+def _abelian_lowest_terms(N: int, u: int, v: int) -> list[tuple[int, int]]:
     """abelian_pmf's terms in lowest terms: the conditional row t_0..t_{N-1}
     in lowest terms (the kernel's, reduced once by its lemma), each term
     times its small ratio a/b in lowest terms, with two more gcds a term
     (abelian_pmf)."""
-    u, v = kernel.u, kernel.v
     head, s = v - N * u, v - (N - 1) * u
     out = []
-    for k, (x, d) in enumerate(kernel.lowest, 1):
+    for k, (x, d) in enumerate(_lowest_terms(N - 1, u, v), 1):
         a, b = (head * v, (v - k * u) * s) if k < N else (v, s)
         g = math.gcd(a, b)
         a, b = a // g, b // g
@@ -476,7 +454,7 @@ def expectation_identity_check(params: AvalancheParams) -> bool:
     The left side is the mean of abelian_pmf (pmf_mean), compared in exact
     arithmetic against the independent closed-form mean
     abelian_mean_closed_form.  abelian_pmf reads the kernel row at N-1
-    from the memo (_kernel), so after the abelian or conditional law at
+    from its memo (_abel_row), so after the abelian or conditional law at
     (N, p), or the avalanche law at (N-1, p), the check costs the
     reweighting and the sum, not a new row; it never reduces to lowest
     terms.

@@ -27,11 +27,19 @@ from fractions import Fraction
 
 from .combinatorics import TreeCensus
 from .distributions import Pmf, common_denominator
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .sampling import SimResult
 from .stats import GofReport
 
 DEFAULT_SIG_DIGITS = 17
+
+# The most bits of an exact law `pmf` writes: the cli caps N times the bit
+# length of v, p = u/v, by it, and every reduced numerator and denominator
+# of the three laws divides v^N.  A stored exact document is refused when
+# the lcm of its denominators has more bits, or any number in it more
+# digits than 2^PMF_BITS_CAP has (7225).
+PMF_BITS_CAP = 24000
+_PMF_DIGITS_CAP = int(PMF_BITS_CAP * math.log10(2)) + 1
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -230,15 +238,33 @@ def _exact_terms(probs) -> tuple[list[int], int]:
     """Stored "num/den" strings (or bare integers) as numerators over the
     lcm of their denominators.  Each distinct denominator string is
     converted once, and no gcd is taken: the terms need not be in lowest
-    terms, and the Pmf's check sum(nums) == den proves the mass."""
+    terms, and the Pmf's check sum(nums) == den proves the mass.
+
+    The lcm is kept as the denominators are read, and a document whose
+    lcm passes PMF_BITS_CAP bits is refused (exit 3) before any numerator
+    is scaled, as is one with a number too long to convert cheaply: the
+    lcm of n denominators of d digits each costs time quadratic in n d."""
     dens: dict[str, int] = {}
     pairs = []
+    lcm = 1
     for p in probs:
         num, den = _split_rational(_json_typed(p, "string", "exact prob"))
+        digits = max(len(num.lstrip("+-0")), len(den.lstrip("0")))
+        if digits > _PMF_DIGITS_CAP:
+            raise ResourceLimitError(
+                f"an exact prob with a number of {digits} digits exceeds the cap of "
+                f"{_PMF_DIGITS_CAP} ({PMF_BITS_CAP} bits)"
+            )
         if den not in dens:
             dens[den] = _denominator(den, p)
+            lcm = math.lcm(lcm, dens[den])
+            if lcm.bit_length() > PMF_BITS_CAP:
+                raise ResourceLimitError(
+                    f"the lcm of the exact probs' denominators exceeds the cap of "
+                    f"{PMF_BITS_CAP} bits"
+                )
         pairs.append((int(num), dens[den]))
-    return common_denominator(pairs)
+    return common_denominator(pairs, lcm)
 
 
 @unlimited_int_digits()

@@ -1136,6 +1136,101 @@ class TestCompareCommand:
             "--trials", "100", "--compare", str(bad),
         )
 
+    def reader_args(self, capsys, tmp_path, which, bad):
+        """Arguments that make ``which`` reader read the document ``bad``."""
+        paths = dict(zip(("sim", "pmf"), self.stored_run(capsys, tmp_path)))
+        if which == "simulate":
+            return ["simulate", "--model", "urn", "--N", "2", "--M", "4", "--trials", "1000",
+                    "--seed", "3", "--compare", str(bad)]
+        paths[which] = bad
+        return ["compare", "--sim", str(paths["sim"]), "--pmf", str(paths["pmf"])]
+
+    @pytest.mark.parametrize("which", ["sim", "pmf", "simulate"])
+    @pytest.mark.parametrize("shape", ["array", "probs"])
+    def test_deeply_nested_document(self, capsys, tmp_path, which, shape):
+        # json.load recurses once per level: 100,000 levels of bare arrays
+        # (200 KB), or a valid law whose probs sit 50,000 levels down
+        bad = tmp_path / "nested.json"
+        if shape == "array":
+            bad.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        else:
+            law = {**uniform_exact_pmf(2), "probs": "PROBS"}
+            text = json.dumps(law).replace('"PROBS"', "[" * 50_000 + '"1/2", "1/2"' + "]" * 50_000)
+            bad.write_text(text, encoding="utf-8")
+        args = self.reader_args(capsys, tmp_path, which, bad)
+        rc, out, err = run_cli(capsys, *args)
+        assert (rc, out, err) == (2, "", f"error: {bad} is nested too deeply to read\n")
+
+    @pytest.mark.parametrize("which", ["pmf", "simulate"])
+    @pytest.mark.parametrize("bits", [PMF_BITS_CAP, PMF_BITS_CAP + 1])
+    def test_stored_denominators_lcm_cap(self, capsys, monkeypatch, tmp_path, which, bits):
+        # the stored run's law (9/16, 1/4, 3/16) over 2^(bits-1), a denominator
+        # of `bits` bits: read at the cap, refused one bit over it before any
+        # numerator is scaled
+        import avalanches.serialize as ser_mod
+
+        scale = 2 ** (bits - 1) // 16
+        with ser_mod.unlimited_int_digits():
+            probs = [f"{x * scale}/{16 * scale}" for x in (9, 4, 3)]
+        doc = {"exact": True, "label": "x", "support": [0, 1, 2], "probs": probs}
+        law = tmp_path / "law.json"
+        law.write_text(json.dumps(doc), encoding="utf-8")
+        args = self.reader_args(capsys, tmp_path, which, law)
+        if bits <= PMF_BITS_CAP:
+            want = run_cli(capsys, *args)
+            law.write_text(json.dumps({**doc, "probs": ["9/16", "1/4", "3/16"]}))
+            assert want[0] == 0 and run_cli(capsys, *args) == want
+            return
+
+        def refuse(*args):
+            raise AssertionError("a numerator was scaled")
+
+        monkeypatch.setattr(ser_mod, "common_denominator", refuse)
+        rc, out, err = run_cli(capsys, *args)
+        assert (rc, out) == (3, "")
+        assert err == (
+            "resource limit: the lcm of the exact probs' denominators exceeds the cap of "
+            f"{PMF_BITS_CAP} bits\n"
+        )
+
+    def test_many_long_denominators_exit_3_at_once(self, capsys, tmp_path):
+        # 2,001 distinct denominators of 7,000 digits: their lcm took minutes
+        # before the mass check refused the document
+        n = PMF_N_CAP + 1
+        probs = [f"1/9{i:04}" + "7" * 6995 for i in range(n)]
+        doc = {"exact": True, "label": "x", "support": list(range(n)), "probs": probs}
+        law = tmp_path / "law.json"
+        law.write_text(json.dumps(doc), encoding="utf-8")
+        args = self.reader_args(capsys, tmp_path, "pmf", law)
+        rc, out, err = run_cli(capsys, *args)
+        assert (rc, out) == (3, "")
+        assert "lcm of the exact probs' denominators" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("where", ["num", "den"])
+    def test_stored_number_longer_than_any_law_exits_3(self, capsys, monkeypatch, tmp_path, where):
+        # one number with more digits than 2^PMF_BITS_CAP is refused before
+        # it is converted, which takes time quadratic in its digits
+        import avalanches.serialize as ser_mod
+
+        digits = ser_mod._PMF_DIGITS_CAP
+        long = "00" + "9" * (digits + 1)
+        prob = f"{long}/7" if where == "num" else f"1/{long}"
+        doc = {"exact": True, "label": "x", "support": [0, 1], "probs": [prob, "1/2"]}
+        law = tmp_path / "law.json"
+        law.write_text(json.dumps(doc), encoding="utf-8")
+        args = self.reader_args(capsys, tmp_path, "pmf", law)
+
+        def refuse(*args):
+            raise AssertionError("a denominator was converted")
+
+        monkeypatch.setattr(ser_mod, "_denominator", refuse)
+        rc, out, err = run_cli(capsys, *args)
+        assert (rc, out) == (3, "")
+        assert err == (
+            f"resource limit: an exact prob with a number of {digits + 1} digits exceeds "
+            f"the cap of {digits} ({PMF_BITS_CAP} bits)\n"
+        )
+
     @pytest.mark.parametrize(
         "fields",
         [{"probs": [0.5, 0.25, 0.25], "deficit": math.nan}, {"probs": [math.nan, 0.5, 0.5]}],

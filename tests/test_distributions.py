@@ -41,12 +41,20 @@ def grid_ps(n):
 
 @pytest.fixture
 def fresh_kernels():
-    """An empty kernel memo before and after the test: a test that patches
+    """Empty kernel memos before and after the test: a test that patches
     what builds a kernel must see the patched code run, and must leave no
-    kernel it built behind."""
-    dist._kernel.cache_clear()
+    row or lowest terms it built behind."""
+    clear_kernels()
     yield
-    dist._kernel.cache_clear()
+    clear_kernels()
+
+
+MEMOS = (dist._abel_row, dist._lowest_terms)
+
+
+def clear_kernels():
+    for memo in MEMOS:
+        memo.cache_clear()
 
 
 def fraction_pmf(support, probs, label):
@@ -106,7 +114,7 @@ class TestAbelKernel:
     def test_row_is_the_terms(self, n, u, v):
         # u = 0 (0**0 in u^b), p = 1/N for the avalanche (base -1 at b = n) and
         # the conditional (base 0), u > 1, and u/v not in lowest terms
-        assert _abel_row(n, u, v) == [_abel_term(n, b, u, v) for b in range(n + 1)]
+        assert _abel_row(n, u, v) == tuple(_abel_term(n, b, u, v) for b in range(n + 1))
 
     @given(
         st.integers(0, 40).flatmap(
@@ -123,7 +131,7 @@ class TestAbelKernel:
         # Abel's identity on the integers: sum_b t_b == v**n for 0 <= n*u <= v
         n, (u, v) = case
         nums = [_abel_term(n, b, u, v) for b in range(n + 1)]
-        assert _abel_row(n, u, v) == nums
+        assert _abel_row(n, u, v) == tuple(nums)
         assert len(nums) == n + 1
         assert all(t >= 0 for t in nums)
         assert sum(nums) == v**n
@@ -471,9 +479,9 @@ def written(pmf):
 @pytest.mark.usefixtures("fresh_kernels")
 class TestKernelMemo:
     """Each kernel row, and its lowest terms, is built once per (n, u, v)
-    (distributions._kernel): avalanche(N-1, p), conditional(N, p) and
-    abelian(N, p) share K(N-1).  What a law writes must not depend on what
-    was computed before it."""
+    (the memos distributions._abel_row and distributions._lowest_terms):
+    avalanche(N-1, p), conditional(N, p) and abelian(N, p) share K(N-1).
+    What a law writes must not depend on what was computed before it."""
 
     # p with a composite denominator (600 = 2^3 3 5^2, 3600), a prime one,
     # and u > 1
@@ -493,12 +501,12 @@ class TestKernelMemo:
     def test_bytes_alone_and_after_a_sharing_law(self, n, p, before, after):
         params = AvalancheParams(n, p)
         alone = written(after(params))
-        dist._kernel.cache_clear()
+        clear_kernels()
         law, shift = before
         written(law(AvalancheParams(n + shift, p)))
-        hits = dist._kernel.cache_info().hits
+        hits = [memo.cache_info().hits for memo in MEMOS]
         assert written(after(params)) == alone
-        assert dist._kernel.cache_info().hits == hits + 1
+        assert [memo.cache_info().hits for memo in MEMOS] == [h + 1 for h in hits]
 
     @pytest.mark.parametrize("p", PS)
     def test_callers_cannot_change_a_later_law(self, p):
@@ -517,14 +525,42 @@ class TestKernelMemo:
                 pmf.lowest_terms()[0][0] = 0
         assert [written(law(params)) for law, params in cases] == want
 
+    @pytest.mark.parametrize("p", PS)
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    def test_evicted_kernel_writes_the_same_bytes(self, law, p):
+        params = AvalancheParams(40, p)
+        pmf = LAWS[law](params)
+        want = written(pmf)
+        for n in (10, 11, 12):  # three other kernels push K(39) and K(40) out
+            written(avalanche_pmf(AvalancheParams(n, p)))
+        misses = [memo.cache_info().misses for memo in MEMOS]
+        assert written(pmf) == want
+        assert [memo.cache_info().misses for memo in MEMOS] == [m + 1 for m in misses]
+        assert written(LAWS[law](params)) == want
+        terms = pmf.lowest_terms()
+        assert type(terms) is list and terms is not pmf.lowest_terms()
+        assert terms == pmf.lowest_terms()
+
+    @pytest.mark.parametrize("p", [F(1, 251), F(1, 600), F(2, 4093)])
+    def test_exact_laws_sequence_builds_each_kernel_once(self, p):
+        # the benchmark's exact_laws op: the three laws written, then the
+        # mean identity and the avalanche law again; K(250) and K(249) are
+        # each built once and reduced once
+        params = AvalancheParams(250, p)
+        for law in LAWS.values():
+            ser.pmf_to_json(law(params))
+        assert expectation_identity_check(params)
+        avalanche_pmf(params)
+        assert [memo.cache_info().misses for memo in MEMOS] == [2, 2]
+
     def test_memo_keeps_at_most_two_kernels(self):
-        assert dist._kernel.cache_info().maxsize == 2
+        assert [memo.cache_info().maxsize for memo in MEMOS] == [2, 2]
         for n in (1, 2, 5, 30, 31, 250):
             for p in (F(1, 600), F(1, n + 1), F(2, 4093)):
                 for law in LAWS.values():
                     law(AvalancheParams(n, p)).lowest_terms()
-                    assert dist._kernel.cache_info().currsize <= 2
-        assert dist._kernel.cache_info().currsize == 2
+                    assert all(memo.cache_info().currsize <= 2 for memo in MEMOS)
+        assert [memo.cache_info().currsize for memo in MEMOS] == [2, 2]
 
     def test_shared_kernel_named_by_its_guard(self, monkeypatch):
         # the reduction guard names the kernel the laws share, not a law
