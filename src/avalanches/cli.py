@@ -46,7 +46,7 @@ from .distributions import (
     powerlaw_slope,
     tail_log_ratio,
 )
-from .errors import DegenerateInputError, DomainError, ResourceLimitError
+from .errors import DegenerateInputError, DomainError, ResourceLimitError, echo
 from .sampling import SimResult, check_bound, check_campaign, check_seed
 from .serialize import PMF_BITS_CAP
 from .stats import chi_square_gof
@@ -190,9 +190,9 @@ def _parse_alpha(text: str) -> float:
         exact = Fraction(text)
         alpha = float(exact)
     except (OverflowError, ValueError, ZeroDivisionError):
-        raise DomainError(f"cannot parse alpha {text!r}")
+        raise DomainError(f"cannot parse alpha {echo(text)}")
     if exact and not alpha:
-        raise DomainError(f"alpha {text!r} underflows to 0 as a float")
+        raise DomainError(f"alpha {echo(text)} underflows to 0 as a float")
     return alpha
 
 
@@ -303,7 +303,7 @@ def _tower_system_from_args(args):
         try:
             L, w, h, n = (int(t) for t in args.uniform.split(","))
         except ValueError:
-            raise DomainError(f"--uniform expects L,w,height,N, got {args.uniform!r}")
+            raise DomainError(f"--uniform expects L,w,height,N, got {echo(args.uniform)}")
         specs = itertools.repeat((L, w, h), n)
     elif args.coord:
         specs = []
@@ -311,7 +311,7 @@ def _tower_system_from_args(args):
             try:
                 L, w, h = (int(t) for t in spec.split(","))
             except ValueError:
-                raise DomainError(f"--coord expects L,w,height, got {spec!r}")
+                raise DomainError(f"--coord expects L,w,height, got {echo(spec)}")
             specs.append((L, w, h))
         n = len(specs)
     else:
@@ -383,7 +383,7 @@ def cmd_tail(args) -> int:
     try:
         lo, hi = (int(t) for t in args.fit_window.split(","))
     except ValueError:
-        raise DomainError(f"--fit-window expects aMin,aMax, got {args.fit_window!r}")
+        raise DomainError(f"--fit-window expects aMin,aMax, got {echo(args.fit_window)}")
     pmf = limit_pmf(LimitParams(alpha=alpha, a_max=args.amax))
     rows = []
     for a in range(args.amax):

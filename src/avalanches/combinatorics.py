@@ -11,7 +11,7 @@ and is the independent oracle for the identity, term by term.
 
 The leading-run count is the urn and tower models' exact oracle: it counts
 tuples of coordinates by their leading run, level by level, with binomials
-and powers of the class sizes only.
+(by Pascal's rule or a running product) and powers of the class sizes only.
 """
 
 from __future__ import annotations
@@ -24,10 +24,11 @@ from typing import Iterable, Iterator, Sequence
 from .errors import DomainError, ResourceLimitError
 
 # Cap on the work of leading_run_counts, bounded as levels x prod_t (m_t + 1)
-# x (N + 1) transitions; keeps an at-cap run in the seconds range on one core
-# (2-vCPU Xeon, Python 3.11): urns (200, 201) 0.6 s, (2235, 2) 3.2 s and
-# (1413, 5) 3.9-4.8 s, the slowest shape found, big binomials being the cost;
-# 15 distinct tower types 2.0 s.
+# x (N + 1) transitions, the dict step's; keeps an at-cap run in the seconds
+# range on one core (2-vCPU Xeon, Python 3.11): 15 distinct tower types
+# 1.4-1.6 s.  One type takes the Taylor shift, and at the cap urns
+# (214, 215) 0.11 s, (2235, 2) 0.63 s and (1413, 5) 0.57 s, big integers
+# being the cost, which this bound does not see.
 LEADING_RUN_CAP = 10**7
 
 # Enumeration cap for tree_census, in vertices (n + 1 <= cap).  At the cap,
@@ -362,7 +363,13 @@ def tree_census(n: int) -> TreeCensus:
 def check_leading_run(ms: Sequence[int], cap: int) -> None:
     """Refuse a leading_run_counts call over types of ms[t] coordinates and
     cap levels whose transition bound, cap * prod_t (m_t + 1) * (N + 1),
-    exceeds LEADING_RUN_CAP."""
+    exceeds LEADING_RUN_CAP.
+
+    The bound counts the dict step's work for several types: the states
+    times the classes a type can put.  It overstates the Taylor shift that
+    one type takes, which makes sum_l (m - l)(m - l + 1)/2 additions, 2 to
+    6 times fewer; and it does not see the size of the big integers, which
+    is what the time follows."""
     n = sum(ms)
     if not 1 <= cap <= n:
         raise DomainError(f"leading-run cap must lie in 1..{n}, got {cap}")
@@ -383,48 +390,84 @@ def leading_run_counts(types: Sequence[tuple[int, Iterable[int], int]], cap: int
     Type t is (m_t, sizes_t, total_t): m_t coordinates, each in class l < cap
     in sizes_t[l] ways and in total_t ways in all; sizes_t is read once per
     level, in order.  Returns counts[a] for a = 0..N, N = sum of the m_t.
-
-    A state, the number of coordinates of each type not yet placed packed as
-    mixed-radix digits, carries a weight.  At level l each type in turn puts
-    c of its left coordinates in class l, in C(left, c) * sizes_t[l]^c ways,
-    a running product from c to c + 1.  A state with at most l coordinates
+    At level l each type puts c of the coordinates it has left in class l,
+    in C(left, c) * sizes_t[l]^c ways.  A tuple with at most l coordinates
     placed has X = l, and each coordinate left lies above class l in above_t
-    ways; a state still running after level cap - 1 has X = cap.  The cap
+    ways; a tuple still running after level cap - 1 has X = cap.  The cap
     (check_leading_run) is checked before any work.
+
+    One type keeps its weights as a list w[left], left = 0..top: the
+    coefficients of P(x) = sum w[left] x^left.  A level maps P(x) to
+    P(x + s), a Taylor shift done in place by Horner's rule, which builds
+    the binomials by Pascal's rule: top(top+1)/2 additions, each with a
+    product by s unless s is 1.  Then the one entry with left = top stops.
+
+    Several types keep a dict of states, the number of coordinates left of
+    each type packed as mixed-radix digits, with their total on the digit
+    above, so one comparison finds the states that stop.  The weight moves
+    from c to c + 1 as a running product.  A stopped state is scored from
+    the level's tables of above_t^k.
     """
     ms = [m for m, _, _ in types]
     check_leading_run(ms, cap)
     n = sum(ms)
+    counts = [0] * (n + 1)
+    if len(types) == 1:
+        ((m, sizes, above),) = types
+        it = iter(sizes)
+        w = [0] * m + [1]
+        for l in range(cap):
+            s = next(it)
+            above -= s
+            top = m - l
+            if s == 1:
+                for i in range(top):
+                    for j in range(top - 1, i - 1, -1):
+                        w[j] += w[j + 1]
+            elif s:
+                for i in range(top):
+                    for j in range(top - 1, i - 1, -1):
+                        w[j] += s * w[j + 1]
+            counts[l] = w.pop() * above**top
+        for c in reversed(w):  # P(above): the tuples still running
+            counts[cap] = counts[cap] * above + c
+        return counts
     sizes = [iter(s) for _, s, _ in types]
     above = [total for _, _, total in types]
+    radices = [m + 1 for m in ms]
     strides = [1]
-    for m in ms[:-1]:
-        strides.append(strides[-1] * (m + 1))
-    counts = [0] * (n + 1)
-    states = {sum(m * d for m, d in zip(ms, strides)): 1}
+    for r in radices:
+        strides.append(strides[-1] * r)
+    whole = strides.pop()  # the stride of the digit that counts the coordinates left
+    states = {sum(m * d for m, d in zip(ms, strides)) + n * whole: 1}
     for l in range(cap):
         for t, it in enumerate(sizes):
             s = next(it)
+            if not s:
+                continue
             above[t] -= s
-            stride, radix = strides[t], ms[t] + 1
+            stride, radix = strides[t], radices[t]
+            step = stride + whole
             nxt: dict[int, int] = {}
             for key, w in states.items():
                 left = key // stride % radix
-                for c in range(left + 1):
-                    nxt[key] = nxt.get(key, 0) + w
+                nxt[key] = nxt.get(key, 0) + w
+                for c in range(left):
                     # exact: C(left, c) (left - c) = C(left, c + 1) (c + 1)
                     w = w * (left - c) * s // (c + 1)
-                    if not w:
-                        break
-                    key -= stride
+                    key -= step
+                    nxt[key] = nxt.get(key, 0) + w
             states = nxt
+        pows = [[a**k for k in range(r)] for a, r in zip(above, radices)]
+        stop = (n - l) * whole  # a state from here up has placed at most l
+        last = l == cap - 1
         running = {}
         for key, w in states.items():
-            lefts = [key // d % (m + 1) for m, d in zip(ms, strides)]
-            placed = n - sum(lefts)
-            if placed > l and l < cap - 1:
+            if key < stop and not last:
                 running[key] = w
-            else:
-                counts[l if placed <= l else cap] += w * math.prod(a**k for a, k in zip(above, lefts))
+                continue
+            for p, stride, radix in zip(pows, strides, radices):
+                w *= p[key // stride % radix]
+            counts[l if key >= stop else cap] += w
         states = running
     return counts

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .combinatorics import TreeCensus
 from .distributions import Pmf, common_denominator
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, echo
 from .sampling import SimResult
 from .stats import GofReport
 
@@ -66,7 +66,7 @@ def _split_rational(text: str) -> tuple[str, str]:
     would silently stop being exact)."""
     text = text.strip()
     if not _RATIONAL_RE.match(text):
-        raise DomainError(f"expected an exact rational like 3/40, got {text!r}")
+        raise DomainError(f"expected an exact rational like 3/40, got {echo(text)}")
     num, _, den = text.partition("/")
     return num, den or "1"
 
@@ -74,7 +74,7 @@ def _split_rational(text: str) -> tuple[str, str]:
 def _denominator(den: str, text: str) -> int:
     d = int(den)
     if not d:
-        raise DomainError(f"zero denominator in {text.strip()!r}")
+        raise DomainError(f"zero denominator in {echo(text.strip())}")
     return d
 
 
@@ -94,7 +94,7 @@ def _json_typed(x, kind: str, field: str):
     true.  A JSON number is an int or a float, but not a bool."""
     types = {"integer": (int,), "number": (int, float), "string": (str,), "boolean": (bool,)}
     if type(x) not in types[kind]:
-        raise DomainError(f"{field} must be a JSON {kind}, got {x!r}")
+        raise DomainError(f"{field} must be a JSON {kind}, got {echo(x)}")
     return x
 
 
@@ -106,7 +106,7 @@ def _histogram_key(key: str) -> int:
     except ValueError:
         a = -1
     if a < 0 or key != str(a):
-        raise DomainError(f"histogram key must be a size a >= 0 written as str(a), got {key!r}")
+        raise DomainError(f"histogram key must be a size a >= 0 written as str(a), got {echo(key)}")
     return a
 
 

@@ -288,6 +288,26 @@ class TestPmfCommand:
         assert (rc, out) == (2, "")
         assert err.startswith("error: cannot parse") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["pmf", "--model", "limit", "--alpha", "x" * 10**5, "--amax", "5"],
+             "cannot parse alpha"),
+            (["pmf", "--model", "limit", "--alpha", "1/1" + "0" * 4000, "--amax", "5"],
+             "underflows to 0"),
+            (["tail", "--alpha", "1", "--amax", "10", "--fit-window", "1," * 10**5],
+             "--fit-window expects"),
+            (["simulate", "--model", "tower", "--uniform", "8," * 10**5, "--trials", "1"],
+             "--uniform expects"),
+            (["simulate", "--model", "tower", "--coord", "8," * 10**5, "--trials", "1"],
+             "--coord expects"),
+        ],
+    )
+    def test_a_long_typed_value_is_echoed_cut(self, capsys, args, message):
+        rc, out, err = run_cli(capsys, *args)
+        assert (rc, out) == (2, "")
+        assert err.count("\n") == 1 and len(err.encode()) < 300 and message in err
+
 
 class TestSimulateCommand:
     def test_urn_conservation(self, capsys):
@@ -1351,6 +1371,28 @@ class TestCompareCommand:
         )
         assert (rc, out) == (2, "")
         assert err.count("\n") == 1 and "min_expected must be finite" in err
+
+    @pytest.mark.parametrize(
+        "doc, field, value, message",
+        [
+            ("pmf", "probs", [["7" * 10**6], "1/4", "1/4"], "must be a JSON string"),
+            ("pmf", "probs", ["7" * 10**6 + "x", "1/4", "1/4"], "exact rational like 3/40"),
+            ("pmf", "probs", ["1/" + "0" * 10**6, "1/4", "1/4"], "zero denominator"),
+            ("sim", "histogram", {"7" * 10**6: 1, "0": 999}, "histogram key must be"),
+        ],
+    )
+    def test_a_long_stored_value_is_echoed_cut(self, capsys, tmp_path, doc, field, value, message):
+        # echoed whole, each value would make a one-line error of a million bytes
+        paths = dict(zip(("sim", "pmf"), self.stored_run(capsys, tmp_path)))
+        stored = json.loads(paths[doc].read_text(encoding="utf-8"))
+        stored[field] = value
+        paths[doc].write_text(json.dumps(stored), encoding="utf-8")
+        rc, out, err = run_cli(
+            capsys, "compare", "--sim", str(paths["sim"]), "--pmf", str(paths["pmf"])
+        )
+        assert (rc, out) == (2, "")
+        assert err.count("\n") == 1 and len(err.encode()) < 300 and message in err
+        assert "characters)" in err
 
 
 class TestReproducibility:

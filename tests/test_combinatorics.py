@@ -482,6 +482,23 @@ def leading_run_inputs(draw):
     return types, draw(st.integers(1, min(n, 4)))
 
 
+@st.composite
+def one_type_splits(draw):
+    """(m, m1, sizes, total, cap): one type of m coordinates and a split m1 +
+    (m - m1), sizes() a fresh iterable of the class sizes, the urn's
+    itertools.repeat(1) or a list with sizes of 0 and above 1."""
+    m = draw(st.integers(1, 12))
+    cap = draw(st.integers(1, m))
+    if draw(st.booleans()):
+        total = draw(st.integers(cap, cap + 4))
+        sizes = lambda: itertools.repeat(1)  # noqa: E731
+    else:
+        listed = draw(st.lists(st.integers(0, 4), min_size=cap, max_size=cap))
+        total = sum(listed) + draw(st.integers(0, 3))
+        sizes = listed.copy
+    return m, draw(st.integers(0, m)), sizes, total, cap
+
+
 class TestLeadingRunCounts:
     def test_hand_census(self):
         # two balls in four urns: 9 leave urn 1 empty, 3 fill urns 1..2, 4 rest
@@ -512,6 +529,15 @@ class TestLeadingRunCounts:
         monkeypatch.setattr(combinatorics, "LEADING_RUN_CAP", 17)
         with pytest.raises(ResourceLimitError, match="cap of 17 "):
             leading_run_counts([(2, refuse(), 8)], 2)
+
+    @given(one_type_splits())
+    @settings(max_examples=150, deadline=None)
+    def test_one_type_split_in_two_gives_the_same_counts(self, case):
+        # one type takes the Taylor shift, the same coordinates as two types the dict step
+        m, m1, sizes, total, cap = case
+        counts = leading_run_counts([(m, sizes(), total)], cap)
+        assert leading_run_counts([(m1, sizes(), total), (m - m1, sizes(), total)], cap) == counts
+        assert sum(counts) == total**m
 
     @pytest.mark.parametrize("cap", [0, 3])
     def test_cap_outside_one_to_n(self, cap):
